@@ -91,50 +91,6 @@ const EMPTY: u64 = u64::MAX;
 const DIRTY: u64 = 1 << 63;
 const ADDR_MASK: u64 = !DIRTY;
 
-/// "No writeback" sentinel in [`Llc::access_grouped`]'s output array (a
-/// real line address never reaches `u64::MAX`).
-pub const NO_WRITEBACK: u64 = u64::MAX;
-
-/// Write flag in [`Llc::access_grouped`]'s packed request words (bit 63,
-/// above the 63 usable address bits — the same packing as the entry array).
-pub const REQ_WRITE_BIT: u64 = DIRTY;
-
-/// Batch density (requests per set) above which [`Llc::access_grouped`]
-/// switches from the prefetched in-order probe to the counting-sort
-/// grouped sweep. Below this, most sets are touched at most once, so
-/// grouping has no same-set locality to exploit and only adds sort
-/// passes; well above it, consecutive same-set probes amortize each
-/// set's entry lines across several accesses.
-const GROUP_MIN_REQS_PER_SET: usize = 4;
-
-/// Reusable counting-sort scratch for [`Llc::access_grouped`].
-///
-/// All buffers are preallocated to the cache's set count on first use and
-/// only the touched entries are reset between batches, so a batch over `n`
-/// accesses costs `O(n)` regardless of how many sets the cache has.
-#[derive(Clone, Debug, Default)]
-pub struct LlcSetScratch {
-    /// Per-set access count for the current batch (zeroed lazily).
-    count: Vec<u32>,
-    /// Per-set write cursor while scattering (valid only for touched sets).
-    cursor: Vec<u32>,
-    /// Sets touched by the current batch, in first-appearance order.
-    touched: Vec<u32>,
-    /// Per-access set index.
-    set_of: Vec<u32>,
-    /// Access indices grouped by set, preserving per-set arrival order.
-    order: Vec<u32>,
-}
-
-impl LlcSetScratch {
-    fn ensure(&mut self, n_sets: usize) {
-        if self.count.len() < n_sets {
-            self.count.resize(n_sets, 0);
-            self.cursor.resize(n_sets, 0);
-        }
-    }
-}
-
 /// A set-associative LLC with per-set LRU replacement and write-allocate,
 /// writeback semantics, stored as a single flat array of packed entries.
 #[derive(Clone, Debug)]
@@ -186,111 +142,6 @@ pub(crate) fn plru_victim(tree: u64, levels: u32) -> usize {
         node = node * 2 + bit;
     }
     way
-}
-
-/// Probes one exact-LRU set slice (valid entries form a recency-ordered
-/// prefix, way 0 = MRU). The single source of the replacement decision,
-/// shared by [`Llc`]'s whole-cache probes and [`LlcShard`]'s per-shard
-/// probes so the two can never drift apart.
-#[inline]
-fn lru_probe_set(
-    set: &mut [u64],
-    line: CacheLineAddr,
-    is_write: bool,
-    hits: &mut u64,
-    misses: &mut u64,
-    writebacks: &mut u64,
-) -> CacheAccess {
-    let mut len = set.len();
-    for (i, &e) in set.iter().enumerate() {
-        if e == EMPTY {
-            len = i;
-            break;
-        }
-        if e & ADDR_MASK == line.0 {
-            let promoted = e | if is_write { DIRTY } else { 0 };
-            set.copy_within(0..i, 1);
-            set[0] = promoted;
-            *hits += 1;
-            return CacheAccess {
-                hit: true,
-                writeback: None,
-            };
-        }
-    }
-    *misses += 1;
-    let writeback = if len == set.len() {
-        let victim = set[len - 1];
-        if victim & DIRTY != 0 {
-            *writebacks += 1;
-            Some(CacheLineAddr(victim & ADDR_MASK))
-        } else {
-            None
-        }
-    } else {
-        len += 1;
-        None
-    };
-    set.copy_within(0..len - 1, 1);
-    set[0] = pack(line, is_write);
-    CacheAccess {
-        hit: false,
-        writeback,
-    }
-}
-
-/// Probes one tree-pLRU set slice (stable ways, per-set bit tree).
-/// Shared by [`Llc`] and [`LlcShard`], like [`lru_probe_set`].
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn plru_probe_set(
-    set: &mut [u64],
-    tree: &mut u64,
-    levels: u32,
-    line: CacheLineAddr,
-    is_write: bool,
-    hits: &mut u64,
-    misses: &mut u64,
-    writebacks: &mut u64,
-) -> CacheAccess {
-    let mut empty_way = None;
-    for (w, &e) in set.iter().enumerate() {
-        if e == EMPTY {
-            if empty_way.is_none() {
-                empty_way = Some(w);
-            }
-            continue;
-        }
-        if e & ADDR_MASK == line.0 {
-            set[w] = e | if is_write { DIRTY } else { 0 };
-            plru_touch(tree, levels, w);
-            *hits += 1;
-            return CacheAccess {
-                hit: true,
-                writeback: None,
-            };
-        }
-    }
-    *misses += 1;
-    let (way, writeback) = match empty_way {
-        Some(w) => (w, None),
-        None => {
-            let w = plru_victim(*tree, levels);
-            let victim = set[w];
-            if victim & DIRTY != 0 {
-                *writebacks += 1;
-                (w, Some(CacheLineAddr(victim & ADDR_MASK)))
-            } else {
-                (w, None)
-            }
-        }
-    };
-    set[way] = pack(line, is_write);
-    plru_touch(tree, levels, way);
-    CacheAccess {
-        hit: false,
-        writeback,
-    }
 }
 
 impl Llc {
@@ -403,23 +254,6 @@ impl Llc {
         self.ways.trailing_zeros()
     }
 
-    /// Prefetch hint for the entry slice of `set_idx`: touch-loads one
-    /// entry per cache line of the set (the crate forbids `unsafe`, so
-    /// this is a `black_box` read rather than a prefetch intrinsic — an
-    /// out-of-order core overlaps the resulting fills all the same). The
-    /// batch probe issues this a few requests ahead of the demand access,
-    /// so the set's lines are in flight while earlier probes retire — the
-    /// memory-level parallelism a serial probe loop cannot express. No
-    /// observable effect: the loaded values are discarded.
-    #[inline]
-    fn prefetch_set(&self, set_idx: usize) {
-        let base = set_idx * self.ways;
-        std::hint::black_box(self.entries[base]);
-        if self.ways > 8 {
-            std::hint::black_box(self.entries[base + 8]);
-        }
-    }
-
     /// Performs a demand access to `line`. On a miss the line is allocated
     /// (write-allocate: even stores first fill the line).
     #[inline]
@@ -430,218 +264,91 @@ impl Llc {
         }
     }
 
-    /// One demand access with the set index already computed (the batch
-    /// probe hands sets out in grouped order).
-    #[inline]
-    fn access_at(&mut self, set_idx: usize, line: CacheLineAddr, is_write: bool) -> CacheAccess {
-        match self.policy {
-            ReplacementPolicy::ExactLru => self.access_lru_at(set_idx, line, is_write),
-            ReplacementPolicy::TreeLru => self.access_plru_at(set_idx, line, is_write),
-        }
-    }
-
-    /// Probes the cache for a whole batch of packed requests (`line | `
-    /// [`REQ_WRITE_BIT`]), choosing between two byte-identical probe
-    /// orders by batch density.
-    ///
-    /// `hit_out[i]` / `wb_out[i]` ([`NO_WRITEBACK`] when none) receive the
-    /// outcome of request `i` in the *original* order.
-    ///
-    /// **Dense batches** (several requests per set on average) are grouped
-    /// by set with a stable counting sort so the per-set entry slice stays
-    /// cache-resident across consecutive probes. Grouping preserves exact
-    /// replacement semantics: a set's entries are touched only by accesses
-    /// mapping to that set, and within each group the original arrival
-    /// order is kept (the scatter is stable), so every hit/miss/victim/
-    /// writeback decision — LRU recency order and pLRU tree alike — is
-    /// identical to calling [`Llc::access`] per request in order. Only the
-    /// interleaving *between* independent sets changes, which no cache
-    /// state observes.
-    ///
-    /// **Sparse batches** (the common case: quiet-segment blocks are a few
-    /// hundred to a few thousand requests over ~1 K sets, so most sets see
-    /// at most one probe) gain nothing from grouping — there is no
-    /// same-set reuse to create — and would pay the sort's extra passes.
-    /// They run in original order with a [`Llc::prefetch_set`] lookahead
-    /// instead: the whole request vector is known up front, so the probe
-    /// `i` can start the line fills for request `i + 8` concurrently.
-    pub fn access_grouped(
-        &mut self,
-        reqs: &[u64],
-        hit_out: &mut Vec<bool>,
-        wb_out: &mut Vec<u64>,
-        scratch: &mut LlcSetScratch,
-    ) {
-        let n = reqs.len();
-        hit_out.clear();
-        hit_out.resize(n, false);
-        wb_out.clear();
-        wb_out.resize(n, NO_WRITEBACK);
-        if n < GROUP_MIN_REQS_PER_SET * self.n_sets {
-            // Probe in original order, one warm window at a time: a burst
-            // of independent touch-loads pulls every set the window will
-            // probe into L1 with full memory-level parallelism, then the
-            // (serially dependent) probe loop runs against warm lines.
-            // A window of 32 touches at most 64 cache lines — comfortably
-            // L1-resident until the probe reaches them.
-            const WARM_WINDOW: usize = 32;
-            match self.policy {
-                // Replacement policy hoisted out of the loop. Under exact
-                // LRU, any probe — hit or fill — leaves its line at way 0
-                // (MRU), so a *consecutive* re-probe of the same line
-                // would scan exactly one entry and its move-to-front
-                // would be a no-op: the only state changes are the dirty
-                // bit and the hit counter, which the fast path applies
-                // directly. Word-granular streams revisit the same 64 B
-                // line in runs, so this skips most probes entirely.
-                ReplacementPolicy::ExactLru => {
-                    let mut prev = EMPTY; // no line address is ever EMPTY
-                    let mut prev_base = 0usize;
-                    let mut w0 = 0usize;
-                    while w0 < n {
-                        let w1 = (w0 + WARM_WINDOW).min(n);
-                        for &r in &reqs[w0..w1] {
-                            self.prefetch_set(self.set_index(CacheLineAddr(r & ADDR_MASK)));
-                        }
-                        for i in w0..w1 {
-                            let r = reqs[i];
-                            let line = r & ADDR_MASK;
-                            if line == prev {
-                                if r & REQ_WRITE_BIT != 0 {
-                                    self.entries[prev_base] |= DIRTY;
-                                }
-                                self.hits += 1;
-                                hit_out[i] = true;
-                                continue;
-                            }
-                            let set_idx = self.set_index(CacheLineAddr(line));
-                            let res = self.access_lru_at(
-                                set_idx,
-                                CacheLineAddr(line),
-                                r & REQ_WRITE_BIT != 0,
-                            );
-                            hit_out[i] = res.hit;
-                            if let Some(wb) = res.writeback {
-                                wb_out[i] = wb.0;
-                            }
-                            prev = line;
-                            prev_base = set_idx * self.ways;
-                        }
-                        w0 = w1;
-                    }
-                }
-                ReplacementPolicy::TreeLru => {
-                    let mut w0 = 0usize;
-                    while w0 < n {
-                        let w1 = (w0 + WARM_WINDOW).min(n);
-                        for &r in &reqs[w0..w1] {
-                            self.prefetch_set(self.set_index(CacheLineAddr(r & ADDR_MASK)));
-                        }
-                        for i in w0..w1 {
-                            let line = CacheLineAddr(reqs[i] & ADDR_MASK);
-                            let res = self.access_plru_at(
-                                self.set_index(line),
-                                line,
-                                reqs[i] & REQ_WRITE_BIT != 0,
-                            );
-                            hit_out[i] = res.hit;
-                            if let Some(wb) = res.writeback {
-                                wb_out[i] = wb.0;
-                            }
-                        }
-                        w0 = w1;
-                    }
-                }
-            }
-            return;
-        }
-        scratch.ensure(self.n_sets);
-        scratch.set_of.clear();
-        scratch.touched.clear();
-        for &r in reqs {
-            let si = self.set_index(CacheLineAddr(r & ADDR_MASK)) as u32;
-            scratch.set_of.push(si);
-            if scratch.count[si as usize] == 0 {
-                scratch.touched.push(si);
-            }
-            scratch.count[si as usize] += 1;
-        }
-        let mut off = 0u32;
-        for &si in &scratch.touched {
-            scratch.cursor[si as usize] = off;
-            off += scratch.count[si as usize];
-        }
-        scratch.order.clear();
-        scratch.order.resize(n, 0);
-        for (i, &si) in scratch.set_of.iter().enumerate() {
-            let c = &mut scratch.cursor[si as usize];
-            scratch.order[*c as usize] = i as u32;
-            *c += 1;
-        }
-        let mut pos = 0usize;
-        for (j, &si) in scratch.touched.iter().enumerate() {
-            if let Some(&next) = scratch.touched.get(j + 1) {
-                self.prefetch_set(next as usize);
-            }
-            let cnt = scratch.count[si as usize] as usize;
-            for &i in &scratch.order[pos..pos + cnt] {
-                let i = i as usize;
-                let r = reqs[i];
-                let res = self.access_at(
-                    si as usize,
-                    CacheLineAddr(r & ADDR_MASK),
-                    r & REQ_WRITE_BIT != 0,
-                );
-                hit_out[i] = res.hit;
-                if let Some(wb) = res.writeback {
-                    wb_out[i] = wb.0;
-                }
-            }
-            pos += cnt;
-            scratch.count[si as usize] = 0;
-        }
-    }
-
     fn access_lru(&mut self, line: CacheLineAddr, is_write: bool) -> CacheAccess {
-        self.access_lru_at(self.set_index(line), line, is_write)
-    }
-
-    #[inline]
-    fn access_lru_at(
-        &mut self,
-        set_idx: usize,
-        line: CacheLineAddr,
-        is_write: bool,
-    ) -> CacheAccess {
-        let base = set_idx * self.ways;
-        lru_probe_set(
-            &mut self.entries[base..base + self.ways],
-            line,
-            is_write,
-            &mut self.hits,
-            &mut self.misses,
-            &mut self.writebacks,
-        )
+        let base = self.set_index(line) * self.ways;
+        let set = &mut self.entries[base..base + self.ways];
+        // Valid entries form a recency-ordered prefix (way 0 = MRU).
+        let mut len = set.len();
+        for (i, &e) in set.iter().enumerate() {
+            if e == EMPTY {
+                len = i;
+                break;
+            }
+            if e & ADDR_MASK == line.0 {
+                let promoted = e | if is_write { DIRTY } else { 0 };
+                set.copy_within(0..i, 1);
+                set[0] = promoted;
+                self.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+        }
+        self.misses += 1;
+        let writeback = if len == set.len() {
+            let victim = set[len - 1];
+            if victim & DIRTY != 0 {
+                self.writebacks += 1;
+                Some(CacheLineAddr(victim & ADDR_MASK))
+            } else {
+                None
+            }
+        } else {
+            len += 1;
+            None
+        };
+        set.copy_within(0..len - 1, 1);
+        set[0] = pack(line, is_write);
+        CacheAccess {
+            hit: false,
+            writeback,
+        }
     }
 
     fn access_plru(&mut self, line: CacheLineAddr, is_write: bool) -> CacheAccess {
-        self.access_plru_at(self.set_index(line), line, is_write)
-    }
-
-    #[inline]
-    fn access_plru_at(&mut self, idx: usize, line: CacheLineAddr, is_write: bool) -> CacheAccess {
+        let idx = self.set_index(line);
         let base = idx * self.ways;
         let levels = self.levels();
-        plru_probe_set(
-            &mut self.entries[base..base + self.ways],
-            &mut self.plru[idx],
-            levels,
-            line,
-            is_write,
-            &mut self.hits,
-            &mut self.misses,
-            &mut self.writebacks,
-        )
+        let set = &mut self.entries[base..base + self.ways];
+        let mut empty_way = None;
+        for (w, &e) in set.iter().enumerate() {
+            if e == EMPTY {
+                if empty_way.is_none() {
+                    empty_way = Some(w);
+                }
+                continue;
+            }
+            if e & ADDR_MASK == line.0 {
+                set[w] = e | if is_write { DIRTY } else { 0 };
+                plru_touch(&mut self.plru[idx], levels, w);
+                self.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+        }
+        self.misses += 1;
+        let (way, writeback) = match empty_way {
+            Some(w) => (w, None),
+            None => {
+                let w = plru_victim(self.plru[idx], levels);
+                let victim = set[w];
+                if victim & DIRTY != 0 {
+                    self.writebacks += 1;
+                    (w, Some(CacheLineAddr(victim & ADDR_MASK)))
+                } else {
+                    (w, None)
+                }
+            }
+        };
+        set[way] = pack(line, is_write);
+        plru_touch(&mut self.plru[idx], levels, way);
+        CacheAccess {
+            hit: false,
+            writeback,
+        }
     }
 
     /// Fills `line` without a demand access (page-migration pollution: the
@@ -779,212 +486,6 @@ impl Llc {
     pub fn occupancy(&self) -> usize {
         self.entries.iter().filter(|&&e| e != EMPTY).count()
     }
-
-    /// Number of sets (the address space the sharded driver partitions).
-    pub fn n_sets(&self) -> usize {
-        self.n_sets
-    }
-
-    /// The set a packed request word (`line | ` [`REQ_WRITE_BIT`]) maps
-    /// to. The sharded driver's partition pass routes each request to the
-    /// lane of the shard owning this set.
-    #[inline]
-    pub fn req_set(&self, req: u64) -> u32 {
-        self.set_index(CacheLineAddr(req & ADDR_MASK)) as u32
-    }
-
-    /// Splits the cache into disjoint mutable views over contiguous set
-    /// ranges, one per shard. `bounds` must tile `0..n_sets` in ascending
-    /// order (the shape [`crate::oplog::Partition::ranges`] produces;
-    /// empty ranges are fine). Entries are stored set-major, so each
-    /// view's slice is contiguous and the split is a plain `split_at_mut`
-    /// chain — no `unsafe`, no overlap by construction.
-    ///
-    /// Hit/miss/writeback counts accumulate in each shard view and must
-    /// be merged back with [`Llc::merge_shard_counters`] at the sync
-    /// point; the sums are commutative, so the merge order cannot affect
-    /// the totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` does not tile `0..n_sets` in order.
-    pub fn shards<'a>(&'a mut self, bounds: &[std::ops::Range<usize>]) -> Vec<LlcShard<'a>> {
-        let has_plru = self.policy == ReplacementPolicy::TreeLru;
-        let levels = self.levels();
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut entries = &mut self.entries[..];
-        let mut plru = &mut self.plru[..];
-        let mut next = 0usize;
-        for r in bounds {
-            assert_eq!(r.start, next, "shard ranges must tile the sets in order");
-            assert!(r.end <= self.n_sets, "shard range past the last set");
-            next = r.end;
-            let n = r.end - r.start;
-            let (e, rest) = entries.split_at_mut(n * self.ways);
-            entries = rest;
-            let (p, rest) = plru.split_at_mut(if has_plru { n } else { 0 });
-            plru = rest;
-            out.push(LlcShard {
-                entries: e,
-                plru: p,
-                policy: self.policy,
-                ways: self.ways,
-                levels,
-                n_sets: self.n_sets,
-                set_mask: self.set_mask,
-                set_lo: r.start,
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
-            });
-        }
-        assert_eq!(next, self.n_sets, "shard ranges must cover every set");
-        out
-    }
-
-    /// Folds shard-probe counters back into the cache's totals.
-    pub fn merge_shard_counters(&mut self, counters: &[LlcShardCounters]) {
-        for c in counters {
-            self.hits += c.hits;
-            self.misses += c.misses;
-            self.writebacks += c.writebacks;
-        }
-    }
-}
-
-/// Hit/miss/writeback counts accumulated by one [`LlcShard`] probe pass,
-/// handed back to the owning [`Llc`] at the sync point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LlcShardCounters {
-    /// Demand hits observed by the shard.
-    pub hits: u64,
-    /// Demand misses observed by the shard.
-    pub misses: u64,
-    /// Dirty evictions observed by the shard.
-    pub writebacks: u64,
-}
-
-/// A mutable view of one shard's contiguous set range, produced by
-/// [`Llc::shards`]. A worker probes its lane of requests against the view
-/// while other workers do the same against theirs; the set states evolve
-/// exactly as a sequential in-order probe would leave them, because each
-/// set only ever sees its own requests in their original arrival order
-/// (the lane preserves it) and sets are independent.
-#[derive(Debug)]
-pub struct LlcShard<'a> {
-    /// This shard's `sets × ways` packed entries.
-    entries: &'a mut [u64],
-    /// This shard's pLRU trees (empty under exact LRU).
-    plru: &'a mut [u64],
-    policy: ReplacementPolicy,
-    ways: usize,
-    levels: u32,
-    /// Whole-cache set count (set indexing is global, then rebased).
-    n_sets: usize,
-    /// Whole-cache set mask (see [`Llc::set_index`]).
-    set_mask: usize,
-    /// First global set index owned by this shard.
-    set_lo: usize,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-}
-
-impl LlcShard<'_> {
-    /// Global set index of a packed request (same mapping as
-    /// [`Llc::req_set`]).
-    #[inline]
-    fn req_set(&self, req: u64) -> usize {
-        let line = (req & ADDR_MASK) as usize;
-        if self.set_mask != 0 {
-            line & self.set_mask
-        } else {
-            line % self.n_sets
-        }
-    }
-
-    /// Probes every packed request in `reqs` in lane order (each must map
-    /// to a set this shard owns). `hit_out[i]` / `wb_out[i]`
-    /// ([`NO_WRITEBACK`] when none) receive the outcomes, to be scattered
-    /// back to dense positions by the caller.
-    ///
-    /// Mirrors the sparse-regime loop of [`Llc::access_grouped`],
-    /// including the exact-LRU consecutive-same-line fast path: after any
-    /// probe of `line`, that line is its set's MRU, and no other shard
-    /// can touch this shard's sets — so a consecutive lane re-probe of
-    /// the same line is certainly a hit whose move-to-front is a no-op,
-    /// exactly as in the sequential engine.
-    pub fn probe(&mut self, reqs: &[u64], hit_out: &mut [bool], wb_out: &mut [u64]) {
-        debug_assert_eq!(reqs.len(), hit_out.len());
-        debug_assert_eq!(reqs.len(), wb_out.len());
-        const WARM_WINDOW: usize = 32;
-        let n = reqs.len();
-        let mut prev = EMPTY; // no line address is ever EMPTY
-        let mut prev_base = 0usize;
-        let mut w0 = 0usize;
-        while w0 < n {
-            let w1 = (w0 + WARM_WINDOW).min(n);
-            for &r in &reqs[w0..w1] {
-                let base = (self.req_set(r) - self.set_lo) * self.ways;
-                std::hint::black_box(self.entries[base]);
-                if self.ways > 8 {
-                    std::hint::black_box(self.entries[base + 8]);
-                }
-            }
-            for i in w0..w1 {
-                let r = reqs[i];
-                let line = r & ADDR_MASK;
-                if self.policy == ReplacementPolicy::ExactLru && line == prev {
-                    if r & REQ_WRITE_BIT != 0 {
-                        self.entries[prev_base] |= DIRTY;
-                    }
-                    self.hits += 1;
-                    hit_out[i] = true;
-                    continue;
-                }
-                let local = self.req_set(r) - self.set_lo;
-                let base = local * self.ways;
-                let set = &mut self.entries[base..base + self.ways];
-                let res = match self.policy {
-                    ReplacementPolicy::ExactLru => lru_probe_set(
-                        set,
-                        CacheLineAddr(line),
-                        r & REQ_WRITE_BIT != 0,
-                        &mut self.hits,
-                        &mut self.misses,
-                        &mut self.writebacks,
-                    ),
-                    ReplacementPolicy::TreeLru => plru_probe_set(
-                        set,
-                        &mut self.plru[local],
-                        self.levels,
-                        CacheLineAddr(line),
-                        r & REQ_WRITE_BIT != 0,
-                        &mut self.hits,
-                        &mut self.misses,
-                        &mut self.writebacks,
-                    ),
-                };
-                hit_out[i] = res.hit;
-                if let Some(wb) = res.writeback {
-                    wb_out[i] = wb.0;
-                }
-                prev = line;
-                prev_base = base;
-            }
-            w0 = w1;
-        }
-    }
-
-    /// The counters this shard accumulated, for
-    /// [`Llc::merge_shard_counters`].
-    pub fn counters(&self) -> LlcShardCounters {
-        LlcShardCounters {
-            hits: self.hits,
-            misses: self.misses,
-            writebacks: self.writebacks,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1107,128 +608,6 @@ mod tests {
         assert_eq!(llc.invalidate(CacheLineAddr(0)), Some(CacheLineAddr(0)));
         assert_eq!(llc.occupancy(), 0);
         assert!(!llc.contains(CacheLineAddr(0)));
-    }
-
-    #[test]
-    fn grouped_probe_matches_scalar_access_for_both_policies() {
-        for policy in [ReplacementPolicy::ExactLru, ReplacementPolicy::TreeLru] {
-            let mut scalar = Llc::with_policy(LlcConfig::tiny(), policy);
-            let mut grouped = scalar.clone();
-            let mut x = 0x1234_5u64;
-            let reqs: Vec<u64> = (0..512)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((x >> 20) % 256) | if x & 1 == 1 { REQ_WRITE_BIT } else { 0 }
-                })
-                .collect();
-            let (mut hits, mut wbs) = (Vec::new(), Vec::new());
-            let mut scratch = LlcSetScratch::default();
-            // Two batches, to exercise the lazy scratch reset between them.
-            for batch in reqs.chunks(256) {
-                let expect: Vec<CacheAccess> = batch
-                    .iter()
-                    .map(|&r| {
-                        scalar.access(CacheLineAddr(r & !REQ_WRITE_BIT), r & REQ_WRITE_BIT != 0)
-                    })
-                    .collect();
-                grouped.access_grouped(batch, &mut hits, &mut wbs, &mut scratch);
-                for (i, e) in expect.iter().enumerate() {
-                    assert_eq!(hits[i], e.hit, "{policy:?} req {i}");
-                    assert_eq!(
-                        wbs[i],
-                        e.writeback.map_or(NO_WRITEBACK, |w| w.0),
-                        "{policy:?} req {i}"
-                    );
-                }
-            }
-            assert_eq!(scalar.entries, grouped.entries, "{policy:?}");
-            assert_eq!(scalar.plru, grouped.plru, "{policy:?}");
-            assert_eq!(
-                (scalar.hits, scalar.misses, scalar.writebacks),
-                (grouped.hits, grouped.misses, grouped.writebacks),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_probe_matches_sequential_for_both_policies() {
-        use crate::oplog::Partition;
-        for policy in [ReplacementPolicy::ExactLru, ReplacementPolicy::TreeLru] {
-            for shards in [1usize, 2, 3, 8] {
-                let mut scalar = Llc::with_policy(LlcConfig::tiny(), policy);
-                let mut sharded = scalar.clone();
-                let mut x = 0xfeed_5eedu64;
-                let reqs: Vec<u64> = (0..600)
-                    .map(|_| {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        ((x >> 19) % 512) | if x & 2 == 2 { REQ_WRITE_BIT } else { 0 }
-                    })
-                    .collect();
-                let expect: Vec<CacheAccess> = reqs
-                    .iter()
-                    .map(|&r| {
-                        scalar.access(CacheLineAddr(r & !REQ_WRITE_BIT), r & REQ_WRITE_BIT != 0)
-                    })
-                    .collect();
-
-                // Route each request to the shard owning its set, probe
-                // per shard, then scatter outcomes back by logical time.
-                let part = Partition::new(sharded.n_sets(), shards);
-                let mut lane_req: Vec<Vec<u64>> = vec![Vec::new(); shards];
-                let mut lane_idx: Vec<Vec<u32>> = vec![Vec::new(); shards];
-                for (i, &r) in reqs.iter().enumerate() {
-                    let k = part.shard_of(sharded.req_set(r) as usize);
-                    lane_req[k].push(r);
-                    lane_idx[k].push(i as u32);
-                }
-                let bounds: Vec<_> = part.ranges().collect();
-                let mut hits = vec![false; reqs.len()];
-                let mut wbs = vec![NO_WRITEBACK; reqs.len()];
-                let mut counters = Vec::new();
-                for (k, mut view) in sharded.shards(&bounds).into_iter().enumerate() {
-                    let mut h = vec![false; lane_req[k].len()];
-                    let mut w = vec![NO_WRITEBACK; lane_req[k].len()];
-                    view.probe(&lane_req[k], &mut h, &mut w);
-                    counters.push(view.counters());
-                    for (j, &i) in lane_idx[k].iter().enumerate() {
-                        hits[i as usize] = h[j];
-                        wbs[i as usize] = w[j];
-                    }
-                }
-                sharded.merge_shard_counters(&counters);
-
-                for (i, e) in expect.iter().enumerate() {
-                    assert_eq!(hits[i], e.hit, "{policy:?} shards={shards} req {i}");
-                    assert_eq!(
-                        wbs[i],
-                        e.writeback.map_or(NO_WRITEBACK, |w| w.0),
-                        "{policy:?} shards={shards} req {i}"
-                    );
-                }
-                assert_eq!(
-                    scalar.entries, sharded.entries,
-                    "{policy:?} shards={shards}"
-                );
-                assert_eq!(scalar.plru, sharded.plru, "{policy:?} shards={shards}");
-                assert_eq!(
-                    (scalar.hits, scalar.misses, scalar.writebacks),
-                    (sharded.hits, sharded.misses, sharded.writebacks),
-                    "{policy:?} shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn shard_bounds_must_tile_all_sets() {
-        let mut llc = Llc::new(LlcConfig::tiny());
-        let _ = llc.shards(&[0..10]); // tiny has 32 sets
     }
 
     #[test]

@@ -700,6 +700,13 @@ pub fn save_telemetry_state(s: &m5_telemetry::TelemetryState, w: &mut StateWrite
         save_log2_histogram(h, w);
     }
     w.put_u64(s.next_span);
+    w.put_u64(s.open_spans.len() as u64);
+    for (id, start_ns, name, label) in &s.open_spans {
+        w.put_u64(*id);
+        w.put_u64(*start_ns);
+        w.put_str(name);
+        w.put_str(label);
+    }
 }
 
 /// Restores a telemetry metric export saved by [`save_telemetry_state`].
@@ -730,6 +737,13 @@ pub fn restore_telemetry_state(
         s.histograms.push((name, label, restore_log2_histogram(r)?));
     }
     s.next_span = r.get_u64()?;
+    let no = r.get_u64()?;
+    for _ in 0..no {
+        let id = r.get_u64()?;
+        let start_ns = r.get_u64()?;
+        let name = r.get_str()?;
+        s.open_spans.push((id, start_ns, name, r.get_str()?));
+    }
     Ok(s)
 }
 

@@ -25,24 +25,6 @@ pub const CHUNK_OP_END_BIT: u64 = 1 << 62;
 /// Low 48 bits of a packed access word: the virtual byte address.
 pub const CHUNK_ADDR_MASK: u64 = (1 << 48) - 1;
 
-/// The virtual address packed in `word`.
-#[inline]
-pub fn word_vaddr(word: u64) -> VirtAddr {
-    VirtAddr(word & CHUNK_ADDR_MASK)
-}
-
-/// Whether `word` encodes a store.
-#[inline]
-pub fn word_is_write(word: u64) -> bool {
-    word & CHUNK_WRITE_BIT != 0
-}
-
-/// Whether `word` completes a client-visible operation.
-#[inline]
-pub fn word_is_op_end(word: u64) -> bool {
-    word & CHUNK_OP_END_BIT != 0
-}
-
 /// A fixed-capacity batch of packed accesses.
 ///
 /// Besides its allocation capacity, a chunk carries a *soft limit*

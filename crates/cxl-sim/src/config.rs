@@ -66,20 +66,6 @@ pub struct SystemConfig {
     /// cost path stays bit-for-bit intact.
     #[serde(default)]
     pub contention: ContentionConfig,
-    /// Minimum quiet-segment block size routed through the staged
-    /// struct-of-arrays access engine; smaller blocks run the fused
-    /// scalar loop, which the staged passes reproduce byte for byte.
-    /// Deadline-bounded blocks (a few hundred accesses between daemon
-    /// wakes) favor the scalar loop's single pass over the data; the
-    /// staged engine's set-grouped LLC sweep and batched tracker feed
-    /// need multi-thousand-access quiet segments to amortize the pass
-    /// structure. Default 1024.
-    #[serde(default = "default_staged_min_block")]
-    pub staged_min_block: usize,
-}
-
-fn default_staged_min_block() -> usize {
-    1024
 }
 
 impl SystemConfig {
@@ -112,7 +98,6 @@ impl SystemConfig {
             migration_watchdog: Nanos::from_micros(200),
             ras: RasConfig::default(),
             contention: ContentionConfig::disabled(),
-            staged_min_block: default_staged_min_block(),
         }
     }
 
@@ -142,7 +127,6 @@ impl SystemConfig {
             migration_watchdog: Nanos::from_micros(200),
             ras: RasConfig::default(),
             contention: ContentionConfig::disabled(),
-            staged_min_block: default_staged_min_block(),
         }
     }
 
@@ -180,14 +164,6 @@ impl SystemConfig {
     /// Returns this config with the contention model overridden.
     pub fn with_contention(mut self, contention: ContentionConfig) -> SystemConfig {
         self.contention = contention;
-        self
-    }
-
-    /// Returns this config with the staged-engine block threshold
-    /// overridden (tests force it low to exercise the staged passes on
-    /// short streams; `usize::MAX` pins the scalar loop).
-    pub fn with_staged_min_block(mut self, n: usize) -> SystemConfig {
-        self.staged_min_block = n;
         self
     }
 }

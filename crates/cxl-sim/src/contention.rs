@@ -441,17 +441,6 @@ impl Contention {
         Nanos(l.cur_extra.0 + l.backlog_at(now).min(l.p.burst_capacity.0))
     }
 
-    /// Strict upper bound on any [`ContentionModel::demand_delay`] for
-    /// `node` until the next [`ContentionModel::rollover`]: the standing
-    /// curve delay `cur_extra` is recomputed only at rollover, and the
-    /// backlog term is clamped to `burst_capacity` regardless of how much
-    /// service piles up. The staged batch engine uses this to bound a
-    /// whole segment's per-access latency before touching any state.
-    pub fn demand_delay_bound(&self, node: NodeId) -> Nanos {
-        let l = &self.links[idx(node)];
-        Nanos(l.cur_extra.0 + l.p.burst_capacity.0)
-    }
-
     /// The utilization `node`'s current curve was computed from.
     pub fn utilization(&self, node: NodeId) -> f64 {
         self.links[idx(node)].cur_util

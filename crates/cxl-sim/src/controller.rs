@@ -20,22 +20,6 @@ use crate::time::Nanos;
 use std::any::Any;
 use std::fmt;
 
-/// One snooped CXL DRAM access, as delivered to [`CxlDevice::on_access`].
-///
-/// The staged batch engine defers snoops within a quiescent segment and
-/// flushes them in one [`CxlController::snoop_batch`] call; each event
-/// carries the simulated time the access *happened*, not the flush time,
-/// so batched delivery is invisible to the devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnoopEvent {
-    /// The accessed line (`PA[47:6]`).
-    pub line: CacheLineAddr,
-    /// Whether this was writeback traffic (vs a miss-fill read).
-    pub is_write: bool,
-    /// Simulated time of the access.
-    pub now: Nanos,
-}
-
 /// A near-memory hardware function attached to the CXL controller.
 ///
 /// Implementors include the profilers (PAC, WAC) and the M5 trackers
@@ -49,17 +33,6 @@ pub trait CxlDevice: Any + Send {
     /// `line` is `PA[47:6]`; `is_write` distinguishes writeback traffic from
     /// miss-fill reads; `now` is the simulated time of the access.
     fn on_access(&mut self, line: CacheLineAddr, is_write: bool, now: Nanos);
-
-    /// Observes a batch of accesses, in order.
-    ///
-    /// Must leave the device in exactly the state the equivalent
-    /// [`CxlDevice::on_access`] loop would. The default loops; devices
-    /// with a cheaper bulk datapath (the M5 trackers) override it.
-    fn on_access_batch(&mut self, events: &[SnoopEvent]) {
-        for e in events {
-            self.on_access(e.line, e.is_write, e.now);
-        }
-    }
 
     /// Delivers an injected hardware fault to the device's SRAM state.
     ///
@@ -100,14 +73,6 @@ impl AttachedDevice {
         match self {
             AttachedDevice::Trace(t) => t.on_access(line, is_write, now),
             AttachedDevice::Dyn(d) => d.on_access(line, is_write, now),
-        }
-    }
-
-    #[inline]
-    fn on_access_batch(&mut self, events: &[SnoopEvent]) {
-        match self {
-            AttachedDevice::Trace(t) => t.on_access_batch(events),
-            AttachedDevice::Dyn(d) => d.on_access_batch(events),
         }
     }
 
@@ -188,20 +153,6 @@ impl CxlController {
     pub fn snoop(&mut self, line: CacheLineAddr, is_write: bool, now: Nanos) {
         for d in &mut self.devices {
             d.on_access(line, is_write, now);
-        }
-    }
-
-    /// Forwards an ordered batch of deferred accesses to every attached
-    /// device.
-    ///
-    /// Devices are independent of one another, so fanning out whole-batch
-    /// (device 0 sees all events, then device 1, …) rather than per-event
-    /// produces identical per-device state to calling
-    /// [`CxlController::snoop`] per event.
-    #[inline]
-    pub fn snoop_batch(&mut self, events: &[SnoopEvent]) {
-        for d in &mut self.devices {
-            d.on_access_batch(events);
         }
     }
 

@@ -272,20 +272,6 @@ impl PageTable {
         self.entries.get(vpn.0 as usize).filter(|p| p.is_mapped())
     }
 
-    /// Prefetch hint for the entry of `vpn`: a `black_box` touch-load
-    /// that pulls the PTE's cache line in without observable effect (the
-    /// crate forbids `unsafe`, so no prefetch intrinsic; an out-of-order
-    /// core overlaps the fill all the same). The staged translate pass
-    /// runs a few accesses ahead of itself: the table is large enough
-    /// that a cold [`PageTable::get`] is a likely cache miss, and the
-    /// upcoming VPNs are already sitting in the access chunk.
-    #[inline]
-    pub fn prefetch(&self, vpn: Vpn) {
-        if let Some(pte) = self.entries.get(vpn.0 as usize) {
-            std::hint::black_box(pte.flags);
-        }
-    }
-
     /// Mutably looks up the entry for `vpn`.
     #[inline]
     pub fn get_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {

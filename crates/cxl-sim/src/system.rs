@@ -25,22 +25,18 @@
 //! attributable to the application.
 
 use crate::addr::{CacheLineAddr, Pfn, VirtAddr, Vpn, WordIndex, WORDS_PER_PAGE};
-use crate::cache::{Llc, LlcSetScratch, LlcShardCounters, NO_WRITEBACK, REQ_WRITE_BIT};
-use crate::chunk::{
-    word_is_op_end, word_is_write, word_vaddr, AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT,
-    CHUNK_WRITE_BIT,
-};
+use crate::cache::Llc;
+use crate::chunk::{AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT, CHUNK_WRITE_BIT};
 use crate::config::{Placement, SystemConfig};
 use crate::contention::{Contention, TrafficClass};
-use crate::controller::{CxlController, CxlDevice, DeviceHandle, SnoopEvent};
+use crate::controller::{CxlController, CxlDevice, DeviceHandle};
 use crate::faults::{DeviceFault, FaultClass, FaultEvent, FaultInjector, FaultPlan, SimError};
 use crate::journal::{MigrationJournal, RecoveryReport, TxnId, TxnState};
 use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::{NodeId, OutOfFrames, TieredMemory, CXL_BASE_PFN};
 use crate::mglru::MgLru;
 use crate::migration::{BatchOutcome, MigrateError, MigrationStats};
-use crate::oplog::{Lane, OpLog, Partition};
-use crate::paging::{PageTable, PteFlags};
+use crate::paging::PageTable;
 use crate::perfmon::{BandwidthStats, PerfMonitor};
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
 use crate::report::{HealthReport, LatencyHistogram, RunReport};
@@ -49,7 +45,6 @@ use crate::tlb::Tlb;
 use m5_telemetry::{SpanId, Telemetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A contiguous virtual region handed to a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,142 +252,6 @@ fn node_idx(node: NodeId) -> usize {
     }
 }
 
-/// Page-table prefetch distance of the staged translate pass: far enough
-/// ahead to overlap the PTE fill with the current run's work.
-const PT_LOOKAHEAD: usize = 16;
-
-/// A maximal same-page stretch of one gather slice, the unit logged by
-/// the sharded translate gather. Continuations of a run cut by a slice
-/// boundary surface as a new run whose VPN equals its predecessor's; the
-/// sequential replay pass rejoins them.
-#[derive(Clone, Copy, Debug)]
-struct PageRun {
-    /// The page every access of the run touches.
-    vpn: Vpn,
-    /// Accesses in the run.
-    len: u32,
-    /// OR of the run's write flags (PTE dirty accumulation).
-    wrote: bool,
-    /// The run's *first* access's write flag — the only one that counts
-    /// when that access takes a hinting fault and truncates the block.
-    first_write: bool,
-}
-
-/// One worker's input to the sharded translate gather: a contiguous slice
-/// of the block's packed words, the matching `split_at_mut` slice of the
-/// request scratch it owns exclusively, and a shared (read-only) view of
-/// the page table.
-struct GatherTask<'a> {
-    /// Block-absolute index of `words[0]` (the slice's logical-time base).
-    start: u32,
-    words: &'a [u64],
-    reqs: &'a mut [u64],
-    pt: &'a PageTable,
-}
-
-/// Runs one gather slice: packs each access's LLC request (translations
-/// are frozen for the block — PFNs only change at migration sync points,
-/// never mid-block — so a read-only PTE walk is exact) and logs the
-/// slice's page runs with block-absolute logical times. PTE *flags* are
-/// deliberately not read here: the replay pass re-reads them fresh, after
-/// earlier-in-block stores have landed.
-fn gather_runs(t: GatherTask<'_>) -> Lane<PageRun> {
-    let mut lane = Lane::new();
-    let mut cur_vpn: Option<Vpn> = None;
-    let mut cur_pfn = Pfn(0);
-    for (j, &w) in t.words.iter().enumerate() {
-        let vaddr = word_vaddr(w);
-        let vpn = vaddr.vpn();
-        let is_write = word_is_write(w);
-        if cur_vpn != Some(vpn) {
-            if let Some(&wa) = t.words.get(j + PT_LOOKAHEAD) {
-                t.pt.prefetch(word_vaddr(wa).vpn());
-            }
-            let pte = match t.pt.get(vpn) {
-                Some(p) => *p,
-                None => panic!("{}", SimError::Unmapped(vaddr)),
-            };
-            cur_vpn = Some(vpn);
-            cur_pfn = pte.pfn;
-            lane.push(
-                t.start + j as u32,
-                PageRun {
-                    vpn,
-                    len: 0,
-                    wrote: false,
-                    first_write: is_write,
-                },
-            );
-        }
-        let run = lane.ops.last_mut().expect("run opened above");
-        run.len += 1;
-        run.wrote |= is_write;
-        t.reqs[j] = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line().0
-            | if is_write { REQ_WRITE_BIT } else { 0 };
-    }
-    lane
-}
-
-/// Reusable struct-of-arrays scratch for the staged batch engine
-/// ([`System::staged_block`]). Pure working memory: cleared at every use,
-/// observable state never passes through it, and it is deliberately absent
-/// from checkpoints — a restored system with empty scratch behaves
-/// identically.
-#[derive(Debug, Default)]
-struct StagedScratch {
-    /// Packed per-access LLC requests: line address | [`REQ_WRITE_BIT`].
-    reqs: Vec<u64>,
-    /// Pre-LLC latency (hinting fault + page walk) per access, ns.
-    base_lat: Vec<u64>,
-    /// Per-access LLC hit flags (stage 2 output).
-    hits: Vec<bool>,
-    /// Per-access dirty-victim lines ([`NO_WRITEBACK`] when none).
-    wbs: Vec<u64>,
-    /// CXL snoops deferred within the block, flushed in stage 4.
-    snoops: Vec<SnoopEvent>,
-    /// Counting-sort scratch for the set-grouped LLC probe.
-    llc: LlcSetScratch,
-}
-
-/// Cumulative wall-clock spent in each staged pass, recorded only after
-/// [`System::enable_stage_timing`] (the throughput bench's opt-in
-/// stage-breakdown flag; timing syscalls are not free on the hot path).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimes {
-    /// Stage 1 — translate: paging, TLB, PTE-flag accumulation. Nanoseconds.
-    pub translate_ns: u64,
-    /// Stage 2 — set-grouped LLC probe. Nanoseconds.
-    pub llc_ns: u64,
-    /// Stage 3 — latency classification and billing. Nanoseconds.
-    pub bill_ns: u64,
-    /// Stage 4 — batched tracker/snoop feed. Nanoseconds.
-    pub tracker_ns: u64,
-    /// Staged blocks executed.
-    pub blocks: u64,
-    /// Accesses that went through the staged path (vs the scalar loop).
-    pub staged_accesses: u64,
-    /// Staged blocks that took the core-sharded fan-out (a subset of
-    /// `blocks`; zero when `sim_shards <= 1` or blocks stay under the
-    /// sharding threshold). Lets harnesses assert the sharded engine
-    /// actually engaged rather than passing vacuously on the scalar path.
-    pub sharded_blocks: u64,
-}
-
-/// The merged epoch-boundary view of the machine a manager tick samples
-/// (see [`System::merged_view`]). All arrays are `[DDR, CXL]` ordered.
-#[derive(Clone, Copy, Debug)]
-pub struct MergedView {
-    /// Pages allocated per node.
-    pub nr_pages: [u64; 2],
-    /// The just-closed measurement window's bandwidth stats per node.
-    pub bw: [BandwidthStats; 2],
-    /// Configured (unloaded) access latency per node.
-    pub lat_unloaded: [Nanos; 2],
-    /// Current loaded access latency per node (equals unloaded when the
-    /// contention model is off or the link is idle).
-    pub lat_loaded: [Nanos; 2],
-}
-
 /// The composed tiered-memory machine.
 #[derive(Debug)]
 pub struct System {
@@ -434,17 +293,6 @@ pub struct System {
     /// Whether the current evacuation already noted survivor-capacity
     /// exhaustion (one degradation entry per evacuation, not per epoch).
     evac_exhaustion_noted: bool,
-    /// SoA scratch for the staged batch engine; transient, not checkpointed.
-    staged: StagedScratch,
-    /// Per-stage wall-clock accounting, when enabled (boxed: cold field).
-    stage_times: Option<Box<StageTimes>>,
-    /// Worker shards the staged engine fans out to (see
-    /// [`System::set_sim_shards`]). A pure runtime performance knob:
-    /// deliberately absent from `SystemConfig`, the config fingerprint,
-    /// and checkpoints, because no observable state may depend on it —
-    /// the sharded engine is byte-identical to the sequential one at
-    /// every value.
-    sim_shards: usize,
 }
 
 impl System {
@@ -492,9 +340,6 @@ impl System {
             ras: RasState::new(config.ras),
             evac_span: None,
             evac_exhaustion_noted: false,
-            staged: StagedScratch::default(),
-            stage_times: None,
-            sim_shards: 1,
             config,
         }
     }
@@ -1020,540 +865,6 @@ impl System {
         })
     }
 
-    /// Turns on per-stage wall-clock accounting for the staged batch
-    /// engine. Opt-in: two monotonic-clock reads per stage are not free on
-    /// the hot path, so the default build pays only one branch per block.
-    pub fn enable_stage_timing(&mut self) {
-        self.stage_times = Some(Box::default());
-    }
-
-    /// Cumulative staged-pass timings, if enabled.
-    pub fn stage_times(&self) -> Option<&StageTimes> {
-        self.stage_times.as_deref()
-    }
-
-    /// Sets the number of worker shards quiet-segment blocks fan out to
-    /// (clamped to at least 1; 1 = the sequential staged engine). The
-    /// sharded engine is byte-identical to the sequential one — reports,
-    /// telemetry snapshots, and checkpoint images do not depend on this
-    /// value — so drivers may pick whatever the host's core count
-    /// suggests. Workers come from the global thread pool
-    /// (`rayon::set_num_threads` pins its size).
-    pub fn set_sim_shards(&mut self, n: usize) {
-        self.sim_shards = n.max(1);
-    }
-
-    /// Current worker-shard count (see [`System::set_sim_shards`]).
-    pub fn sim_shards(&self) -> usize {
-        self.sim_shards
-    }
-
-    /// Strict upper bound on a single *non-faulting* quiet-segment
-    /// access's latency: every additive term of [`System::access_core`]
-    /// at its maximum — page walk, LLC hit, the slower node's fill, plus
-    /// the contention cap. Fault and RAS extras are zero by the caller's
-    /// quiescence proof.
-    ///
-    /// The hinting-fault cost is deliberately excluded even though a
-    /// faulting access bills it: a hinting fault *terminates* the staged
-    /// block (and the batch), so a faulting access's clock advance never
-    /// contributes to a later access's start time. Block sizing only
-    /// needs every access to **start** before the horizon, and start
-    /// times are sums of preceding non-faulting advances — all bounded by
-    /// this value. Including the (20–30× larger) fault cost would shrink
-    /// blocks by an order of magnitude for a case that cannot gate them.
-    ///
-    /// The bound holds for a whole batch: node latencies are
-    /// configuration, and contention's standing delay only moves at
-    /// rollover, which happens at daemon ticks, never mid-batch.
-    fn quiet_access_bound(&self) -> Nanos {
-        let c = self.config.costs;
-        let mut b = c.page_walk + c.llc_hit;
-        b += self
-            .memory
-            .node(NodeId::Ddr)
-            .access_latency()
-            .max(self.memory.node(NodeId::Cxl).access_latency());
-        if self.contention_on {
-            b += self
-                .contention
-                .demand_delay_bound(NodeId::Ddr)
-                .max(self.contention.demand_delay_bound(NodeId::Cxl));
-        }
-        b
-    }
-
-    /// Runs a quiet-segment block through the four staged struct-of-arrays
-    /// passes: translate, set-grouped LLC probe, in-order billing, batched
-    /// tracker feed. Returns how many accesses executed (the whole block,
-    /// unless a hinting fault cut it short) and the faulting VPN, if any.
-    ///
-    /// The caller guarantees every access in `words` *starts* before its
-    /// horizon (via [`System::quiet_access_bound`]), the injector is
-    /// quiescent, and no TLB flush is due — the same preconditions as the
-    /// scalar `access_core(.., false)` loop this replaces.
-    ///
-    /// ## Why the staging is byte-identical to the scalar loop
-    ///
-    /// Within a quiescent segment the per-access mutations partition:
-    ///
-    /// * **TLB + PTE flags** are touched only by translate logic. The TLB
-    ///   evolves from the VPN sequence alone, which stage 1 replays in
-    ///   order. Flag bits only accumulate (OR) within a segment and
-    ///   nothing reads the page table until the next pause, so storing
-    ///   once per page run instead of per access leaves identical state.
-    /// * **LLC** state depends only on the `(line, is_write)` sequence;
-    ///   see [`Llc::access_grouped`] for why set-grouping preserves it.
-    /// * **Clock, contention, perfmon, telemetry, op latencies** are
-    ///   billed by stage 3 strictly in access order with the same
-    ///   pre-advance `now` per access, reproducing the exact clock
-    ///   evolution — stages 1–2 never advance the clock.
-    /// * **Snoop devices** are only read at daemon ticks (pauses), and
-    ///   each sees its `(line, is_write, now)` sequence unchanged, so
-    ///   deferring delivery to stage 4 is invisible (devices are mutually
-    ///   independent; see [`CxlController::snoop_batch`]).
-    fn staged_block(&mut self, words: &[u64], st: &mut BatchState) -> (usize, Option<Vpn>) {
-        let timing = self.stage_times.is_some();
-        let mut s = std::mem::take(&mut self.staged);
-        let costs = self.config.costs;
-
-        // Stage 1: translate every address, accumulating PTE flags per
-        // page run and storing them once.
-        let t0 = timing.then(std::time::Instant::now);
-        s.reqs.clear();
-        s.base_lat.clear();
-        let mut cut = words.len();
-        let mut fault_vpn = None;
-        let mut cur_vpn: Option<Vpn> = None;
-        let mut cur_pfn = Pfn(0);
-        // Dummy until the first page run begins (cur_vpn is None).
-        let mut cur_flags = PteFlags::new_mapped();
-        let mut orig_flags = cur_flags;
-        for (i, &w) in words.iter().enumerate() {
-            let vaddr = word_vaddr(w);
-            let vpn = vaddr.vpn();
-            if cur_vpn == Some(vpn) {
-                // In-page continuation: the run's first access proved the
-                // page present (a hinting fault there truncates the block,
-                // so no continuation exists) and left this VPN most
-                // recently used in its TLB set via lookup-hit or insert —
-                // with no intervening TLB traffic, the hit is certain and
-                // its move-to-front a no-op. Only the hit counter, the
-                // accumulated dirty bit, and the LLC request remain.
-                self.tlb.repeat_hit();
-                let is_write = word_is_write(w);
-                if is_write {
-                    cur_flags = cur_flags.with_dirty();
-                }
-                let line = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line();
-                s.reqs
-                    .push(line.0 | if is_write { REQ_WRITE_BIT } else { 0 });
-                s.base_lat.push(0);
-                continue;
-            }
-            if let Some(&wa) = words.get(i + PT_LOOKAHEAD) {
-                self.page_table.prefetch(word_vaddr(wa).vpn());
-            }
-            if let Some(pv) = cur_vpn {
-                if cur_flags != orig_flags {
-                    self.page_table.store_flags(pv, cur_flags);
-                }
-            }
-            let pte = match self.page_table.get(vpn) {
-                Some(p) => *p,
-                None => panic!("{}", SimError::Unmapped(vaddr)),
-            };
-            cur_vpn = Some(vpn);
-            cur_pfn = pte.pfn;
-            cur_flags = pte.flags;
-            orig_flags = pte.flags;
-            let mut lat = 0u64;
-            let mut hint = false;
-            if !cur_flags.present() {
-                hint = true;
-                self.hinting_faults += 1;
-                self.bill_kernel(CostKind::HintingFault, costs.hinting_fault);
-                lat += costs.hinting_fault.0;
-                cur_flags = cur_flags.with_present();
-            }
-            if !self.tlb.lookup(vpn) {
-                lat += costs.page_walk.0;
-                cur_flags = cur_flags.with_accessed();
-                self.tlb.insert(vpn);
-            }
-            let is_write = word_is_write(w);
-            if is_write {
-                cur_flags = cur_flags.with_dirty();
-            }
-            let line = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line();
-            s.reqs
-                .push(line.0 | if is_write { REQ_WRITE_BIT } else { 0 });
-            s.base_lat.push(lat);
-            if hint {
-                // The batch pauses after a hinting fault (the driver
-                // delivers it to the daemon); truncate the block here.
-                cut = i + 1;
-                fault_vpn = Some(vpn);
-                break;
-            }
-        }
-        if let Some(pv) = cur_vpn {
-            if cur_flags != orig_flags {
-                self.page_table.store_flags(pv, cur_flags);
-            }
-        }
-
-        // Stage 2: probe the LLC for the whole block, set-grouped.
-        let t1 = timing.then(std::time::Instant::now);
-        self.llc
-            .access_grouped(&s.reqs, &mut s.hits, &mut s.wbs, &mut s.llc);
-
-        // Stages 3–4 are shared with the sharded front half.
-        let t2 = timing.then(std::time::Instant::now);
-        if let (Some(ts), Some(t0), Some(t1), Some(t2)) =
-            (self.stage_times.as_deref_mut(), t0, t1, t2)
-        {
-            ts.translate_ns += (t1 - t0).as_nanos() as u64;
-            ts.llc_ns += (t2 - t1).as_nanos() as u64;
-        }
-        self.staged_bill(words, cut, fault_vpn.is_some(), st, &mut s);
-        self.staged = s;
-        (cut, fault_vpn)
-    }
-
-    /// Stages 3–4 of the staged engine, shared verbatim by the sequential
-    /// ([`System::staged_block`]) and sharded
-    /// ([`System::staged_block_sharded`]) front halves: classify and bill
-    /// the first `cut` accesses strictly in logical-time order (the clock,
-    /// contention model, perfmon, and telemetry all observe the exact
-    /// per-access sequence), then flush the deferred snoops to the tracker
-    /// devices in one batched fan-out. `faulted` is whether the block was
-    /// truncated by a hinting fault (for the telemetry counter).
-    fn staged_bill(
-        &mut self,
-        words: &[u64],
-        cut: usize,
-        faulted: bool,
-        st: &mut BatchState,
-        s: &mut StagedScratch,
-    ) {
-        let timing = self.stage_times.is_some();
-        let t2 = timing.then(std::time::Instant::now);
-        let costs = self.config.costs;
-        let node_lat = [
-            self.memory.node(NodeId::Ddr).access_latency(),
-            self.memory.node(NodeId::Cxl).access_latency(),
-        ];
-        s.snoops.clear();
-        // The clock lives in a register for the whole pass, and every
-        // telemetry counter below is a pure sum — accumulating the block's
-        // deltas locally and merging them once leaves `batch` and the
-        // clock in exactly the per-access state (histograms still record
-        // per access; their state is commutative counters either way).
-        let now0 = self.clock.now();
-        let mut now = now0;
-        let mut acc = [0u64; 2];
-        let mut llc_hm = [0u64; 2];
-        let mut dram_reads = [0u64; 2];
-        let mut dram_wbs = [0u64; 2];
-        let mut snoops_rw = [0u64; 2];
-        for (i, &w) in words.iter().enumerate().take(cut) {
-            let req = s.reqs[i];
-            let line = CacheLineAddr(req & !REQ_WRITE_BIT);
-            let is_write = req & REQ_WRITE_BIT != 0;
-            let hit = s.hits[i];
-            let mut latency = Nanos(s.base_lat[i]) + costs.llc_hit;
-            let mut dram_node = None;
-            if !hit {
-                let node = NodeId::of_pfn(line.pfn());
-                latency += node_lat[node_idx(node)];
-                self.perfmon.record_read(node);
-                if self.contention_on {
-                    let extra = self.contention.demand_delay(node, now);
-                    latency += extra;
-                    if self.telemetry_on {
-                        self.batch.contention_extra[node_idx(node)].record(extra.0);
-                    }
-                }
-                if node == NodeId::Cxl {
-                    s.snoops.push(SnoopEvent {
-                        line,
-                        is_write: false,
-                        now,
-                    });
-                    snoops_rw[0] += 1;
-                }
-                dram_node = Some(node);
-            }
-            if s.wbs[i] != NO_WRITEBACK {
-                let wb = CacheLineAddr(s.wbs[i]);
-                let wb_node = NodeId::of_pfn(wb.pfn());
-                self.perfmon.record_writeback(wb_node);
-                if self.contention_on {
-                    self.contention.writeback(wb_node, now);
-                }
-                dram_wbs[node_idx(wb_node)] += 1;
-                if wb_node == NodeId::Cxl {
-                    s.snoops.push(SnoopEvent {
-                        line: wb,
-                        is_write: true,
-                        now,
-                    });
-                    snoops_rw[1] += 1;
-                }
-            }
-            acc[is_write as usize] += 1;
-            llc_hm[!hit as usize] += 1;
-            match dram_node {
-                Some(node) => {
-                    dram_reads[node_idx(node)] += 1;
-                    if self.telemetry_on {
-                        self.batch.latency[BATCH_LAT_DDR + node_idx(node)].record(latency.0);
-                    }
-                }
-                None if self.telemetry_on => self.batch.latency[BATCH_LAT_LLC].record(latency.0),
-                None => {}
-            }
-            now += latency;
-            if word_is_op_end(w) {
-                st.record_op_end(now);
-            }
-        }
-        self.clock.advance(now - now0);
-        st.n += cut as u64;
-        if self.telemetry_on {
-            self.batch.pending = true;
-            self.batch.accesses[0] += acc[0];
-            self.batch.accesses[1] += acc[1];
-            self.batch.llc[0] += llc_hm[0];
-            self.batch.llc[1] += llc_hm[1];
-            self.batch.dram_reads[0] += dram_reads[0];
-            self.batch.dram_reads[1] += dram_reads[1];
-            self.batch.dram_writebacks[0] += dram_wbs[0];
-            self.batch.dram_writebacks[1] += dram_wbs[1];
-            self.batch.snoops[BATCH_SNOOP_READ] += snoops_rw[0];
-            self.batch.snoops[BATCH_SNOOP_WRITEBACK] += snoops_rw[1];
-            self.batch.hinting_faults += faulted as u64;
-        }
-
-        // Stage 4: flush the deferred snoops to the tracker devices in
-        // one batched fan-out.
-        let t3 = timing.then(std::time::Instant::now);
-        if !s.snoops.is_empty() {
-            self.controller.snoop_batch(&s.snoops);
-        }
-
-        if let (Some(ts), Some(t2), Some(t3)) = (self.stage_times.as_deref_mut(), t2, t3) {
-            ts.bill_ns += (t3 - t2).as_nanos() as u64;
-            ts.tracker_ns += t3.elapsed().as_nanos() as u64;
-            ts.blocks += 1;
-            ts.staged_accesses += cut as u64;
-        }
-    }
-
-    /// Core-sharded variant of [`System::staged_block`]: the translate
-    /// gather and the LLC probe fan out across worker shards, with every
-    /// cross-shard effect routed through a logical-time [`OpLog`] and
-    /// applied by a sequential pass — see `crate::oplog` for the sync-
-    /// point protocol. Byte-identical to the sequential engine at every
-    /// shard count.
-    ///
-    /// ## Why the sharding is byte-identical
-    ///
-    /// * **Gather (parallel, by access range).** Each worker reads only
-    ///   frozen state — PFNs cannot change mid-block (migrations happen at
-    ///   pauses) — and writes only its own `split_at_mut` slice of the
-    ///   request scratch plus its own run lane. PTE *flags* and the TLB
-    ///   are not touched: a worker cannot know what flags an earlier slice
-    ///   will store.
-    /// * **Run replay (sequential, in logical time).** The merged run
-    ///   lanes tile the block in order, so replaying them is exactly the
-    ///   scalar translate loop with same-page stretches pre-compressed:
-    ///   one TLB lookup/insert + fresh flag read per page run (fresh reads
-    ///   observe earlier in-block stores), bulk repeat-hits for
-    ///   continuations, one flag store per run. A non-present page is
-    ///   only ever met at a run *start* (nothing clears the present bit
-    ///   mid-block, and an earlier fault on the page would already have
-    ///   truncated the block), so the fault cut lands on the same access
-    ///   the scalar loop would have picked.
-    /// * **LLC probe (parallel, by set range).** Requests are routed to
-    ///   the shard owning their set, preserving per-set arrival order;
-    ///   sets are independent and the per-shard probe replays
-    ///   [`Llc::access_grouped`]'s decisions exactly (see
-    ///   [`crate::cache::LlcShard::probe`]). Outcomes scatter back to
-    ///   their logical-time positions; counter sums are commutative.
-    /// * **Billing (sequential).** Stages 3–4 are the shared
-    ///   [`System::staged_bill`], byte-for-byte the sequential path.
-    fn staged_block_sharded(&mut self, words: &[u64], st: &mut BatchState) -> (usize, Option<Vpn>) {
-        let timing = self.stage_times.is_some();
-        let mut s = std::mem::take(&mut self.staged);
-        let costs = self.config.costs;
-        let n = words.len();
-        // Slices shorter than the staged threshold are not worth a
-        // work-queue round trip; the cap keeps per-worker slices at least
-        // one threshold long (and depends only on the block length and
-        // configuration, never on scheduling).
-        let shards = self
-            .sim_shards
-            .min(n / self.config.staged_min_block.max(1))
-            .max(1);
-
-        // Stage 1a: parallel gather — pack LLC requests, log page runs.
-        let t0 = timing.then(std::time::Instant::now);
-        s.reqs.clear();
-        s.reqs.resize(n, 0);
-        s.base_lat.clear();
-        s.base_lat.resize(n, 0);
-        let part = Partition::new(n, shards);
-        let lanes: Vec<Lane<PageRun>> = {
-            let pt = &self.page_table;
-            let mut tasks = Vec::with_capacity(shards);
-            let mut req_rest = s.reqs.as_mut_slice();
-            for r in part.ranges() {
-                let (reqs, rest) = req_rest.split_at_mut(r.len());
-                req_rest = rest;
-                tasks.push(GatherTask {
-                    start: r.start as u32,
-                    words: &words[r],
-                    reqs,
-                    pt,
-                });
-            }
-            tasks.into_par_iter().map(gather_runs).collect()
-        };
-
-        // Stage 1b: sequential replay of the merged run log — TLB, PTE
-        // flags, and the hinting-fault cut, in logical-time order.
-        let runlog = OpLog::from_lanes(lanes);
-        let mut cut = n;
-        let mut fault_vpn = None;
-        let mut prev: Option<(Vpn, PteFlags, PteFlags)> = None;
-        for (time, run) in runlog.iter_in_time() {
-            let start = time as usize;
-            if let Some((pv, flags, _)) = prev.as_mut() {
-                if *pv == run.vpn {
-                    // A slice boundary cut this page run in two: the
-                    // front half already proved the page present and left
-                    // its VPN most-recently-used, so every access here is
-                    // a repeat hit.
-                    self.tlb.repeat_hits(run.len as u64);
-                    if run.wrote {
-                        *flags = flags.with_dirty();
-                    }
-                    continue;
-                }
-            }
-            if let Some((pv, flags, orig)) = prev.take() {
-                if flags != orig {
-                    self.page_table.store_flags(pv, flags);
-                }
-            }
-            let pte = *self
-                .page_table
-                .get(run.vpn)
-                .expect("gathered run lost its mapping");
-            let mut flags = pte.flags;
-            let orig = pte.flags;
-            let mut lat = 0u64;
-            let hint = !flags.present();
-            if hint {
-                self.hinting_faults += 1;
-                self.bill_kernel(CostKind::HintingFault, costs.hinting_fault);
-                lat += costs.hinting_fault.0;
-                flags = flags.with_present();
-            }
-            if !self.tlb.lookup(run.vpn) {
-                lat += costs.page_walk.0;
-                flags = flags.with_accessed();
-                self.tlb.insert(run.vpn);
-            }
-            s.base_lat[start] = lat;
-            if hint {
-                // The batch pauses after a hinting fault; truncate the
-                // block at the faulting access (always a run start). Only
-                // that access's own write flag reaches the dirty bit.
-                if run.first_write {
-                    flags = flags.with_dirty();
-                }
-                if flags != orig {
-                    self.page_table.store_flags(run.vpn, flags);
-                }
-                cut = start + 1;
-                fault_vpn = Some(run.vpn);
-                break;
-            }
-            if run.wrote {
-                flags = flags.with_dirty();
-            }
-            if run.len > 1 {
-                self.tlb.repeat_hits(run.len as u64 - 1);
-            }
-            prev = Some((run.vpn, flags, orig));
-        }
-        if let Some((pv, flags, orig)) = prev {
-            if flags != orig {
-                self.page_table.store_flags(pv, flags);
-            }
-        }
-        s.reqs.truncate(cut);
-
-        // Stage 2a: route each request to the shard owning its LLC set
-        // (lanes preserve per-set arrival order by construction).
-        let t1 = timing.then(std::time::Instant::now);
-        let lpart = Partition::new(self.llc.n_sets(), shards);
-        let mut reqlog: OpLog<u64> = OpLog::new(shards);
-        for (i, &r) in s.reqs.iter().enumerate() {
-            reqlog.push(lpart.shard_of(self.llc.req_set(r) as usize), i as u32, r);
-        }
-
-        // Stage 2b: parallel per-shard probes over disjoint set-range
-        // views of the cache.
-        let bounds: Vec<std::ops::Range<usize>> = lpart.ranges().collect();
-        let results: Vec<(Vec<bool>, Vec<u64>, LlcShardCounters)> = self
-            .llc
-            .shards(&bounds)
-            .into_iter()
-            .zip(reqlog.lanes())
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(mut view, lane)| {
-                let mut hits = vec![false; lane.len()];
-                let mut wbs = vec![NO_WRITEBACK; lane.len()];
-                view.probe(&lane.ops, &mut hits, &mut wbs);
-                (hits, wbs, view.counters())
-            })
-            .collect();
-
-        // Stage 2c: scatter outcomes back to their logical-time slots and
-        // merge the (commutative) counters.
-        s.hits.clear();
-        s.hits.resize(cut, false);
-        s.wbs.clear();
-        s.wbs.resize(cut, NO_WRITEBACK);
-        let mut counters = Vec::with_capacity(shards);
-        for (lane, (hits, wbs, c)) in reqlog.lanes().iter().zip(&results) {
-            for (j, &t) in lane.time.iter().enumerate() {
-                s.hits[t as usize] = hits[j];
-                s.wbs[t as usize] = wbs[j];
-            }
-            counters.push(*c);
-        }
-        self.llc.merge_shard_counters(&counters);
-
-        // Stages 3–4: the shared sequential billing + tracker feed.
-        let t2 = timing.then(std::time::Instant::now);
-        if let Some(ts) = self.stage_times.as_deref_mut() {
-            ts.sharded_blocks += 1;
-            if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
-                ts.translate_ns += (t1 - t0).as_nanos() as u64;
-                ts.llc_ns += (t2 - t1).as_nanos() as u64;
-            }
-        }
-        self.staged_bill(words, cut, fault_vpn.is_some(), st, &mut s);
-        self.staged = s;
-        (cut, fault_vpn)
-    }
-
     /// Executes accesses from `chunk` starting at index `from`, returning
     /// the index of the first unexecuted access and why the batch paused.
     ///
@@ -1630,39 +941,6 @@ impl System {
                     horizon = horizon.min(at);
                 }
                 if now < horizon {
-                    // Staged fast path: bound how many accesses can start
-                    // before the horizon (each access advances the clock by
-                    // at most `quiet_access_bound`), and run that block
-                    // through the four SoA passes in one go. The bound is
-                    // conservative, so the block may undershoot the horizon
-                    // — the outer loop simply sizes another block.
-                    let avail = (words.len() - idx).min((max_accesses - st.n) as usize);
-                    let block = if horizon.0 == u64::MAX {
-                        avail
-                    } else {
-                        let u = self.quiet_access_bound().0.max(1);
-                        (((horizon.0 - 1 - now.0) / u) + 1).min(avail as u64) as usize
-                    };
-                    if block >= self.config.staged_min_block {
-                        // Shard the block across workers when asked to
-                        // and the block is big enough to split (at least
-                        // two threshold-sized slices); both engines are
-                        // byte-identical, so this choice is purely a
-                        // performance decision.
-                        let sharded =
-                            self.sim_shards > 1 && block >= 2 * self.config.staged_min_block.max(1);
-                        let (done, fault) = if sharded {
-                            self.staged_block_sharded(&words[idx..idx + block], st)
-                        } else {
-                            self.staged_block(&words[idx..idx + block], st)
-                        };
-                        idx += done;
-                        executed = true;
-                        if let Some(vpn) = fault {
-                            return (idx, BatchPause::Fault(vpn));
-                        }
-                        continue;
-                    }
                     while idx < words.len() && st.n < max_accesses && self.clock.now() < horizon {
                         let w = words[idx];
                         let out = self
@@ -1769,39 +1047,6 @@ impl System {
             }
         }
         stats
-    }
-
-    /// Closes the measurement window and returns the merged epoch-boundary
-    /// view a manager tick consumes: per-node page counts, bandwidth
-    /// windows, and unloaded/loaded latencies, all `[DDR, CXL]` ordered.
-    ///
-    /// This is the sharded driver's **sync point for manager state**: by
-    /// the oplog protocol (see `crate::oplog`) a daemon tick only runs
-    /// between blocks, when every shard's effects have already been
-    /// replayed into the owning state — so the "merge" is simply reading
-    /// that state, and the view is identical at every shard count. (The
-    /// quiescence holds structurally: daemon ticks are dispatched by the
-    /// drivers only between batches, never while a block's scratch is
-    /// checked out.)
-    ///
-    /// Wraps [`System::rollover_bandwidth`] (inheriting its telemetry
-    /// gauge publication) and performs the exact same reads the manager's
-    /// Monitor historically did inline, in the same order, so sampling
-    /// through the view is byte-identical.
-    pub fn merged_view(&mut self) -> MergedView {
-        let bw = self.rollover_bandwidth();
-        MergedView {
-            bw,
-            lat_unloaded: [
-                self.config.ddr.access_latency,
-                self.config.cxl.access_latency,
-            ],
-            lat_loaded: [
-                self.loaded_latency(NodeId::Ddr),
-                self.loaded_latency(NodeId::Cxl),
-            ],
-            nr_pages: [self.nr_pages(NodeId::Ddr), self.nr_pages(NodeId::Cxl)],
-        }
     }
 
     /// The expected end-to-end latency of the next demand fill on `node`:
@@ -2861,6 +2106,22 @@ impl System {
             w.put_u64(self.promoter_gave_up);
             w.put_u64(self.fault_events_seen as u64);
             w.put_bool(self.evac_exhaustion_noted);
+            // Handles of spans open across the checkpoint; the telemetry
+            // section carries the spans themselves.
+            for span in [
+                self.spike_span,
+                self.stall_span,
+                self.pressure_span,
+                self.evac_span,
+            ] {
+                match span {
+                    Some(s) => {
+                        w.put_bool(true);
+                        w.put_u64(s.raw());
+                    }
+                    None => w.put_bool(false),
+                }
+            }
         });
         cp
     }
@@ -2966,6 +2227,8 @@ impl System {
             promoter_gave_up: u64,
             fault_events_seen: u64,
             evac_exhaustion_noted: bool,
+            /// `[spike, stall, pressure, evac]` span handles.
+            spans: [Option<SpanId>; 4],
         }
         let misc = read_section(cp, "system", |r| {
             let migrations = MigrationStats {
@@ -2988,6 +2251,16 @@ impl System {
             for _ in 0..nd {
                 degradations.push(r.get_str()?);
             }
+            let promoter_retried = r.get_u64()?;
+            let promoter_gave_up = r.get_u64()?;
+            let fault_events_seen = r.get_u64()?;
+            let evac_exhaustion_noted = r.get_bool()?;
+            let mut spans = [None; 4];
+            for span in &mut spans {
+                if r.get_bool()? {
+                    *span = Some(SpanId::from_raw(r.get_u64()?));
+                }
+            }
             Ok(Misc {
                 migrations,
                 hinting_faults,
@@ -2995,10 +2268,11 @@ impl System {
                 rng_state,
                 last_tlb_flush,
                 degradations,
-                promoter_retried: r.get_u64()?,
-                promoter_gave_up: r.get_u64()?,
-                fault_events_seen: r.get_u64()?,
-                evac_exhaustion_noted: r.get_bool()?,
+                promoter_retried,
+                promoter_gave_up,
+                fault_events_seen,
+                evac_exhaustion_noted,
+                spans,
             })
         })?;
 
@@ -3029,18 +2303,12 @@ impl System {
             contention_on: config.contention.enabled,
             batch: TelemetryBatch::default(),
             fault_events_seen: misc.fault_events_seen as usize,
-            spike_span: None,
-            stall_span: None,
-            pressure_span: None,
+            spike_span: misc.spans[0],
+            stall_span: misc.spans[1],
+            pressure_span: misc.spans[2],
             ras,
-            evac_span: None,
+            evac_span: misc.spans[3],
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
-            staged: StagedScratch::default(),
-            // Runtime performance knobs are not checkpointed state: a
-            // restored machine starts sequential until the driver says
-            // otherwise, and the images stay identical either way.
-            sim_shards: 1,
-            stage_times: None,
             config,
         })
     }
@@ -3545,7 +2813,8 @@ mod tests {
     #[test]
     fn checkpoint_restore_continue_matches_under_faults() {
         // A plan whose windows and consumables straddle the checkpoint
-        // instant: armed-but-unconsumed state must survive the round trip.
+        // instant: armed-but-unconsumed state must survive the round trip,
+        // and so must the telemetry span of the still-open spike window.
         let plan = FaultPlan::none()
             .with(
                 Nanos(2_000),
@@ -3560,7 +2829,8 @@ mod tests {
                 Nanos(5_000),
                 FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 3 }),
             );
-        differential_restore_continue(plan, false);
+        differential_restore_continue(plan.clone(), false);
+        differential_restore_continue(plan, true);
     }
 
     #[test]

@@ -225,28 +225,6 @@ impl Tlb {
         }
     }
 
-    /// Records a hit on a VPN that is already most-recently-used, without
-    /// re-scanning its set. Correct only when the caller's previous TLB
-    /// operation was a `lookup(vpn)` hit or an `insert(vpn)` for the same
-    /// VPN with nothing touched in between: a repeated `lookup` would find
-    /// the entry at the MRU way and its move-to-front (exact LRU) or
-    /// `plru_touch` (tree LRU) would be a no-op, so the only state change
-    /// is the hit counter. The staged translate pass uses this for the
-    /// second and later accesses of a same-page run.
-    #[inline]
-    pub fn repeat_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    /// Records `n` consecutive [`Tlb::repeat_hit`]s in one add. The
-    /// sharded translate pass compresses a same-page run into a single
-    /// logged operation, so it bills the run's continuation hits in bulk;
-    /// the correctness condition is the same as for `repeat_hit`.
-    #[inline]
-    pub fn repeat_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
     /// Inserts a translation, evicting the LRU entry of the set if full.
     #[inline]
     pub fn insert(&mut self, vpn: Vpn) {

@@ -85,19 +85,6 @@ impl CxlDevice for TraceCapture {
         });
     }
 
-    fn on_access_batch(&mut self, events: &[crate::controller::SnoopEvent]) {
-        let take = match self.limit {
-            Some(limit) => limit.saturating_sub(self.records.len()).min(events.len()),
-            None => events.len(),
-        };
-        self.records
-            .extend(events[..take].iter().map(|e| TraceRecord {
-                line: e.line,
-                is_write: e.is_write,
-                ts: e.now,
-            }));
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -25,7 +25,6 @@ pub mod loaded;
 pub mod parallel;
 pub mod pipeline;
 pub mod results;
-pub mod sharded;
 pub mod soak;
 
 use cxl_sim::prelude::*;

@@ -288,17 +288,8 @@ fn audit(spec: &SoakSpec, sys: &mut System, m5: &M5Manager, report: &RunReport) 
 
 /// Runs one campaign to completion and audits the end state.
 pub fn run_campaign(spec: SoakSpec) -> CampaignReport {
-    run_campaign_sharded(spec, 1)
-}
-
-/// [`run_campaign`] with the campaign machine split into `shards`
-/// simulation shards. Byte-identical to the sequential campaign — the
-/// sharded staged engine's contract — so the soak verdict and artifact
-/// line cannot depend on the shard count.
-pub fn run_campaign_sharded(spec: SoakSpec, shards: usize) -> CampaignReport {
     let plan = spec.plan();
     let mut sys = System::with_fault_plan(campaign_config(&spec), &plan);
-    sys.set_sim_shards(shards);
     let region = sys
         .alloc_region(SOAK_PAGES, Placement::AllOnCxl)
         .expect("CXL sized to fit the soak region");
@@ -344,19 +335,6 @@ pub fn run_campaign_resumable(
     ckpt: &std::path::Path,
     every: u64,
 ) -> CampaignReport {
-    run_campaign_resumable_sharded(spec, ckpt, every, 1)
-}
-
-/// [`run_campaign_resumable`] at `shards` simulation shards. The shard
-/// count is a runtime knob that never enters the checkpoint, so a
-/// campaign checkpointed at one count legally resumes at another — the
-/// outcome is byte-identical either way.
-pub fn run_campaign_resumable_sharded(
-    spec: SoakSpec,
-    ckpt: &std::path::Path,
-    every: u64,
-    shards: usize,
-) -> CampaignReport {
     use crate::checkpoint as ck;
     let plan = spec.plan();
     let config = campaign_config(&spec);
@@ -388,7 +366,6 @@ pub fn run_campaign_resumable_sharded(
             (sys, m5, run, wl)
         }
     };
-    sys.set_sim_shards(shards);
     ck::drive_with_checkpoints(
         &mut sys,
         &mut m5,
@@ -528,34 +505,11 @@ pub fn artifact(reports: &[CampaignReport]) -> String {
     out
 }
 
-/// [`artifact`] with a self-describing header recording the shard count
-/// the campaigns ran at — what the `soak` binary emits, so an archived
-/// artifact says how it was produced. The campaign lines themselves are
-/// identical at every shard count (that's the sharded engine's
-/// contract), so only the header differs.
-pub fn artifact_with_shards(reports: &[CampaignReport], shards: usize) -> String {
-    let mut out = format!(
-        "# RAS chaos soak: {} campaigns (sim shards: {shards})\n",
-        reports.len()
-    );
-    for r in reports {
-        out.push_str(&r.artifact_line());
-    }
-    out
-}
-
 /// Runs every campaign across the thread pool, merging reports in input
 /// order. Campaigns share no state, so this is byte-identical to
 /// [`soak_sequential`].
 pub fn soak_parallel(specs: &[SoakSpec]) -> Vec<CampaignReport> {
-    soak_parallel_sharded(specs, 1)
-}
-
-/// [`soak_parallel`] with each campaign's machine additionally split
-/// into `shards` simulation shards — campaign-level fan-out *and*
-/// intra-campaign sharding on the same vendored work queue.
-pub fn soak_parallel_sharded(specs: &[SoakSpec], shards: usize) -> Vec<CampaignReport> {
-    par_indexed(specs.to_vec(), move |s| run_campaign_sharded(s, shards))
+    par_indexed(specs.to_vec(), run_campaign)
 }
 
 /// Sequential reference for [`soak_parallel`].

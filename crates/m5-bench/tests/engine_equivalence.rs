@@ -1,7 +1,7 @@
-//! Property net for the staged SoA access engine: on *random* access
+//! Property net for the chunked access engine: on *random* access
 //! streams — not just the golden workloads — the chunked driver (which
-//! dispatches staged translate/LLC/bill/tracker blocks whenever the
-//! injector is quiescent) must stay byte-identical to the
+//! runs the fused scalar loop through every quiet segment and a
+//! fully-checked access at each boundary) must stay byte-identical to the
 //! `run_per_access` oracle, with fault windows active and the contention
 //! model enabled, and a mid-chunk checkpoint/restore split must land on
 //! the exact same final state as the run that never stopped.
@@ -9,8 +9,9 @@
 //! The deterministic suites (`chunk_determinism.rs`, `checkpoint.rs`)
 //! pin the golden workloads; this file fuzzes the space between them:
 //! arbitrary page-collision patterns, write/op-end mixes, chunk
-//! capacities that misalign with the staged block bound, and split
-//! points that cut a chunk (and the staged block inside it) anywhere.
+//! capacities that cut quiet segments at awkward points, M5 migrations
+//! and epoch rollovers landing between segments, and split points that
+//! cut a chunk anywhere.
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
@@ -49,17 +50,28 @@ fn active_plan() -> FaultPlan {
         )
 }
 
+/// The default M5 manager, or with `fast_epochs` one whose Elector
+/// period is 20–200 µs instead of 2–20 ms and whose migration time quota
+/// is lifted: a generated stream simulates well under a millisecond, so
+/// only the fast manager ticks, promotes pages, and rolls its epoch and
+/// bandwidth windows over inside it.
+fn m5_config(fast_epochs: bool) -> M5Config {
+    let mut c = M5Config::default();
+    if fast_epochs {
+        c.elector.min_period = Nanos::from_micros(20);
+        c.elector.max_period = Nanos::from_micros(200);
+        c.migration_time_budget = 1.0;
+    }
+    c
+}
+
 /// A contended machine executing `plan`, with the workload's pages on
 /// CXL (so snoops, contention billing, and migration all have traffic).
 fn contended_system(pages: u64, plan: &FaultPlan) -> (System, Region) {
     let config = SystemConfig::scaled_default()
         .with_cxl_frames(pages + 64)
         .with_ddr_frames((pages / 2).max(2))
-        .with_contention(ContentionConfig::enabled_default().with_cxl_background(0.6))
-        // Force even the shortest quiet blocks through the staged passes
-        // so these properties exercise the staged engine, not the scalar
-        // fallback the default threshold would pick for small streams.
-        .with_staged_min_block(4);
+        .with_contention(ContentionConfig::enabled_default().with_cxl_background(0.6));
     let mut sys = System::with_fault_plan(config, plan);
     let region = sys
         .alloc_region(pages, Placement::AllOnCxl)
@@ -75,34 +87,37 @@ fn replay(ops: &[(u64, bool, bool)], pages: u64, region: &Region) -> ReplayWorkl
     for &(off, w, end) in ops {
         rec.push(off % span, w, end);
     }
-    rec.into_workload("staged-prop", region.base)
+    rec.into_workload("engine-prop", region.base)
 }
 
 /// Full-fidelity observation: rendered telemetry snapshot + report debug.
 fn snapshot(sys: &mut System, report: &RunReport) -> (String, String) {
     sys.telemetry_mut().flush();
-    let snap = golden::render("staged-prop", &sys.telemetry().snapshot());
+    let snap = golden::render("engine-prop", &sys.telemetry().snapshot());
     (snap, format!("{report:?}"))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Chunked (staged) ≡ per-access oracle on random streams, faults and
+    /// Chunked ≡ per-access oracle on random streams, faults and
     /// contention live, under both the M5 manager and the hinting-fault
-    /// heavy ANB daemon, at chunk capacities that slice staged blocks at
-    /// awkward points.
+    /// heavy ANB daemon, at chunk capacities that slice quiet segments at
+    /// awkward points, and with `fast_epochs` with M5 ticks, promotions,
+    /// and epoch and bandwidth-window rollovers landing between quiet
+    /// segments.
     #[test]
-    fn staged_chunked_matches_per_access_oracle(
+    fn chunked_matches_per_access_oracle(
         ops in prop::collection::vec(
             (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
             64..1024,
         ),
         pages in 8u64..48,
-        cap_idx in 0usize..5,
+        cap_idx in 0usize..6,
         use_anb in any::<bool>(),
+        fast_epochs in any::<bool>(),
     ) {
-        let cap = [3usize, 7, 64, 509, 4096][cap_idx];
+        let cap = [3usize, 7, 17, 64, 509, 4096][cap_idx];
         let plan = active_plan();
         let accesses = ops.len() as u64;
 
@@ -114,13 +129,13 @@ proptest! {
                 let mut d = Anb::new(AnbConfig::default());
                 run_per_access(&mut sys, &mut wl, &mut d, accesses)
             } else {
-                let mut d = M5Manager::new(M5Config::default());
+                let mut d = M5Manager::new(m5_config(fast_epochs));
                 run_per_access(&mut sys, &mut wl, &mut d, accesses)
             };
             snapshot(&mut sys, &report)
         };
 
-        let staged = {
+        let chunked = {
             let (mut sys, region) = contended_system(pages, &plan);
             sys.install_telemetry(Telemetry::enabled());
             let mut wl = replay(&ops, pages, &region);
@@ -128,22 +143,22 @@ proptest! {
                 let mut d = Anb::new(AnbConfig::default());
                 run_chunked(&mut sys, &mut wl, &mut d, accesses, cap)
             } else {
-                let mut d = M5Manager::new(M5Config::default());
+                let mut d = M5Manager::new(m5_config(fast_epochs));
                 run_chunked(&mut sys, &mut wl, &mut d, accesses, cap)
             };
             snapshot(&mut sys, &report)
         };
 
-        prop_assert_eq!(&oracle.1, &staged.1, "report diverged (cap={})", cap);
-        prop_assert_eq!(&oracle.0, &staged.0, "telemetry diverged (cap={})", cap);
+        prop_assert_eq!(&oracle.1, &chunked.1, "report diverged (cap={})", cap);
+        prop_assert_eq!(&oracle.0, &chunked.0, "telemetry diverged (cap={})", cap);
     }
 
     /// Checkpointing at an arbitrary access index — almost always inside
-    /// a chunk, and usually inside a staged block — and restoring into a
+    /// a chunk, and usually inside a quiet segment — and restoring into a
     /// fresh machine must produce the byte-identical final checkpoint,
     /// report, and telemetry of the uninterrupted run.
     #[test]
-    fn staged_restore_equals_continue_at_any_split(
+    fn restore_equals_continue_at_any_split(
         ops in prop::collection::vec(
             (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
             128..1024,

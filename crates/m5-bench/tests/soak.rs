@@ -8,8 +8,8 @@
 //! (CI uploads it when the soak fails).
 
 use m5_bench::soak::{
-    all_failures, artifact, default_campaigns, soak_parallel, soak_parallel_sharded,
-    soak_sequential, SoakScenario, SoakSpec,
+    all_failures, artifact, default_campaigns, soak_parallel, soak_sequential, SoakScenario,
+    SoakSpec,
 };
 use std::path::PathBuf;
 
@@ -62,26 +62,4 @@ fn parallel_soak_matches_sequential() {
     let par = artifact(&soak_parallel(&specs));
     let seq = artifact(&soak_sequential(&specs));
     assert_eq!(par, seq, "parallel soak artifact diverged from sequential");
-}
-
-/// Campaigns run with their machines split into simulation shards must
-/// produce the byte-identical artifact too — the core-sharded engine's
-/// contract applied to the soak path.
-#[test]
-fn sharded_soak_matches_sequential() {
-    let specs: Vec<SoakSpec> = default_campaigns(false)
-        .into_iter()
-        .filter(|s| s.scenario == SoakScenario::Chaos)
-        .take(2)
-        .map(|s| SoakSpec {
-            accesses: 60_000,
-            ..s
-        })
-        .collect();
-    let sharded = artifact(&soak_parallel_sharded(&specs, 4));
-    let seq = artifact(&soak_sequential(&specs));
-    assert_eq!(
-        sharded, seq,
-        "sharded soak artifact diverged from sequential"
-    );
 }

@@ -51,8 +51,6 @@ pub struct HotPageTracker {
     dead: bool,
     saturated: bool,
     flip_mask: u64,
-    /// Batched-snoop key scratch; transient, not checkpointed.
-    key_scratch: Vec<u64>,
 }
 
 impl HotPageTracker {
@@ -67,7 +65,6 @@ impl HotPageTracker {
             dead: false,
             saturated: false,
             flip_mask: 0,
-            key_scratch: Vec::new(),
         }
     }
 
@@ -175,23 +172,6 @@ impl CxlDevice for HotPageTracker {
         }
         self.observed += 1;
         self.tracker.record(line.pfn().0 ^ self.flip_mask);
-    }
-
-    fn on_access_batch(&mut self, events: &[cxl_sim::controller::SnoopEvent]) {
-        if self.dead {
-            return;
-        }
-        // `dead` and `flip_mask` only change at fault delivery, which never
-        // lands mid-batch, so hoisting the checks and the key mapping out
-        // of the record loop is state-identical to the per-event path.
-        self.observed += events.len() as u64;
-        self.key_scratch.clear();
-        self.key_scratch
-            .extend(events.iter().map(|e| e.line.pfn().0 ^ self.flip_mask));
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        self.tracker.record_batch(&keys);
-        keys.clear(); // scratch is dead between batches; keep state canonical
-        self.key_scratch = keys;
     }
 
     fn on_fault(&mut self, fault: DeviceFault) {

@@ -51,8 +51,6 @@ pub struct HotWordTracker {
     dead: bool,
     saturated: bool,
     flip_mask: u64,
-    /// Batched-snoop key scratch; transient, not checkpointed.
-    key_scratch: Vec<u64>,
 }
 
 impl HotWordTracker {
@@ -67,7 +65,6 @@ impl HotWordTracker {
             dead: false,
             saturated: false,
             flip_mask: 0,
-            key_scratch: Vec::new(),
         }
     }
 
@@ -172,21 +169,6 @@ impl CxlDevice for HotWordTracker {
         }
         self.observed += 1;
         self.tracker.record(line.0 ^ self.flip_mask);
-    }
-
-    fn on_access_batch(&mut self, events: &[cxl_sim::controller::SnoopEvent]) {
-        if self.dead {
-            return;
-        }
-        // Same hoisting argument as the HPT: faults never land mid-batch.
-        self.observed += events.len() as u64;
-        self.key_scratch.clear();
-        self.key_scratch
-            .extend(events.iter().map(|e| e.line.0 ^ self.flip_mask));
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        self.tracker.record_batch(&keys);
-        keys.clear(); // scratch is dead between batches; keep state canonical
-        self.key_scratch = keys;
     }
 
     fn on_fault(&mut self, fault: DeviceFault) {

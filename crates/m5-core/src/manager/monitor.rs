@@ -121,24 +121,27 @@ impl Monitor {
 
     /// Samples the current window's statistics and starts a new window.
     /// Bills the host the cost of reading the counters.
-    ///
-    /// The tick is driven from the system's merged epoch-boundary view
-    /// (`System::merged_view`): under the sharded driver this is the sync
-    /// point where every shard's effects are already applied, so the
-    /// manager sees one coherent snapshot regardless of shard count.
     pub fn sample(&mut self, sys: &mut System) -> TierStats {
         self.samples += 1;
         // Reading pcm counters + /proc/zoneinfo.
         let cost = sys.config().costs.mmio_reg_access;
         sys.daemon_bill(CostKind::ManagerQuery, cost * 2);
-        // `merged_view` rolls the bandwidth window over and publishes the
-        // per-node bandwidth and occupancy gauges on the telemetry bus.
-        let v = sys.merged_view();
+        // `rollover_bandwidth` also publishes the per-node bandwidth and
+        // occupancy gauges on the system's telemetry bus.
+        let [ddr, cxl] = sys.rollover_bandwidth();
+        let unloaded = [
+            sys.config().ddr.access_latency.0 as f64,
+            sys.config().cxl.access_latency.0 as f64,
+        ];
+        let loaded = [
+            sys.loaded_latency(NodeId::Ddr).0 as f64,
+            sys.loaded_latency(NodeId::Cxl).0 as f64,
+        ];
         TierStats {
-            nr_pages: v.nr_pages,
-            bw: [v.bw[0].bytes_per_sec(), v.bw[1].bytes_per_sec()],
-            lat_unloaded: [v.lat_unloaded[0].0 as f64, v.lat_unloaded[1].0 as f64],
-            lat_loaded: [v.lat_loaded[0].0 as f64, v.lat_loaded[1].0 as f64],
+            nr_pages: [sys.nr_pages(NodeId::Ddr), sys.nr_pages(NodeId::Cxl)],
+            bw: [ddr.bytes_per_sec(), cxl.bytes_per_sec()],
+            lat_unloaded: unloaded,
+            lat_loaded: loaded,
         }
     }
 

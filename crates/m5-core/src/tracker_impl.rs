@@ -159,16 +159,6 @@ impl TopKAlgorithm for TrackerImpl {
         }
     }
 
-    fn record_batch(&mut self, addrs: &[u64]) {
-        match self {
-            // Native row-major sketch sweep; Space-Saving has no batched
-            // datapath (each update reads the previous one's state) and
-            // takes the default loop.
-            TrackerImpl::Cm(t) => t.record_batch(addrs),
-            TrackerImpl::Ss(t) => t.record_batch(addrs),
-        }
-    }
-
     fn top_k(&self) -> Vec<(u64, u64)> {
         match self {
             TrackerImpl::Cm(t) => t.top_k(),

@@ -63,6 +63,18 @@ use metrics::Registry;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(u64);
 
+impl SpanId {
+    /// The handle's numeric id, for checkpointing.
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// Rebuilds a handle saved with [`SpanId::raw`].
+    pub fn from_raw(id: u64) -> SpanId {
+        SpanId(id)
+    }
+}
+
 struct OpenSpan {
     id: u64,
     start_ns: u64,
@@ -95,6 +107,10 @@ pub struct TelemetryState {
     /// The span-id allocator position, so span ids stay unique across a
     /// restore.
     pub next_span: u64,
+    /// `(id, start_ns, name, label)` per span still open, in open order,
+    /// so a span open across a checkpoint closes after restore exactly as
+    /// it would have without one.
+    pub open_spans: Vec<(u64, u64, String, String)>,
 }
 
 /// The telemetry bus. Embed one per instrumented component (the simulator
@@ -295,9 +311,8 @@ impl Telemetry {
 
     /// Exports the full metric state — exact histogram buckets, not just
     /// aggregates — as owned plain data for checkpointing. `None` when
-    /// disabled. Sinks and open spans are not exported: sinks are live I/O
-    /// the restoring process re-attaches itself, and a span open across a
-    /// checkpoint is re-opened by its owner after restore.
+    /// disabled. Sinks are not exported: they are live I/O the restoring
+    /// process re-attaches itself.
     pub fn export_state(&self) -> Option<TelemetryState> {
         let inner = self.inner.as_ref()?;
         Some(TelemetryState {
@@ -320,6 +335,11 @@ impl Telemetry {
                 .map(|(k, h)| (k.name.to_string(), k.label.to_string(), h.clone()))
                 .collect(),
             next_span: inner.next_span,
+            open_spans: inner
+                .open_spans
+                .iter()
+                .map(|s| (s.id, s.start_ns, s.name.to_string(), s.label.clone()))
+                .collect(),
         })
     }
 
@@ -350,6 +370,16 @@ impl Telemetry {
                 .entry(MetricKey::new(intern(name), intern(label))) = h.clone();
         }
         inner.next_span = state.next_span;
+        inner.open_spans = state
+            .open_spans
+            .iter()
+            .map(|(id, start_ns, name, label)| OpenSpan {
+                id: *id,
+                start_ns: *start_ns,
+                name: intern(name),
+                label: label.clone(),
+            })
+            .collect();
         t
     }
 

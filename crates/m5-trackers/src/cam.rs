@@ -88,33 +88,6 @@ impl SortedCam {
         false
     }
 
-    /// Offers a batch of `(addr, count)` pairs in order, returning how many
-    /// actually changed the CAM.
-    ///
-    /// Identical final state to looping [`SortedCam::offer`] with the
-    /// caller-side `count > min_count()` fast-reject: the minimum only
-    /// changes when an offer is actually applied, so it is cached across
-    /// the rejected pairs instead of being recomputed per pair. An offer
-    /// with `count <= min_count()` is a provable no-op (see
-    /// `CmSketchTopK::record` for the argument), so skipping its tag scan
-    /// cannot change the outcome.
-    pub fn offer_batch<I>(&mut self, pairs: I) -> usize
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut applied = 0;
-        let mut min = self.min_count();
-        for (addr, count) in pairs {
-            if count > min {
-                if self.offer(addr, count) {
-                    applied += 1;
-                }
-                min = self.min_count();
-            }
-        }
-        applied
-    }
-
     /// Restores descending order after `pos`'s count grew.
     fn resift(&mut self, mut pos: usize) {
         while pos > 0 && self.entries[pos - 1].count < self.entries[pos].count {

@@ -55,28 +55,6 @@ impl HashFamily {
         // Multiply-high range reduction: unbiased enough and division-free.
         ((self.hash(row, key) as u128 * bound as u128) >> 64) as usize
     }
-
-    /// Hashes every key in `keys` with function `row` into `0..bound`,
-    /// appending the buckets to `out` (cleared first).
-    ///
-    /// This is one hash lane of a batched sketch update: the loop body is
-    /// pure arithmetic on a single seed (no table lookups, no branches), so
-    /// it vectorizes, and the produced bucket array lets the caller touch
-    /// the counter SRAM row-major afterwards. Buckets fit in `u32` because
-    /// `bound` is a counter-row width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.len()`.
-    #[inline]
-    pub fn bucket_row(&self, row: usize, keys: &[u64], bound: usize, out: &mut Vec<u32>) {
-        let seed = self.seeds[row];
-        out.clear();
-        out.extend(
-            keys.iter()
-                .map(|&key| ((mix64(key ^ seed) as u128 * bound as u128) >> 64) as u32),
-        );
-    }
 }
 
 #[cfg(test)]

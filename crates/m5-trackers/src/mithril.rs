@@ -22,8 +22,6 @@ pub struct GroupedSpaceSaving {
     group_size: usize,
     hash: HashFamily,
     total: u64,
-    /// Batched-update group-index scratch; transient, not exported state.
-    group_scratch: Vec<u32>,
 }
 
 impl GroupedSpaceSaving {
@@ -39,7 +37,6 @@ impl GroupedSpaceSaving {
             group_size,
             hash: HashFamily::new(1, seed),
             total: 0,
-            group_scratch: Vec::new(),
         }
     }
 
@@ -92,50 +89,6 @@ impl GroupedSpaceSaving {
         };
     }
 
-    /// Records a batch of accesses in order, hoisting the group-hash lane
-    /// out of the state-dependent update loop.
-    ///
-    /// The per-entry mutation is applied strictly in `addrs` order (each
-    /// update reads the state left by the previous one — Space-Saving is
-    /// inherently sequential), so the result is byte-identical to looping
-    /// [`GroupedSpaceSaving::update`]; only the pure group-index hashing
-    /// is restructured into a vectorizable pre-pass.
-    pub fn update_batch(&mut self, addrs: &[u64]) {
-        let groups = self.entries.len() / self.group_size;
-        self.hash
-            .bucket_row(0, addrs, groups, &mut self.group_scratch);
-        self.total += addrs.len() as u64;
-        for (i, &addr) in addrs.iter().enumerate() {
-            let g = self.group_scratch[i] as usize;
-            let group = &mut self.entries[g * self.group_size..(g + 1) * self.group_size];
-            if let Some(e) = group.iter_mut().flatten().find(|e| e.addr == addr) {
-                e.count += 1;
-                continue;
-            }
-            if let Some(slot) = group.iter_mut().find(|s| s.is_none()) {
-                *slot = Some(SsEntry {
-                    addr,
-                    count: 1,
-                    error: 0,
-                });
-                continue;
-            }
-            let victim = group
-                .iter_mut()
-                .flatten()
-                .min_by_key(|e| e.count)
-                .expect("group is full");
-            *victim = SsEntry {
-                addr,
-                count: victim.count + 1,
-                error: victim.count,
-            };
-        }
-        // Scratch is dead between calls; clearing (capacity kept) keeps a
-        // batched tracker's state canonical — identical to a looped one.
-        self.group_scratch.clear();
-    }
-
     /// Estimated count for `addr` (`0` if unmonitored).
     pub fn estimate(&self, addr: u64) -> u64 {
         let range = self.group_range(addr);
@@ -182,10 +135,6 @@ impl MithrilTopK {
 impl TopKAlgorithm for MithrilTopK {
     fn record(&mut self, addr: u64) {
         self.inner.update(addr);
-    }
-
-    fn record_batch(&mut self, addrs: &[u64]) {
-        self.inner.update_batch(addrs);
     }
 
     fn top_k(&self) -> Vec<(u64, u64)> {

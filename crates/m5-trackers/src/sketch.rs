@@ -17,9 +17,6 @@ pub struct CmSketch {
     width: usize,
     counters: Vec<u32>,
     updates: u64,
-    /// Batched-update bucket scratch (one lane at a time); transient, not
-    /// part of the exported state.
-    bucket_scratch: Vec<u32>,
 }
 
 impl CmSketch {
@@ -36,7 +33,6 @@ impl CmSketch {
             width,
             counters: vec![0; rows * width],
             updates: 0,
-            bucket_scratch: Vec::new(),
         }
     }
 
@@ -85,39 +81,6 @@ impl CmSketch {
             min = min.min(c);
         }
         min as u64
-    }
-
-    /// Records one access to each key in `keys`, writing the per-key
-    /// estimates (post-increment minimum over the `H` rows) into `out_est`
-    /// (cleared and resized to `keys.len()`).
-    ///
-    /// Byte-identical to calling [`CmSketch::update`] per key, in order:
-    /// rows are independent (row `r` only ever touches row `r`'s counters),
-    /// so processing row-major — all of row 0's increments in key order,
-    /// then row 1's, … — applies exactly the same saturating increments to
-    /// exactly the same cells, including for duplicate keys within the
-    /// batch, and each key's recorded per-row value is the same
-    /// post-increment counter the interleaved order would have seen. Each
-    /// row runs as two passes: a pure-arithmetic hash lane into
-    /// [`HashFamily::bucket_row`]'s scratch (vectorizes), then a tight
-    /// gather/increment sweep over that row's counter slice.
-    pub fn update_batch(&mut self, keys: &[u64], out_est: &mut Vec<u32>) {
-        out_est.clear();
-        out_est.resize(keys.len(), u32::MAX);
-        self.updates += keys.len() as u64;
-        for r in 0..self.rows {
-            self.hashes
-                .bucket_row(r, keys, self.width, &mut self.bucket_scratch);
-            let row = &mut self.counters[r * self.width..(r + 1) * self.width];
-            for (est, &b) in out_est.iter_mut().zip(self.bucket_scratch.iter()) {
-                let c = row[b as usize].saturating_add(1);
-                row[b as usize] = c;
-                *est = (*est).min(c);
-            }
-        }
-        // Scratch is dead between calls; clearing (capacity kept) makes a
-        // batched sketch's state canonical — identical to a looped one.
-        self.bucket_scratch.clear();
     }
 
     /// The current estimate for `key` without updating.

@@ -16,20 +16,6 @@ pub trait TopKAlgorithm {
     /// Observes one access to `addr`.
     fn record(&mut self, addr: u64);
 
-    /// Observes a batch of accesses, in order.
-    ///
-    /// Must leave the tracker in exactly the state a [`record`] loop over
-    /// `addrs` would — implementations may only restructure work that is
-    /// provably order-insensitive (independent sketch rows, cached CAM
-    /// minima, hoisted hash lanes). The default simply loops.
-    ///
-    /// [`record`]: TopKAlgorithm::record
-    fn record_batch(&mut self, addrs: &[u64]) {
-        for &addr in addrs {
-            self.record(addr);
-        }
-    }
-
     /// The current top-K `(address, estimated count)` pairs, hottest first.
     fn top_k(&self) -> Vec<(u64, u64)>;
 
@@ -56,8 +42,6 @@ pub trait TopKAlgorithm {
 pub struct CmSketchTopK {
     sketch: CmSketch,
     cam: SortedCam,
-    /// Batched-record estimate scratch; transient, not exported state.
-    est_scratch: Vec<u32>,
 }
 
 impl CmSketchTopK {
@@ -66,7 +50,6 @@ impl CmSketchTopK {
         CmSketchTopK {
             sketch: CmSketch::new(h, w, seed),
             cam: SortedCam::new(k),
-            est_scratch: Vec::new(),
         }
     }
 
@@ -75,7 +58,6 @@ impl CmSketchTopK {
         CmSketchTopK {
             sketch: CmSketch::with_total_entries(h, n, seed),
             cam: SortedCam::new(k),
-            est_scratch: Vec::new(),
         }
     }
 
@@ -118,26 +100,6 @@ impl TopKAlgorithm for CmSketchTopK {
         if est > self.cam.min_count() {
             self.cam.offer(addr, est);
         }
-    }
-
-    /// Native batched datapath: one row-major sketch sweep for the whole
-    /// batch, then the CAM offers with a cached minimum.
-    ///
-    /// Equivalent to the [`record`] loop: sketch rows are independent, so
-    /// [`CmSketch::update_batch`] produces exactly the per-key estimates
-    /// the interleaved order would, and the CAM consumes the same
-    /// `(addr, est)` sequence in the same order — deferring each offer
-    /// until after later keys' *sketch* updates is invisible because the
-    /// CAM's state depends only on the offered sequence.
-    ///
-    /// [`record`]: TopKAlgorithm::record
-    fn record_batch(&mut self, addrs: &[u64]) {
-        let mut est = std::mem::take(&mut self.est_scratch);
-        self.sketch.update_batch(addrs, &mut est);
-        self.cam
-            .offer_batch(addrs.iter().zip(est.iter()).map(|(&a, &e)| (a, e as u64)));
-        est.clear(); // scratch is dead between calls; keep state canonical
-        self.est_scratch = est;
     }
 
     fn top_k(&self) -> Vec<(u64, u64)> {
