@@ -22,10 +22,9 @@
 //! golden traces are pinned to exact LRU.
 
 use crate::addr::CacheLineAddr;
-use serde::{Deserialize, Serialize};
 
 /// LLC geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

@@ -7,10 +7,9 @@ use crate::memory::NodeConfig;
 use crate::ras::RasConfig;
 use crate::time::Nanos;
 use crate::tlb::TlbConfig;
-use serde::{Deserialize, Serialize};
 
 /// Where a freshly allocated region's pages are placed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
     /// Every page on the CXL node — the paper's starting condition (§7.2):
     /// all benchmark pages are cgroup-allocated to CXL DRAM.
@@ -29,7 +28,7 @@ pub enum Placement {
 }
 
 /// Full configuration of a simulated machine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Fast-tier node.
     pub ddr: NodeConfig,
@@ -59,12 +58,10 @@ pub struct SystemConfig {
     pub migration_watchdog: Nanos,
     /// RAS policy: correctable-error trending thresholds, patrol-scrub
     /// width, and the live-evacuation deadline.
-    #[serde(default)]
     pub ras: RasConfig,
     /// Contention-aware timing: per-node loaded-latency queueing over the
     /// epoch bandwidth window. Disabled by default — the fixed per-access
     /// cost path stays bit-for-bit intact.
-    #[serde(default)]
     pub contention: ContentionConfig,
 }
 

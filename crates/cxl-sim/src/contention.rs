@@ -31,13 +31,12 @@
 
 use crate::memory::NodeId;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Utilizations are clamped below 1.0 so the M/M/1 pole stays finite.
 const RHO_MAX: f64 = 0.98;
 
 /// Who a transfer on the shared link is billed to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Application demand traffic: LLC miss fills and dirty writebacks.
     Demand,
@@ -76,7 +75,7 @@ impl TrafficClass {
 }
 
 /// Queueing parameters of one node's memory link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkParams {
     /// Link capacity in bytes/second. The defaults scale the paper's
     /// hardware by the same ~42× factor as the node capacities: a single
@@ -135,7 +134,7 @@ impl LinkParams {
 
 /// Contention-model configuration: one [`LinkParams`] per node plus the
 /// master switch.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContentionConfig {
     /// Master switch. `false` (the default) keeps the fixed-cost timing
     /// path bit-for-bit intact — the parameters below are never consulted.

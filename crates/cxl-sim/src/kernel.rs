@@ -9,11 +9,10 @@
 //! in the paper), billed time also stalls the application clock.
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Categories of kernel work, for the §4.2-style breakdown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CostKind {
     /// Handling a soft (hinting) page fault, including entering/leaving the
     /// fault handler (ANB, Solution 1).
@@ -92,7 +91,7 @@ impl fmt::Display for CostKind {
 /// Defaults are drawn from the paper where it reports numbers (migration
 /// ≈54 µs/page; DDR 100 ns vs CXL 270 ns loads) and from published
 /// micro-architectural measurements elsewhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// LLC hit service time.
     pub llc_hit: Nanos,

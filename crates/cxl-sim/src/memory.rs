@@ -8,14 +8,13 @@
 
 use crate::addr::Pfn;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First PFN of the CXL DRAM node (PA `1 << 46`, inside the 48-bit space).
 pub const CXL_BASE_PFN: u64 = 1 << 34;
 
 /// Identifier of a memory node in the tiered system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// The fast tier: locally attached DDR DRAM.
     Ddr,
@@ -68,7 +67,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Static properties of one memory node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeConfig {
     /// Capacity in 4 KiB frames.
     pub capacity_frames: u64,

@@ -13,7 +13,6 @@
 
 use crate::memory::NodeId;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Per-node traffic counters for one measurement window plus cumulative
 /// totals.
@@ -27,7 +26,7 @@ pub struct PerfMonitor {
 }
 
 /// A bandwidth snapshot of one node over a closed window.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BandwidthStats {
     /// 64 B read accesses observed in the window.
     pub reads: u64,
@@ -35,7 +34,6 @@ pub struct BandwidthStats {
     /// [`BandwidthStats::bytes_per_sec`] (the Monitor's `bw()` is a read
     /// signal, §5.2), but per-window write traffic is what read/write
     /// asymmetric consumers (the contention model's billing audit) need.
-    #[serde(default)]
     pub writebacks: u64,
     /// Window duration.
     pub window: Nanos,

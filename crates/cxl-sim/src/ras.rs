@@ -36,12 +36,11 @@
 use crate::faults::DeviceFault;
 use crate::memory::NodeId;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// RAS policy knobs (part of [`crate::config::SystemConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RasConfig {
     /// Correctable-error count at which a frame is soft-offlined: its page
     /// is migrated off and the frame permanently retired.

@@ -17,10 +17,9 @@
 
 use crate::addr::Vpn;
 use crate::cache::{plru_touch, plru_victim, ReplacementPolicy};
-use serde::{Deserialize, Serialize};
 
 /// TLB geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total number of entries.
     pub entries: usize,

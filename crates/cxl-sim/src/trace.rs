@@ -3,14 +3,22 @@
 //! The paper's Figure 7 design-space exploration feeds *cache-filtered,
 //! time-stamped DRAM address traces* (collected with Pin + Ramulator) into a
 //! standalone tracker simulator. [`TraceCapture`] is the equivalent here: a
-//! [`CxlDevice`] that records every CXL DRAM access it snoops, and a compact
-//! binary encode/decode path for storing traces.
+//! [`CxlDevice`] that records every CXL DRAM access it snoops, and an
+//! encode/decode path for storing traces.
+//!
+//! A trace file is a checkpoint frame ([`crate::checkpoint`]) with a single
+//! `"trace"` section, so it carries the same magic, version, FNV-1a
+//! checksum and end marker as a checkpoint image, and a corrupt or
+//! truncated file fails with the same typed [`RestoreError`].
 
 use crate::addr::CacheLineAddr;
+use crate::checkpoint::{section_err, Checkpoint, RestoreError, StateReader, StateWriter};
 use crate::controller::CxlDevice;
 use crate::time::Nanos;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::any::Any;
+
+/// Name of the single checkpoint section a trace file holds.
+const SECTION: &str = "trace";
 
 /// One recorded DRAM access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,62 +102,46 @@ impl CxlDevice for TraceCapture {
     }
 }
 
-/// Encodes a trace into a compact binary buffer (16 bytes per record:
-/// 8-byte line address with the write bit folded into bit 63, 8-byte
-/// timestamp).
-pub fn encode(records: &[TraceRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(records.len() * 16);
+/// Encodes a trace as a checkpoint frame ([`Checkpoint`]) holding one
+/// `"trace"` section: a `u64` record count, then per record the line
+/// address with the write bit folded into bit 63, and the timestamp.
+pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_usize(records.len());
     for r in records {
-        let mut word = r.line.0;
-        debug_assert!(word < 1 << 63, "line address overflows encoding");
-        if r.is_write {
-            word |= 1 << 63;
-        }
-        buf.put_u64_le(word);
-        buf.put_u64_le(r.ts.0);
+        debug_assert!(r.line.0 < 1 << 63, "line address overflows encoding");
+        w.put_u64(r.line.0 | (r.is_write as u64) << 63);
+        w.put_u64(r.ts.0);
     }
-    buf.freeze()
+    let mut ckpt = Checkpoint::new();
+    ckpt.add_section(SECTION, w.finish());
+    ckpt.encode()
 }
-
-/// Error produced when decoding a malformed trace buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecodeTraceError {
-    /// Length of the malformed buffer.
-    pub len: usize,
-}
-
-impl std::fmt::Display for DecodeTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace buffer length {} is not a multiple of 16",
-            self.len
-        )
-    }
-}
-
-impl std::error::Error for DecodeTraceError {}
 
 /// Decodes a buffer produced by [`encode`].
 ///
 /// # Errors
 ///
-/// Returns [`DecodeTraceError`] if the buffer length is not a multiple of
-/// the record size.
-pub fn decode(mut buf: Bytes) -> Result<Vec<TraceRecord>, DecodeTraceError> {
-    if !buf.len().is_multiple_of(16) {
-        return Err(DecodeTraceError { len: buf.len() });
-    }
-    let mut out = Vec::with_capacity(buf.len() / 16);
-    while buf.has_remaining() {
-        let word = buf.get_u64_le();
-        let ts = buf.get_u64_le();
+/// Any framing or checksum defect returns the [`Checkpoint::decode`]
+/// error; a frame without a `"trace"` section returns
+/// [`RestoreError::MissingSection`]; a payload whose record count does not
+/// match its length returns [`RestoreError::Corrupt`].
+pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, RestoreError> {
+    let ckpt = Checkpoint::decode(bytes)?;
+    let mut r = StateReader::new(ckpt.require(SECTION)?);
+    let corrupt = section_err(SECTION);
+    let n = r.get_usize().map_err(&corrupt)?;
+    let mut out = Vec::with_capacity(n.min(r.remaining() / 16));
+    for _ in 0..n {
+        let word = r.get_u64().map_err(&corrupt)?;
+        let ts = r.get_u64().map_err(&corrupt)?;
         out.push(TraceRecord {
             line: CacheLineAddr(word & !(1 << 63)),
             is_write: word >> 63 == 1,
             ts: Nanos(ts),
         });
     }
+    r.expect_end().map_err(corrupt)?;
     Ok(out)
 }
 
@@ -196,16 +188,10 @@ mod tests {
     fn encode_decode_roundtrip() {
         let recs = sample();
         let buf = encode(&recs);
-        assert_eq!(buf.len(), 32);
-        let back = decode(buf).unwrap();
+        // 16 B frame header + 25 B section header ("trace") + 8 B count +
+        // 16 B per record + 8 B end marker.
+        assert_eq!(buf.len(), 16 + 25 + 8 + 32 + 8);
+        let back = decode(&buf).unwrap();
         assert_eq!(back, recs);
-    }
-
-    #[test]
-    fn decode_rejects_truncated_buffers() {
-        let buf = Bytes::from_static(&[0u8; 15]);
-        let err = decode(buf).unwrap_err();
-        assert_eq!(err.len, 15);
-        assert!(err.to_string().contains("multiple of 16"));
     }
 }

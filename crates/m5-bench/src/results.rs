@@ -5,14 +5,13 @@
 //! regenerated without scraping stdout (the paper artifact's
 //! `organize_results.sh` / `plot_all_figs.py` pipeline equivalent).
 
-use serde::Serialize;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One generic result row: an experiment id, a benchmark/config label,
 /// a series name, and a value.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResultRow {
     /// Experiment id (e.g. "fig09").
     pub experiment: String,

@@ -10,10 +10,8 @@
 //! same direction; if it shrank, reverse direction. The controller
 //! settles around the frequency where more migration stops paying.
 
-use serde::{Deserialize, Serialize};
-
 /// Controller configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveFDefaultConfig {
     /// Initial `f_default` in Hz.
     pub initial_hz: f64,

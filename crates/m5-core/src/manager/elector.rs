@@ -8,11 +8,10 @@
 use super::monitor::TierStats;
 use cxl_sim::memory::NodeId;
 use cxl_sim::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The monotonically increasing frequency-scaling function of Algorithm 1,
 /// line 2 (`y = xⁿ` or `y = n·eˣ`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FScale {
     /// `y = xⁿ`.
     Power {
@@ -38,7 +37,7 @@ impl FScale {
 }
 
 /// Elector tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ElectorConfig {
     /// The default migration frequency `f_default` in Hz (tunable; the
     /// paper simply tries a few reasonable values like 1).

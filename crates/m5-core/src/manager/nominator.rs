@@ -15,11 +15,10 @@
 //!   like Redis and CacheLib).
 
 use cxl_sim::addr::{CacheLineAddr, Pfn};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which nomination mechanism to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NominatorMode {
     /// Hot pages straight from HPT.
     HptOnly,

@@ -1,10 +1,9 @@
 //! The algorithm selection shared by HPT and HWT.
 
 use m5_trackers::topk::{CmSketchTopK, SpaceSavingTopK, TopKAlgorithm};
-use serde::{Deserialize, Serialize};
 
 /// Which streaming algorithm backs a tracker (the Figure 7/8 design axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrackerAlgo {
     /// CM-Sketch with `rows × (entries/rows)` counters plus a K-entry CAM.
     CmSketch {

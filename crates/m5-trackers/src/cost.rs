@@ -12,10 +12,8 @@
 //!   plus a fixed K-entry CAM), and pipelines bank accesses — it scales to
 //!   128K entries at 400 MHz even on the FPGA.
 
-use serde::{Deserialize, Serialize};
-
 /// Tracker algorithm family, for cost/timing lookups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TrackerKind {
     /// Space-Saving: `N`-entry CAM.
     SpaceSaving,
@@ -24,7 +22,7 @@ pub enum TrackerKind {
 }
 
 /// Implementation technology, for the timing constraint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Technology {
     /// Intel Agilex-7 FPGA (the paper's prototype platform).
     Fpga,
@@ -33,7 +31,7 @@ pub enum Technology {
 }
 
 /// One published Table 4 row.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Table4Row {
     /// Number of entries `N`.
     pub n: usize,
@@ -108,7 +106,7 @@ pub const TABLE4_PUBLISHED: [Table4Row; 8] = [
 ];
 
 /// Analytic area/power model fitted to [`TABLE4_PUBLISHED`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Fixed CAM overhead (µm²).
     pub cam_area_fixed: f64,

@@ -35,12 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .to_vec();
     println!("captured {} cache-filtered DRAM accesses", records.len());
 
-    // 2. Store: 16 bytes per record, then round-trip.
+    // 2. Store: a checksummed trace frame (16 bytes per record), then
+    //    round-trip it through the file.
     let bytes = encode(&records);
     std::fs::write(&out_path, &bytes)?;
     println!("wrote {} bytes to {out_path}", bytes.len());
-    let back = decode(std::fs::read(&out_path)?.into())?;
-    assert_eq!(back.len(), records.len());
+    let back = decode(&std::fs::read(&out_path)?)?;
+    assert_eq!(back, records);
 
     // 3. Analyze: the per-page histogram any tracker is trying to learn.
     let mut counts: HashMap<u64, u64> = HashMap::new();
