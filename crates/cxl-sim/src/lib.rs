@@ -73,6 +73,7 @@ pub mod migration;
 pub mod paging;
 pub mod perfmon;
 pub mod ras;
+mod recency;
 pub mod report;
 pub mod system;
 pub mod time;

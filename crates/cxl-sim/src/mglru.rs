@@ -9,18 +9,24 @@
 
 use crate::addr::Vpn;
 use crate::paging::PageTable;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Number of generations, matching the kernel's default `MAX_NR_GENS` tiers
 /// in spirit (young → old).
 pub const NR_GENS: usize = 4;
 
+/// `index` value of an untracked page.
+const UNTRACKED: u8 = u8::MAX;
+
 /// The MGLRU bookkeeping for one node's resident pages.
 #[derive(Clone, Debug, Default)]
 pub struct MgLru {
     gens: [VecDeque<Vpn>; NR_GENS],
-    /// Current generation of each tracked page.
-    index: HashMap<Vpn, usize>,
+    /// Current generation of each page, indexed by VPN (VPNs are handed
+    /// out densely from 0); [`UNTRACKED`] for pages not in the LRU.
+    index: Vec<u8>,
+    /// Number of tracked pages.
+    tracked: usize,
     aging_passes: u64,
 }
 
@@ -32,12 +38,36 @@ impl MgLru {
 
     /// Number of pages tracked.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.tracked
     }
 
     /// Whether no pages are tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.tracked == 0
+    }
+
+    /// The generation of `vpn`, if tracked.
+    fn gen_of(&self, vpn: Vpn) -> Option<usize> {
+        match self.index.get(vpn.0 as usize) {
+            Some(&g) if g != UNTRACKED => Some(g as usize),
+            _ => None,
+        }
+    }
+
+    /// Records `vpn` as tracked in generation `g`.
+    fn track(&mut self, vpn: Vpn, g: usize) {
+        let i = vpn.0 as usize;
+        if i >= self.index.len() {
+            self.index.resize(i + 1, UNTRACKED);
+        }
+        self.tracked += (self.index[i] == UNTRACKED) as usize;
+        self.index[i] = g as u8;
+    }
+
+    /// Stops tracking `vpn`, which must be tracked.
+    fn untrack(&mut self, vpn: Vpn) {
+        self.index[vpn.0 as usize] = UNTRACKED;
+        self.tracked -= 1;
     }
 
     /// Number of pages in generation `g` (0 = youngest).
@@ -53,18 +83,19 @@ impl MgLru {
     /// Starts tracking `vpn` in the youngest generation (a page was just
     /// promoted to, or allocated on, this node).
     pub fn insert(&mut self, vpn: Vpn) {
-        if self.index.contains_key(&vpn) {
+        if self.gen_of(vpn).is_some() {
             return;
         }
         self.gens[0].push_back(vpn);
-        self.index.insert(vpn, 0);
+        self.track(vpn, 0);
     }
 
     /// Stops tracking `vpn` (the page was demoted or unmapped). Returns
     /// whether it was tracked.
     pub fn remove(&mut self, vpn: Vpn) -> bool {
-        match self.index.remove(&vpn) {
+        match self.gen_of(vpn) {
             Some(g) => {
+                self.untrack(vpn);
                 if let Some(pos) = self.gens[g].iter().position(|&v| v == vpn) {
                     self.gens[g].remove(pos);
                 }
@@ -91,7 +122,7 @@ impl MgLru {
                     (g + 1).min(NR_GENS - 1)
                 };
                 next[new_gen].push_back(vpn);
-                self.index.insert(vpn, new_gen);
+                self.index[vpn.0 as usize] = new_gen as u8;
             }
         }
         self.gens = next;
@@ -106,7 +137,7 @@ impl MgLru {
             while out.len() < n {
                 match self.gens[g].pop_front() {
                     Some(vpn) => {
-                        self.index.remove(&vpn);
+                        self.untrack(vpn);
                         out.push(vpn);
                     }
                     None => break,
@@ -119,9 +150,14 @@ impl MgLru {
         out
     }
 
-    /// Iterates over all tracked pages with their generation.
+    /// Iterates over all tracked pages with their generation, in VPN
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, usize)> + '_ {
-        self.index.iter().map(|(&v, &g)| (v, g))
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &g)| g != UNTRACKED)
+            .map(|(v, &g)| (Vpn(v as u64), g as usize))
     }
 
     /// Serializes the generations (FIFO order within each — victim order is
@@ -137,21 +173,38 @@ impl MgLru {
         w.put_u64(self.aging_passes);
     }
 
-    /// Rebuilds an MGLRU from a checkpoint section.
+    /// Rebuilds an MGLRU from a checkpoint section. Every page must lie
+    /// below `vpn_extent`, the restored page table's extent.
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload;
+    /// [`CodecError::BadValue`](crate::checkpoint::CodecError::BadValue)
+    /// for a page at or past `vpn_extent` or listed twice.
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
+        vpn_extent: u64,
     ) -> Result<MgLru, crate::checkpoint::CodecError> {
+        use crate::checkpoint::CodecError;
         let mut lru = MgLru::new();
         for g in 0..NR_GENS {
             let n = r.get_u64()? as usize;
             for _ in 0..n {
                 let vpn = Vpn(r.get_u64()?);
+                if vpn.0 >= vpn_extent {
+                    return Err(CodecError::BadValue {
+                        what: "mglru page past the page table",
+                        value: vpn.0,
+                    });
+                }
+                if lru.gen_of(vpn).is_some() {
+                    return Err(CodecError::BadValue {
+                        what: "repeated mglru page",
+                        value: vpn.0,
+                    });
+                }
                 lru.gens[g].push_back(vpn);
-                lru.index.insert(vpn, g);
+                lru.track(vpn, g);
             }
         }
         lru.aging_passes = r.get_u64()?;
@@ -227,6 +280,41 @@ mod tests {
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.pick_coldest(5), vec![Vpn(2)]);
         assert!(lru.pick_coldest(1).is_empty());
+    }
+
+    #[test]
+    fn restore_rejects_pages_past_the_table_or_listed_twice() {
+        use crate::checkpoint::{CodecError, StateReader, StateWriter};
+        let mut lru = MgLru::new();
+        lru.insert(Vpn(3));
+        lru.insert(Vpn(5));
+        let mut w = StateWriter::new();
+        lru.save(&mut w);
+        let bytes = w.finish();
+        let back = MgLru::restore(&mut StateReader::new(&bytes), 6).unwrap();
+        assert_eq!(
+            back.iter().collect::<Vec<_>>(),
+            vec![(Vpn(3), 0), (Vpn(5), 0)]
+        );
+        assert!(matches!(
+            MgLru::restore(&mut StateReader::new(&bytes), 5),
+            Err(CodecError::BadValue { value: 5, .. })
+        ));
+
+        let mut w = StateWriter::new();
+        w.put_u64(1);
+        w.put_u64(3);
+        w.put_u64(1);
+        w.put_u64(3);
+        for _ in 2..NR_GENS {
+            w.put_u64(0);
+        }
+        w.put_u64(0);
+        let bytes = w.finish();
+        assert!(matches!(
+            MgLru::restore(&mut StateReader::new(&bytes), 6),
+            Err(CodecError::BadValue { value: 3, .. })
+        ));
     }
 
     #[test]

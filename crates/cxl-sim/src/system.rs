@@ -36,7 +36,7 @@ use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::{NodeId, OutOfFrames, TieredMemory, CXL_BASE_PFN};
 use crate::mglru::MgLru;
 use crate::migration::{BatchOutcome, MigrateError, MigrationStats};
-use crate::paging::PageTable;
+use crate::paging::{PageTable, Pte};
 use crate::perfmon::{BandwidthStats, PerfMonitor};
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
 use crate::report::{HealthReport, LatencyHistogram, RunReport};
@@ -699,25 +699,20 @@ impl System {
             }
         }
 
-        self.access_core(vaddr, is_write, true)
+        let (pte, latency, hinting_fault) = self.translate(vaddr, is_write)?;
+        Ok(self.access_frame(vaddr, pte.pfn, is_write, latency, hinting_fault, true))
     }
 
-    /// The access pipeline proper: paging, TLB, LLC, DRAM, telemetry.
-    ///
-    /// `faults_active = false` is the batch fast path: the caller has
-    /// proven the injector quiescent up to a horizon (no stall window, no
-    /// latency spike, no pending poison), so the per-access fault queries
-    /// compile down to constants. With a quiescent injector both variants
-    /// are exactly equivalent — `controller_stalled` is false,
-    /// `cxl_extra_latency` is zero, `take_poisoned_read` is false — which
-    /// keeps the chunked driver byte-identical to the per-access loop.
+    /// Translates `vaddr` for one access: a hinting fault on a
+    /// non-present page, the TLB probe with a page walk on a miss, and
+    /// the PTE flag store. Returns the PTE as stored, the latency so far
+    /// and whether a hinting fault was taken.
     #[inline]
-    fn access_core(
+    fn translate(
         &mut self,
         vaddr: VirtAddr,
         is_write: bool,
-        faults_active: bool,
-    ) -> Result<AccessOutcome, SimError> {
+    ) -> Result<(Pte, Nanos, bool), SimError> {
         let vpn = vaddr.vpn();
         let costs = self.config.costs;
         let mut latency = Nanos::ZERO;
@@ -755,8 +750,38 @@ impl System {
         if flags != pte.flags {
             self.page_table.store_flags(vpn, flags);
         }
+        Ok((
+            Pte {
+                pfn: pte.pfn,
+                flags,
+            },
+            latency,
+            hinting_fault,
+        ))
+    }
 
-        let pfn = pte.pfn;
+    /// The access past translation to `pfn`: LLC, DRAM, snoops,
+    /// telemetry and the clock. `latency` and `hinting_fault` carry the
+    /// translation's share.
+    ///
+    /// `faults_active = false` is the batch fast path: the caller has
+    /// proven the injector quiescent up to a horizon (no stall window, no
+    /// latency spike, no pending poison), so the per-access fault queries
+    /// compile down to constants. With a quiescent injector both variants
+    /// are exactly equivalent — `controller_stalled` is false,
+    /// `cxl_extra_latency` is zero, `take_poisoned_read` is false — which
+    /// keeps the chunked driver byte-identical to the per-access loop.
+    #[inline]
+    fn access_frame(
+        &mut self,
+        vaddr: VirtAddr,
+        pfn: Pfn,
+        is_write: bool,
+        mut latency: Nanos,
+        hinting_fault: bool,
+        faults_active: bool,
+    ) -> AccessOutcome {
+        let costs = self.config.costs;
         let word = WordIndex(vaddr.word_index().0);
         let line = pfn.word(word).cache_line();
         latency += costs.llc_hit;
@@ -855,14 +880,14 @@ impl System {
         }
 
         self.clock.advance(latency);
-        Ok(AccessOutcome {
+        AccessOutcome {
             latency,
             llc_hit: res.hit,
             dram_node,
             line: if res.hit { None } else { Some(line) },
             hinting_fault,
             poisoned,
-        })
+        }
     }
 
     /// Executes accesses from `chunk` starting at index `from`, returning
@@ -872,8 +897,8 @@ impl System {
     /// paying the epoch/fault/flush checks on every access, it computes the
     /// distance to the next *boundary* — the daemon's wake `deadline`, the
     /// periodic TLB flush, and the fault injector's next scheduled event —
-    /// once, and runs a tight loop of bare [`System::access_core`] calls up
-    /// to it. Accesses at or past a boundary fall back to the fully-checked
+    /// once, and runs a tight loop of bare [`System::translate`] and
+    /// [`System::access_frame`] calls up to it. Accesses at or past a boundary fall back to the fully-checked
     /// [`System::try_access`] path one at a time, so the observable
     /// behaviour is identical to calling [`System::access`] in a loop.
     ///
@@ -941,22 +966,44 @@ impl System {
                     horizon = horizon.min(at);
                 }
                 if now < horizon {
+                    // Same-page reuse: the previous access of this segment
+                    // stored its page's flags and left the translation at
+                    // its TLB set's MRU position (by hitting or inserting
+                    // it), and nothing between two accesses of a quiet
+                    // segment touches the page table or the TLB. A repeat
+                    // of that page skips both lookups; the TLB probe would
+                    // only have counted a hit.
+                    let mut last: Option<(Vpn, Pte)> = None;
                     while idx < words.len() && st.n < max_accesses && self.clock.now() < horizon {
                         let w = words[idx];
-                        let out = self
-                            .access_core(
-                                VirtAddr(w & CHUNK_ADDR_MASK),
-                                w & CHUNK_WRITE_BIT != 0,
-                                false,
-                            )
-                            .unwrap_or_else(|e| panic!("{e}"));
+                        let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);
+                        let is_write = w & CHUNK_WRITE_BIT != 0;
+                        let vpn = vaddr.vpn();
+                        let (pfn, latency, hinting_fault) = match &mut last {
+                            Some((prev, pte)) if *prev == vpn => {
+                                self.tlb.count_mru_hit();
+                                if is_write && !pte.flags.dirty() {
+                                    pte.flags = pte.flags.with_dirty();
+                                    self.page_table.store_flags(vpn, pte.flags);
+                                }
+                                (pte.pfn, Nanos::ZERO, false)
+                            }
+                            _ => {
+                                let (pte, latency, hinting_fault) = self
+                                    .translate(vaddr, is_write)
+                                    .unwrap_or_else(|e| panic!("{e}"));
+                                last = Some((vpn, pte));
+                                (pte.pfn, latency, hinting_fault)
+                            }
+                        };
+                        self.access_frame(vaddr, pfn, is_write, latency, hinting_fault, false);
                         idx += 1;
                         st.n += 1;
                         if w & CHUNK_OP_END_BIT != 0 {
                             st.record_op_end(self.clock.now());
                         }
-                        if out.hinting_fault {
-                            return (idx, BatchPause::Fault(VirtAddr(w & CHUNK_ADDR_MASK).vpn()));
+                        if hinting_fault {
+                            return (idx, BatchPause::Fault(vpn));
                         }
                     }
                     executed = true;
@@ -2062,20 +2109,8 @@ impl System {
         section("clock", &mut |w| w.put_u64(self.clock.now().0));
         section("memory", &mut |w| self.memory.save(w));
         section("paging", &mut |w| self.page_table.save(w));
-        section("tlb", &mut |w| {
-            w.put_u8(match self.tlb.policy() {
-                crate::cache::ReplacementPolicy::ExactLru => 0,
-                crate::cache::ReplacementPolicy::TreeLru => 1,
-            });
-            self.tlb.save(w);
-        });
-        section("llc", &mut |w| {
-            w.put_u8(match self.llc.policy() {
-                crate::cache::ReplacementPolicy::ExactLru => 0,
-                crate::cache::ReplacementPolicy::TreeLru => 1,
-            });
-            self.llc.save(w);
-        });
+        section("tlb", &mut |w| self.tlb.save(w));
+        section("llc", &mut |w| self.llc.save(w));
         section("perfmon", &mut |w| self.perfmon.save(w));
         section("kernel", &mut |w| self.kernel.save(w));
         section("mglru", &mut |w| self.ddr_lru.save(w));
@@ -2168,35 +2203,16 @@ impl System {
             return Err(RestoreError::ConfigMismatch);
         }
 
-        fn policy_of(
-            tag: u8,
-        ) -> Result<crate::cache::ReplacementPolicy, crate::checkpoint::CodecError> {
-            match tag {
-                0 => Ok(crate::cache::ReplacementPolicy::ExactLru),
-                1 => Ok(crate::cache::ReplacementPolicy::TreeLru),
-                t => Err(crate::checkpoint::CodecError::BadValue {
-                    what: "replacement-policy tag",
-                    value: t as u64,
-                }),
-            }
-        }
-
         let clock = read_section(cp, "clock", |r| Ok(Clock::at(Nanos(r.get_u64()?))))?;
         let memory = read_section(cp, "memory", |r| {
             TieredMemory::restore(config.ddr.clone(), config.cxl.clone(), r)
         })?;
         let page_table = read_section(cp, "paging", |r| PageTable::restore(r))?;
-        let tlb = read_section(cp, "tlb", |r| {
-            let policy = policy_of(r.get_u8()?)?;
-            Tlb::restore(config.tlb, policy, r)
-        })?;
-        let llc = read_section(cp, "llc", |r| {
-            let policy = policy_of(r.get_u8()?)?;
-            Llc::restore(config.llc, policy, r)
-        })?;
+        let tlb = read_section(cp, "tlb", |r| Tlb::restore(config.tlb, r))?;
+        let llc = read_section(cp, "llc", |r| Llc::restore(config.llc, r))?;
         let perfmon = read_section(cp, "perfmon", |r| PerfMonitor::restore(r))?;
         let kernel = read_section(cp, "kernel", |r| KernelCosts::restore(r))?;
-        let ddr_lru = read_section(cp, "mglru", |r| MgLru::restore(r))?;
+        let ddr_lru = read_section(cp, "mglru", |r| MgLru::restore(r, page_table.extent()))?;
         let journal = read_section(cp, "journal", |r| MigrationJournal::restore(r))?;
         let faults = read_section(cp, "faults", |r| FaultInjector::restore(plan, r))?;
         let ras = read_section(cp, "ras", |r| RasState::restore(config.ras, r))?;
@@ -2888,6 +2904,79 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// `cp` with the first slots of `set` in the `section` ("llc" or
+    /// "tlb") entry array overwritten by `slots`.
+    fn with_cache_set(
+        cp: &crate::checkpoint::Checkpoint,
+        section: &str,
+        set: usize,
+        ways: usize,
+        slots: &[u64],
+    ) -> crate::checkpoint::Checkpoint {
+        use crate::checkpoint::{StateReader, StateWriter};
+        let mut r = StateReader::new(cp.section(section).unwrap());
+        let mut w = StateWriter::new();
+        w.put_u8(r.get_u8().unwrap());
+        let mut entries = r.get_u64_vec().unwrap();
+        entries[set * ways..set * ways + slots.len()].copy_from_slice(slots);
+        w.put_u64_slice(&entries);
+        w.put_u64_slice(&r.get_u64_vec().unwrap());
+        for _ in 0..3 {
+            w.put_u64(r.get_u64().unwrap());
+        }
+        r.expect_end().unwrap();
+        let payload = w.finish();
+        let mut out = crate::checkpoint::Checkpoint::new();
+        for name in cp.section_names() {
+            let bytes = if name == section {
+                payload.clone()
+            } else {
+                cp.section(name).unwrap().to_vec()
+            };
+            out.add_section(name, bytes);
+        }
+        out
+    }
+
+    #[test]
+    fn restore_rejects_malformed_cache_sets() {
+        const EMPTY: u64 = u64::MAX;
+        let config = SystemConfig::small();
+        let cp = System::new(config.clone()).checkpoint();
+        let restore = |cp| System::restore(config.clone(), &FaultPlan::none(), &cp);
+        for (section, sets, ways) in [
+            ("llc", config.llc.sets(), config.llc.ways),
+            ("tlb", config.tlb.entries / config.tlb.ways, config.tlb.ways),
+        ] {
+            // Set 3 holds entries 3 + k·sets; entry 4 + sets lives in set 4.
+            let own = |k: usize| (3 + k * sets) as u64;
+            let sys = restore(with_cache_set(&cp, section, 3, ways, &[own(1), own(2)]))
+                .expect("a well-formed set restores");
+            if section == "llc" {
+                assert!(sys.llc().contains(CacheLineAddr(own(2))));
+            } else {
+                assert_eq!(sys.tlb().occupancy(), 2);
+            }
+            for slots in [
+                [EMPTY, own(1)],
+                [own(1), own(1)],
+                [own(1), (4 + sets) as u64],
+            ] {
+                let err = restore(with_cache_set(&cp, section, 3, ways, &slots)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        crate::checkpoint::RestoreError::Corrupt {
+                            section: s,
+                            source: crate::checkpoint::CodecError::BadValue { .. },
+                        } if s == section
+                    ),
+                    "{section} set {slots:x?} restored: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

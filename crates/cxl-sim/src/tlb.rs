@@ -9,14 +9,14 @@
 //! # Layout
 //!
 //! Like the LLC, the TLB is one contiguous `Vec<u64>` of `sets × ways`
-//! VPN entries with `u64::MAX` as the empty sentinel. Under the default
-//! [`ReplacementPolicy::ExactLru`] each set's slice is recency-ordered
-//! (way 0 = MRU), reproducing the original nested-`Vec` decisions
-//! exactly; [`ReplacementPolicy::TreeLru`] is available opt-in via
-//! [`Tlb::with_policy`].
+//! VPN entries in fixed ways, with `u64::MAX` as the empty sentinel, and
+//! one [recency word](crate::recency) per set holding its exact-LRU
+//! order. Decisions are bit-identical to a recency-ordered array whose
+//! valid entries form a prefix, which is what checkpoints store.
 
 use crate::addr::Vpn;
-use crate::cache::{plru_touch, plru_victim, ReplacementPolicy};
+use crate::checkpoint::{CodecError, StateReader, StateWriter};
+use crate::recency;
 
 /// TLB geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,15 +50,15 @@ impl TlbConfig {
 /// top out 12 shift bits earlier).
 const EMPTY: u64 = u64::MAX;
 
-/// A single-core, set-associative TLB with per-set LRU replacement,
-/// stored as a single flat entry array.
+/// A single-core, set-associative TLB with per-set exact-LRU
+/// replacement, stored as a single flat entry array plus one recency word
+/// per set.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    /// `n_sets × ways` VPN slots; see module docs for the layout.
+    /// `n_sets × ways` VPN slots in fixed ways; see module docs.
     entries: Vec<u64>,
-    /// Per-set pseudo-LRU bit trees; empty unless `policy` is `TreeLru`.
-    plru: Vec<u64>,
-    policy: ReplacementPolicy,
+    /// Per-set recency words ordering the set's ways, MRU first.
+    order: Vec<u64>,
     n_sets: usize,
     /// `n_sets − 1` when `n_sets` is a power of two (mask indexing), else 0.
     set_mask: usize,
@@ -69,22 +69,13 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Builds an empty TLB with the default exact-LRU policy.
+    /// Builds an empty TLB.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `ways`.
+    /// Panics if `entries` is not a positive multiple of `ways`, or if
+    /// `ways` exceeds 16.
     pub fn new(config: TlbConfig) -> Tlb {
-        Tlb::with_policy(config, ReplacementPolicy::ExactLru)
-    }
-
-    /// Builds an empty TLB under an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid, or if `TreeLru` is asked for
-    /// with a non-power-of-two associativity.
-    pub fn with_policy(config: TlbConfig, policy: ReplacementPolicy) -> Tlb {
         assert!(config.ways > 0 && config.entries > 0);
         assert_eq!(
             config.entries % config.ways,
@@ -92,20 +83,9 @@ impl Tlb {
             "entries must be a multiple of ways"
         );
         let n_sets = config.entries / config.ways;
-        if policy == ReplacementPolicy::TreeLru {
-            assert!(
-                config.ways.is_power_of_two() && config.ways <= 64,
-                "tree pseudo-LRU needs power-of-two associativity ≤ 64"
-            );
-        }
         Tlb {
             entries: vec![EMPTY; config.entries],
-            plru: if policy == ReplacementPolicy::TreeLru {
-                vec![0; n_sets]
-            } else {
-                Vec::new()
-            },
-            policy,
+            order: vec![recency::identity(config.ways); n_sets],
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -119,17 +99,11 @@ impl Tlb {
         }
     }
 
-    /// The replacement policy this TLB was built with.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Serializes the entry array (LRU order included), pseudo-LRU trees,
-    /// and hit/miss/invalidation counters for a checkpoint. Geometry and
-    /// policy are rebuilt from configuration on restore.
-    pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_u64_slice(&self.entries);
-        w.put_u64_slice(&self.plru);
+    /// Serializes the entries in recency order (each set MRU first, empty
+    /// slots last) and the hit/miss/invalidation counters for a
+    /// checkpoint. Geometry is rebuilt from configuration on restore.
+    pub fn save(&self, w: &mut StateWriter) {
+        recency::save_ordered(w, &self.entries, &self.order, self.ways);
         w.put_u64(self.hits);
         w.put_u64(self.misses);
         w.put_u64(self.invalidations);
@@ -139,30 +113,15 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects arrays that do not match the
-    /// geometry implied by `config`/`policy`.
-    pub fn restore(
-        config: TlbConfig,
-        policy: ReplacementPolicy,
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<Tlb, crate::checkpoint::CodecError> {
-        let mut tlb = Tlb::with_policy(config, policy);
-        let entries = r.get_u64_vec()?;
-        if entries.len() != tlb.entries.len() {
-            return Err(crate::checkpoint::CodecError::BadValue {
-                what: "tlb entry count",
-                value: entries.len() as u64,
-            });
-        }
-        let plru = r.get_u64_vec()?;
-        if plru.len() != tlb.plru.len() {
-            return Err(crate::checkpoint::CodecError::BadValue {
-                what: "tlb plru tree count",
-                value: plru.len() as u64,
-            });
-        }
+    /// Propagates codec errors; rejects an array that does not match the
+    /// geometry implied by `config`, and any set holding an empty slot
+    /// before a valid VPN, a VPN twice, or a VPN of another set.
+    pub fn restore(config: TlbConfig, r: &mut StateReader<'_>) -> Result<Tlb, CodecError> {
+        let mut tlb = Tlb::new(config);
+        let entries = recency::restore_ordered(r, tlb.entries.len(), tlb.ways, |e| {
+            Some((e, tlb.set_index(Vpn(e))))
+        })?;
         tlb.entries = entries;
-        tlb.plru = plru;
         tlb.hits = r.get_u64()?;
         tlb.misses = r.get_u64()?;
         tlb.invalidations = r.get_u64()?;
@@ -178,9 +137,13 @@ impl Tlb {
         }
     }
 
+    /// The way of `set` holding `vpn`, if cached.
     #[inline]
-    fn levels(&self) -> u32 {
-        self.ways.trailing_zeros()
+    fn find(&self, set: usize, vpn: Vpn) -> Option<usize> {
+        let base = set * self.ways;
+        self.entries[base..base + self.ways]
+            .iter()
+            .position(|&e| e == vpn.0)
     }
 
     /// Looks up `vpn`. On a hit the entry becomes most-recently-used and the
@@ -188,115 +151,63 @@ impl Tlb {
     /// expected to walk the page table and then [`Tlb::insert`].
     #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
-        let idx = self.set_index(vpn);
-        let base = idx * self.ways;
-        match self.policy {
-            ReplacementPolicy::ExactLru => {
-                let set = &mut self.entries[base..base + self.ways];
-                for (i, &e) in set.iter().enumerate() {
-                    if e == EMPTY {
-                        break;
-                    }
-                    if e == vpn.0 {
-                        // Move to front: front = most recently used.
-                        set.copy_within(0..i, 1);
-                        set[0] = vpn.0;
-                        self.hits += 1;
-                        return true;
-                    }
+        let set = self.set_index(vpn);
+        match self.find(set, vpn) {
+            Some(way) => {
+                let word = self.order[set];
+                if recency::way_at(word, 0) != way {
+                    self.order[set] = recency::to_front(word, recency::position_of(word, way));
                 }
-                self.misses += 1;
-                false
+                self.hits += 1;
+                true
             }
-            ReplacementPolicy::TreeLru => {
-                let levels = self.levels();
-                let set = &self.entries[base..base + self.ways];
-                for (w, &e) in set.iter().enumerate() {
-                    if e == vpn.0 {
-                        plru_touch(&mut self.plru[idx], levels, w);
-                        self.hits += 1;
-                        return true;
-                    }
-                }
+            None => {
                 self.misses += 1;
                 false
             }
         }
     }
 
-    /// Inserts a translation, evicting the LRU entry of the set if full.
+    /// Counts a lookup hit on a translation already at its set's MRU
+    /// position, which such a lookup would leave unchanged.
+    #[inline]
+    pub(crate) fn count_mru_hit(&mut self) {
+        self.hits += 1;
+    }
+
+    /// Inserts a translation as its set's MRU, evicting the LRU entry if
+    /// the set is full. A translation already cached keeps its position.
     #[inline]
     pub fn insert(&mut self, vpn: Vpn) {
-        let idx = self.set_index(vpn);
-        let base = idx * self.ways;
-        match self.policy {
-            ReplacementPolicy::ExactLru => {
-                let set = &mut self.entries[base..base + self.ways];
-                let mut len = set.len();
-                for (i, &e) in set.iter().enumerate() {
-                    if e == vpn.0 {
-                        return;
-                    }
-                    if e == EMPTY {
-                        len = i;
-                        break;
-                    }
-                }
-                // Full set: the LRU tail entry is simply shifted off the end.
-                let shift_upto = if len == set.len() { len - 1 } else { len };
-                set.copy_within(0..shift_upto, 1);
-                set[0] = vpn.0;
-            }
-            ReplacementPolicy::TreeLru => {
-                let levels = self.levels();
-                let mut empty_way = None;
-                {
-                    let set = &self.entries[base..base + self.ways];
-                    for (w, &e) in set.iter().enumerate() {
-                        if e == vpn.0 {
-                            return;
-                        }
-                        if e == EMPTY && empty_way.is_none() {
-                            empty_way = Some(w);
-                        }
-                    }
-                }
-                let way = empty_way.unwrap_or_else(|| plru_victim(self.plru[idx], levels));
-                self.entries[base + way] = vpn.0;
-                plru_touch(&mut self.plru[idx], levels, way);
-            }
+        let set = self.set_index(vpn);
+        if self.find(set, vpn).is_some() {
+            return;
         }
+        let word = self.order[set];
+        let tail = self.ways - 1;
+        self.entries[set * self.ways + recency::way_at(word, tail)] = vpn.0;
+        self.order[set] = recency::to_front(word, tail);
     }
 
     /// Invalidates the translation for `vpn`, if cached (a shootdown for one
     /// page). Returns `true` if an entry was removed.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        let base = self.set_index(vpn) * self.ways;
-        let set = &mut self.entries[base..base + self.ways];
-        for (i, &e) in set.iter().enumerate() {
-            if e == EMPTY && self.policy == ReplacementPolicy::ExactLru {
-                break;
-            }
-            if e == vpn.0 {
-                match self.policy {
-                    ReplacementPolicy::ExactLru => {
-                        set.copy_within(i + 1.., i);
-                        set[self.ways - 1] = EMPTY;
-                    }
-                    ReplacementPolicy::TreeLru => set[i] = EMPTY,
-                }
-                self.invalidations += 1;
-                return true;
-            }
-        }
-        false
+        let set = self.set_index(vpn);
+        let Some(way) = self.find(set, vpn) else {
+            return false;
+        };
+        self.entries[set * self.ways + way] = EMPTY;
+        let word = self.order[set];
+        self.order[set] = recency::to_back(word, recency::position_of(word, way), self.ways);
+        self.invalidations += 1;
+        true
     }
 
     /// Flushes the whole TLB (context switch / full shootdown).
     pub fn flush(&mut self) {
         self.invalidations += self.occupancy() as u64;
         self.entries.fill(EMPTY);
-        self.plru.fill(0);
+        self.order.fill(recency::identity(self.ways));
     }
 
     /// Number of lookup hits so far.
@@ -383,23 +294,6 @@ mod tests {
         assert!(!tlb.lookup(Vpn(0)));
         assert!(tlb.lookup(Vpn(8)));
         assert!(tlb.lookup(Vpn(12)));
-    }
-
-    #[test]
-    fn tree_plru_policy_hits_and_evicts() {
-        let mut tlb = Tlb::with_policy(TlbConfig::tiny(), ReplacementPolicy::TreeLru);
-        assert_eq!(tlb.policy(), ReplacementPolicy::TreeLru);
-        tlb.insert(Vpn(0));
-        tlb.insert(Vpn(4));
-        assert!(tlb.lookup(Vpn(0))); // 4 becomes the pLRU victim
-        tlb.insert(Vpn(8)); // evicts 4
-        assert!(tlb.lookup(Vpn(0)));
-        assert!(tlb.lookup(Vpn(8)));
-        assert!(!tlb.lookup(Vpn(4)));
-        assert!(tlb.invalidate(Vpn(8)));
-        assert_eq!(tlb.occupancy(), 1);
-        tlb.flush();
-        assert_eq!(tlb.occupancy(), 0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Differential property tests pinning the flattened LLC/TLB to the old
+//! Differential property tests pinning the flat LLC/TLB to the old
 //! nested-`Vec<Vec<_>>` implementation.
 //!
-//! The flat structures encode each set's exact-LRU order positionally in a
-//! contiguous slice of a single array (MRU at the valid prefix's front,
-//! packed dirty bit, `u64::MAX` empty sentinel). These tests drive the
-//! real [`Llc`]/[`Tlb`] and a faithful re-implementation of the pre-flat
+//! The flat structures keep entries in fixed ways of a single array
+//! (packed dirty bit, `u64::MAX` empty sentinel) and each set's exact-LRU
+//! order in a per-set recency word. These tests drive the real
+//! [`Llc`]/[`Tlb`] and a faithful re-implementation of the pre-flat
 //! nested data structures through identical random operation streams and
 //! demand equality of *every* observable: hit/miss results, writeback
-//! victims, counters, and occupancy. The tree-pLRU opt-in policy is
-//! checked the same way against a nested reference that reuses the same
-//! published tree-bit update rules.
+//! victims, counters, and occupancy. Geometries run up to the 16-way
+//! limit of a recency word, and a mid-stream checkpoint round trip
+//! (save, restore, continue) must not perturb any of it.
 
 use cxl_sim::addr::{CacheLineAddr, Vpn};
-use cxl_sim::cache::{Llc, LlcConfig, ReplacementPolicy};
+use cxl_sim::cache::{Llc, LlcConfig};
+use cxl_sim::checkpoint::{StateReader, StateWriter};
 use cxl_sim::tlb::{Tlb, TlbConfig};
 use proptest::prelude::*;
 
@@ -182,84 +183,24 @@ impl NestedTlb {
     }
 }
 
-/// Reference tree-pLRU bit rules, matching the flat cache's published
-/// scheme: each internal node's bit points toward the *colder* child;
-/// touching a way flips the bits on its root path away from it.
-fn ref_plru_touch(tree: &mut u64, levels: u32, way: usize) {
-    let mut node = 1usize;
-    for level in (0..levels).rev() {
-        let bit = (way >> level) & 1;
-        if bit == 0 {
-            *tree |= 1 << node;
-        } else {
-            *tree &= !(1 << node);
-        }
-        node = node * 2 + bit;
-    }
+fn round_trip_llc(llc: &Llc, config: LlcConfig) -> Llc {
+    let mut w = StateWriter::new();
+    llc.save(&mut w);
+    let bytes = w.finish();
+    let mut r = StateReader::new(&bytes);
+    let restored = Llc::restore(config, &mut r).expect("saved LLC restores");
+    r.expect_end().expect("LLC section fully consumed");
+    restored
 }
 
-fn ref_plru_victim(tree: u64, levels: u32) -> usize {
-    let mut node = 1usize;
-    let mut way = 0usize;
-    for _ in 0..levels {
-        let bit = ((tree >> node) & 1) as usize;
-        way = way * 2 + bit;
-        node = node * 2 + bit;
-    }
-    way
-}
-
-/// A nested-storage tree-pLRU cache: per-set `Vec<Option<(addr, dirty)>>`
-/// plus a tree-bit word, sharing the reference bit rules above.
-struct NestedPlruLlc {
-    sets: Vec<Vec<Option<(u64, bool)>>>,
-    trees: Vec<u64>,
-    levels: u32,
-    writebacks: u64,
-}
-
-impl NestedPlruLlc {
-    fn new(config: LlcConfig) -> NestedPlruLlc {
-        NestedPlruLlc {
-            sets: vec![vec![None; config.ways]; config.sets()],
-            trees: vec![0; config.sets()],
-            levels: config.ways.trailing_zeros(),
-            writebacks: 0,
-        }
-    }
-
-    fn access(&mut self, line: CacheLineAddr, is_write: bool) -> (bool, Option<CacheLineAddr>) {
-        let idx = (line.0 as usize) % self.sets.len();
-        let set = &mut self.sets[idx];
-        let mut empty = None;
-        for (w, e) in set.iter_mut().enumerate() {
-            match e {
-                Some((a, d)) if *a == line.0 => {
-                    *d = *d || is_write;
-                    ref_plru_touch(&mut self.trees[idx], self.levels, w);
-                    return (true, None);
-                }
-                None if empty.is_none() => empty = Some(w),
-                _ => {}
-            }
-        }
-        let (way, wb) = match empty {
-            Some(w) => (w, None),
-            None => {
-                let w = ref_plru_victim(self.trees[idx], self.levels);
-                let (a, d) = set[w].expect("victim resident");
-                if d {
-                    self.writebacks += 1;
-                    (w, Some(CacheLineAddr(a)))
-                } else {
-                    (w, None)
-                }
-            }
-        };
-        set[way] = Some((line.0, is_write));
-        ref_plru_touch(&mut self.trees[idx], self.levels, way);
-        (false, wb)
-    }
+fn round_trip_tlb(tlb: &Tlb, config: TlbConfig) -> Tlb {
+    let mut w = StateWriter::new();
+    tlb.save(&mut w);
+    let bytes = w.finish();
+    let mut r = StateReader::new(&bytes);
+    let restored = Tlb::restore(config, &mut r).expect("saved TLB restores");
+    r.expect_end().expect("TLB section fully consumed");
+    restored
 }
 
 proptest! {
@@ -269,17 +210,25 @@ proptest! {
     /// accesses, migration fills, and invalidations, across geometries.
     #[test]
     fn flat_llc_equals_nested_llc(
-        ways_sel in 0usize..3,
+        ways_sel in 0usize..4,
         ops in prop::collection::vec((0u64..192, any::<bool>(), 0u8..8), 1..500),
+        split in 0usize..500,
     ) {
         let config = match ways_sel {
             0 => LlcConfig { size_bytes: 2048, ways: 1 },
             1 => LlcConfig { size_bytes: 4096, ways: 2 },
-            _ => LlcConfig { size_bytes: 8192, ways: 4 },
+            2 => LlcConfig { size_bytes: 8192, ways: 4 },
+            // Production associativity: 4 sets of 16, so the 192 lines
+            // overflow every set.
+            _ => LlcConfig { size_bytes: 4096, ways: 16 },
         };
+        let split = split % ops.len();
         let mut flat = Llc::new(config);
         let mut nested = NestedLlc::new(config);
-        for (addr, write, op) in ops {
+        for (i, (addr, write, op)) in ops.into_iter().enumerate() {
+            if i == split {
+                flat = round_trip_llc(&flat, config);
+            }
             let line = CacheLineAddr(addr);
             match op {
                 // Mostly demand accesses, some fills, some invalidations.
@@ -308,16 +257,24 @@ proptest! {
     /// invalidations, and full flushes.
     #[test]
     fn flat_tlb_equals_nested_tlb(
-        ways_sel in 0usize..2,
+        ways_sel in 0usize..4,
         ops in prop::collection::vec((0u64..96, 0u8..8), 1..500),
+        split in 0usize..500,
     ) {
         let config = match ways_sel {
             0 => TlbConfig { entries: 16, ways: 2 },
-            _ => TlbConfig { entries: 64, ways: 4 },
+            1 => TlbConfig { entries: 64, ways: 4 },
+            // Production associativity, and the 16-way limit.
+            2 => TlbConfig { entries: 32, ways: 8 },
+            _ => TlbConfig { entries: 32, ways: 16 },
         };
+        let split = split % ops.len();
         let mut flat = Tlb::new(config);
         let mut nested = NestedTlb::new(config);
-        for (v, op) in ops {
+        for (i, (v, op)) in ops.into_iter().enumerate() {
+            if i == split {
+                flat = round_trip_tlb(&flat, config);
+            }
             let vpn = Vpn(v);
             match op {
                 0..=3 => {
@@ -345,24 +302,5 @@ proptest! {
         prop_assert_eq!(flat.hits(), nested.hits);
         prop_assert_eq!(flat.misses(), nested.misses);
         prop_assert_eq!(flat.invalidations(), nested.invalidations);
-    }
-
-    /// The opt-in tree-pLRU policy matches a nested-storage reference that
-    /// shares only the published bit-update rules.
-    #[test]
-    fn flat_plru_llc_equals_nested_plru(
-        ops in prop::collection::vec((0u64..192, any::<bool>()), 1..500),
-    ) {
-        let config = LlcConfig { size_bytes: 8192, ways: 4 };
-        let mut flat = Llc::with_policy(config, ReplacementPolicy::TreeLru);
-        let mut nested = NestedPlruLlc::new(config);
-        for (addr, write) in ops {
-            let line = CacheLineAddr(addr);
-            let got = flat.access(line, write);
-            let (hit, wb) = nested.access(line, write);
-            prop_assert_eq!(got.hit, hit, "pLRU hit diverged at {}", addr);
-            prop_assert_eq!(got.writeback, wb, "pLRU writeback diverged at {}", addr);
-        }
-        prop_assert_eq!(flat.writebacks(), nested.writebacks);
     }
 }
