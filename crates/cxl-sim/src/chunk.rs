@@ -6,8 +6,8 @@
 //! [`AccessStream::fill_chunk`](crate::system::AccessStream::fill_chunk)),
 //! the [`System`](crate::system::System) consumes them in a tight batch
 //! loop ([`System::access_batch`](crate::system::System::access_batch)),
-//! and drivers can double-buffer them so generation of chunk N+1 overlaps
-//! simulation of chunk N.
+//! and [`ChunkedRun::drive_to`](crate::system::ChunkedRun::drive_to)
+//! alternates the two, one chunk at a time.
 //!
 //! The word layout matches the recorded-trace format in `m5-workloads`
 //! (flags in the top bits, address in the low 48), so a replayed trace

@@ -355,8 +355,8 @@ impl Link {
 /// The whole contention model: one queue per node.
 ///
 /// All entry points take `now` explicitly — state advances only with the
-/// simulated clock, so identical access sequences (chunked, overlapped, or
-/// per-access) produce identical queue states.
+/// simulated clock, so identical access sequences (chunked or per-access)
+/// produce identical queue states.
 #[derive(Clone, Debug)]
 pub struct Contention {
     enabled: bool,

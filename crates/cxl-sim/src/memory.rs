@@ -203,34 +203,30 @@ impl MemoryNode {
 
     /// Frees a previously allocated frame.
     ///
-    /// Freeing a frame that does not belong to this node is a simulator
-    /// bug, not a recoverable runtime condition: it trips a `debug_assert!`
-    /// in debug/test builds. Release builds drop the bogus free instead of
-    /// corrupting the free stack (pushing an out-of-range index would later
-    /// hand out frames that do not exist).
+    /// # Panics
+    ///
+    /// Freeing a frame that is not an allocated frame of this node (wrong
+    /// node, out of range, quarantined or offlined) is a simulator bug,
+    /// not a recoverable runtime condition, and panics in every build:
+    /// pushing the index would later hand out a frame that does not exist
+    /// or is already handed out.
     pub fn free(&mut self, pfn: Pfn) {
-        debug_assert_eq!(
+        assert_eq!(
             NodeId::of_pfn(pfn),
             self.id,
             "freeing {pfn:?} on wrong node"
         );
         let idx = pfn.0.wrapping_sub(self.base_pfn);
-        debug_assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
-        if NodeId::of_pfn(pfn) != self.id || idx >= self.config.capacity_frames {
-            return;
-        }
+        assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
         // A frame in quarantine (or retired by RAS) is not allocated: a
         // stale free of it must not push a second copy of the index onto
         // the free stack — that would double-hand-out the frame and corrupt
         // the allocated count.
-        debug_assert!(
+        assert!(
             !self.quarantined.contains(&idx),
             "freeing quarantined {pfn:?}"
         );
-        debug_assert!(!self.offlined.contains(&idx), "freeing offlined {pfn:?}");
-        if self.quarantined.contains(&idx) || self.offlined.contains(&idx) {
-            return;
-        }
+        assert!(!self.offlined.contains(&idx), "freeing offlined {pfn:?}");
         self.allocated -= 1;
         self.free.push(idx);
     }
@@ -239,31 +235,26 @@ impl MemoryNode {
     /// the copy engine faulted on it and its contents are suspect, so it
     /// must not be handed out again until a scrub pass clears it.
     ///
-    /// Same bogus-input policy as [`MemoryNode::free`]: wrong-node or
-    /// out-of-range frames trip a `debug_assert!` and are dropped in
-    /// release builds.
+    /// # Panics
+    ///
+    /// Same bogus-input policy as [`MemoryNode::free`]: a wrong-node,
+    /// out-of-range, already quarantined or offlined frame panics.
     pub fn quarantine(&mut self, pfn: Pfn) {
-        debug_assert_eq!(
+        assert_eq!(
             NodeId::of_pfn(pfn),
             self.id,
             "quarantining {pfn:?} on wrong node"
         );
         let idx = pfn.0.wrapping_sub(self.base_pfn);
-        debug_assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
-        if NodeId::of_pfn(pfn) != self.id || idx >= self.config.capacity_frames {
-            return;
-        }
+        assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
         // Same double-accounting hazard as `free`: a frame already in
         // quarantine or retired is not allocated, so re-quarantining it
         // would corrupt the allocated count and duplicate the index.
-        debug_assert!(!self.quarantined.contains(&idx), "re-quarantining {pfn:?}");
-        debug_assert!(
+        assert!(!self.quarantined.contains(&idx), "re-quarantining {pfn:?}");
+        assert!(
             !self.offlined.contains(&idx),
             "quarantining offlined {pfn:?}"
         );
-        if self.quarantined.contains(&idx) || self.offlined.contains(&idx) {
-            return;
-        }
         self.allocated -= 1;
         self.quarantined.push(idx);
     }
@@ -322,17 +313,18 @@ impl MemoryNode {
     /// back). Returns `false` — and does nothing — if the frame is
     /// allocated or in flight; the caller must migrate its page off first
     /// and retry once the frame has been freed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` is not a frame of this node.
     pub fn offline_frame(&mut self, pfn: Pfn) -> bool {
-        debug_assert_eq!(
+        assert_eq!(
             NodeId::of_pfn(pfn),
             self.id,
             "offlining {pfn:?} on wrong node"
         );
         let idx = pfn.0.wrapping_sub(self.base_pfn);
-        debug_assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
-        if NodeId::of_pfn(pfn) != self.id || idx >= self.config.capacity_frames {
-            return false;
-        }
+        assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
         if self.offlined.contains(&idx) {
             return true;
         }

@@ -227,19 +227,16 @@ impl PageTable {
 
     /// Maps `vpn` to `pfn` with fresh flags.
     ///
-    /// Double-mapping is a simulator bug (not a recoverable runtime
-    /// condition): it trips a `debug_assert!` in debug/test builds. Release
-    /// builds overwrite the stale entry — the old frame leaks, but the page
-    /// table stays internally consistent.
+    /// # Panics
+    ///
+    /// Panics if `vpn` is already mapped: double-mapping is a simulator
+    /// bug, not a recoverable runtime condition.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn) {
         let idx = vpn.0 as usize;
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, Pte::UNMAPPED);
         }
-        debug_assert!(!self.entries[idx].is_mapped(), "{vpn:?} already mapped");
-        if self.entries[idx].is_mapped() {
-            self.unmap(vpn);
-        }
+        assert!(!self.entries[idx].is_mapped(), "{vpn:?} already mapped");
         self.entries[idx] = Pte {
             pfn,
             flags: PteFlags::new_mapped(),

@@ -6,13 +6,12 @@
 //!   driven through the standard machine with the M5 manager and an
 //!   *enabled* telemetry bus, exactly like the golden differential harness.
 //!   This is the instrumented end-to-end pipeline the figure benches pay
-//!   for on every run. The simulate side (`drive` + `finish`) is timed
-//!   inside the overlapped driver, so `gen_ns + sim_ns == wall_ns` holds
-//!   exactly and `accesses_per_sec` stays simulation-only — comparable
-//!   across baselines without double-counting the overlapped generation.
+//!   for on every run. A sequential chunk loop times `fill_chunk`
+//!   apart from `ChunkedRun::drive` + `finish`, so `gen_ns + sim_ns ==
+//!   wall_ns` holds exactly and `accesses_per_sec` stays simulation-only.
 //! * **gen** — workload generation alone: record the trace, then drain it
 //!   through `fill_chunk` into reusable chunks. The producer half of the
-//!   overlapped pipeline, isolated.
+//!   golden suite's loop, isolated.
 //! * **loaded_off** — the loaded-latency sweep's driver (Zipf workload
 //!   under the `MonitorOnly` heartbeat) on the fixed-cost machine, so the
 //!   gate covers the sweep path with contention-off numbers that stay
@@ -32,7 +31,7 @@
 //! {"name": str,             suite identifier
 //!  "accesses": u64,         simulated accesses per rep
 //!  "wall_ns": u128,         best rep's total wall time; == gen_ns + sim_ns
-//!  "gen_ns": u128,          generation + driver overhead not hidden by overlap
+//!  "gen_ns": u128,          workload build + generation (wall_ns - sim_ns)
 //!  "sim_ns": u128,          simulate-side wall time (0 for gen-only suites)
 //!  "accesses_per_sec": f64} accesses / sim_ns (per wall_ns if sim_ns == 0)
 //! ```
@@ -41,7 +40,6 @@ use cxl_sim::chunk::AccessChunk;
 use cxl_sim::prelude::*;
 use cxl_sim::system::DEFAULT_CHUNK_ACCESSES;
 use m5_bench::golden::GOLDENS;
-use m5_bench::pipeline::run_overlapped_timed;
 use m5_core::manager::{M5Config, M5Manager};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,6 +48,7 @@ use std::time::Instant;
 /// One measured suite: name, accesses executed, and the best rep's wall
 /// time split into its generate/simulate halves (`wall_ns == gen_ns +
 /// sim_ns`; either half may be zero for suites that only exercise one).
+/// The two halves run one after the other, never concurrently.
 struct Measurement {
     name: String,
     accesses: u64,
@@ -81,9 +80,40 @@ fn arg_value(flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Drives `wl` to `accesses` one chunk at a time, as
+/// `ChunkedRun::drive_to` does, timing the simulate side. Returns the
+/// report and the nanoseconds spent in `drive` and `finish`; the rest of
+/// the caller's wall time is generation.
+fn run_timed<W>(
+    sys: &mut System,
+    wl: &mut W,
+    m5: &mut M5Manager,
+    accesses: u64,
+) -> (RunReport, u128)
+where
+    W: AccessStream + ?Sized,
+{
+    let mut run = ChunkedRun::begin(sys, m5);
+    let mut chunk = AccessChunk::with_capacity(DEFAULT_CHUNK_ACCESSES);
+    let mut sim_ns = 0;
+    while run.accesses() < accesses {
+        chunk.clear();
+        let left = accesses - run.accesses();
+        chunk.set_limit(left.min(DEFAULT_CHUNK_ACCESSES as u64) as usize);
+        if wl.fill_chunk(&mut chunk) == 0 {
+            break;
+        }
+        let t = Instant::now();
+        run.drive(sys, m5, &chunk, accesses);
+        sim_ns += t.elapsed().as_nanos();
+    }
+    let t = Instant::now();
+    let report = run.finish(sys, m5);
+    (report, sim_ns + t.elapsed().as_nanos())
+}
+
 /// The three goldens end to end: the M5 manager, an enabled telemetry
-/// bus, and the overlapped driver — exactly the golden differential
-/// harness, timed.
+/// bus, and the golden harness's chunked run — timed by [`run_timed`].
 fn golden_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
     GOLDENS
         .iter()
@@ -99,7 +129,7 @@ fn golden_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
                 let t0 = Instant::now();
                 let mut wl = spec.build(region.base, accesses, g.seed);
                 let mut m5 = M5Manager::new(M5Config::default());
-                let (report, sim) = run_overlapped_timed(&mut sys, &mut wl, &mut m5, accesses);
+                let (report, sim) = run_timed(&mut sys, &mut wl, &mut m5, accesses);
                 let wall = t0.elapsed().as_nanos();
                 assert_eq!(report.accesses, accesses, "workload ended early");
                 if best.is_none_or(|(s, _)| sim < s) {
@@ -120,7 +150,7 @@ fn golden_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
 
 /// Generation-only suites: record the trace and stream it through
 /// `fill_chunk` into a reusable chunk — the exact producer work the
-/// overlapped driver hides behind simulation.
+/// golden suite counts as `gen_ns`.
 fn gen_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
     GOLDENS
         .iter()

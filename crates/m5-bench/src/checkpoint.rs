@@ -20,7 +20,6 @@ use crate::golden::GoldenSpec;
 use cxl_sim::checkpoint::{
     section_err, Checkpoint, CheckpointError, CodecError, RestoreError, StateReader, StateWriter,
 };
-use cxl_sim::chunk::AccessChunk;
 use cxl_sim::faults::FaultPlan;
 use cxl_sim::prelude::*;
 use cxl_sim::system::{ChunkedRun, DEFAULT_CHUNK_ACCESSES};
@@ -98,7 +97,7 @@ pub fn commit(sys: &mut System, cp: &Checkpoint, path: &Path) -> Result<bool, Ch
     }
 }
 
-/// A run rebuilt from a checkpoint, ready for [`drive_to`].
+/// A run rebuilt from a checkpoint, ready for [`ChunkedRun::drive_to`].
 pub struct ResumedRun {
     /// The restored machine (fresh controller; the manager restore
     /// re-attached its tracker devices and reloaded their SRAM).
@@ -172,33 +171,6 @@ where
     Ok((resumed, loaded.fell_back))
 }
 
-/// Drives the run to `target` *total* accesses with the sequential
-/// chunked loop. Unlike the overlapped driver, the workload cursor never
-/// runs ahead of the simulation — which is what lets a mid-run checkpoint
-/// record a cursor the restored run resumes from exactly. Chunk capacity
-/// matches the overlapped driver's, so wakeup and fault interleaving (and
-/// therefore the final report) are byte-identical to `run_overlapped`.
-pub fn drive_to<W>(
-    sys: &mut System,
-    m5: &mut M5Manager,
-    run: &mut ChunkedRun,
-    wl: &mut W,
-    target: u64,
-) where
-    W: StreamCheckpoint + ?Sized,
-{
-    let mut chunk = AccessChunk::with_capacity(DEFAULT_CHUNK_ACCESSES);
-    while run.accesses() < target {
-        chunk.clear();
-        let left = target - run.accesses();
-        chunk.set_limit(left.min(DEFAULT_CHUNK_ACCESSES as u64) as usize);
-        if wl.fill_chunk(&mut chunk) == 0 {
-            break;
-        }
-        run.drive(sys, m5, &chunk, target);
-    }
-}
-
 /// What a [`drive_with_checkpoints`] leg accomplished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DriveOutcome {
@@ -231,7 +203,7 @@ where
     let mut out = DriveOutcome::default();
     while run.accesses() < target {
         let next = (run.accesses() + every).min(target);
-        drive_to(sys, m5, run, wl, next);
+        run.drive_to(sys, wl, m5, next, DEFAULT_CHUNK_ACCESSES);
         if run.accesses() < next {
             // The stream ended early; nothing more will execute.
             break;

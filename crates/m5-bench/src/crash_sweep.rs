@@ -15,11 +15,10 @@
 //! `tests/crash_sweep.rs`; CI runs them in release mode and uploads the
 //! per-point failure reports (`M5_SWEEP_ARTIFACTS=<dir>`) when they fail.
 
-use crate::pipeline::run_overlapped;
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::journal::RecoveryReport;
 use cxl_sim::prelude::*;
-use cxl_sim::system::ChunkedRun;
+use cxl_sim::system::{run, ChunkedRun, DEFAULT_CHUNK_ACCESSES};
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::registry::Benchmark;
 
@@ -102,7 +101,7 @@ fn run_spec(s: &SweepSpec, plan: &FaultPlan, at_step: Option<u64>) -> SweepRun {
     };
     let mut wl = spec.build(region.base, s.accesses, s.seed);
     let mut m5 = M5Manager::new(M5Config::default());
-    let report = run_overlapped(&mut sys, &mut wl, &mut m5, s.accesses);
+    let report = run(&mut sys, &mut wl, &mut m5, s.accesses);
     // A reset that strikes after the manager's last epoch leaves the
     // engine fenced at exit; recovery is then the *next* run's first act,
     // which the sweep performs here so invariants are checked post-replay.
@@ -149,9 +148,8 @@ pub struct SweepSeed {
     pub accesses: u64,
 }
 
-/// Runs `s` fault-free to `at_accesses` with the sequential chunked
-/// driver (byte-identical to the overlapped one) and captures the seed
-/// snapshot.
+/// Runs `s` fault-free to `at_accesses` with [`ChunkedRun::drive_to`]
+/// and captures the seed snapshot.
 pub fn seed_checkpoint(s: &SweepSpec, at_accesses: u64) -> SweepSeed {
     use crate::checkpoint as ck;
     let spec = s.benchmark.spec();
@@ -163,12 +161,12 @@ pub fn seed_checkpoint(s: &SweepSpec, at_accesses: u64) -> SweepSeed {
     let mut wl = spec.build(region.base, s.accesses, s.seed);
     let mut m5 = M5Manager::new(M5Config::default());
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    ck::drive_to(
+    run.drive_to(
         &mut sys,
-        &mut m5,
-        &mut run,
         &mut wl,
+        &mut m5,
         at_accesses.min(s.accesses),
+        DEFAULT_CHUNK_ACCESSES,
     );
     let cp = ck::capture(&mut sys, &m5, &run, &wl);
     SweepSeed {
@@ -205,7 +203,13 @@ pub fn run_with_reset_from_seed(s: &SweepSpec, seed: &SweepSeed, at_step: u64) -
         mut m5,
         mut run,
     } = resumed;
-    ck::drive_to(&mut sys, &mut m5, &mut run, &mut wl, s.accesses);
+    run.drive_to(
+        &mut sys,
+        &mut wl,
+        &mut m5,
+        s.accesses,
+        DEFAULT_CHUNK_ACCESSES,
+    );
     let report = run.finish(&mut sys, &m5);
     let final_recovery = sys.needs_recovery().then(|| sys.recover());
     SweepRun {

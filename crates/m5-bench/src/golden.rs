@@ -19,8 +19,8 @@
 //! trace and human-readable metrics summary there (CI uploads these on
 //! failure).
 
-use crate::pipeline::run_overlapped;
 use cxl_sim::prelude::*;
+use cxl_sim::system::run;
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::registry::Benchmark;
 use std::fmt::Write as _;
@@ -78,7 +78,7 @@ pub fn run_golden(g: &GoldenSpec, jsonl: Option<&Path>) -> (MetricsSnapshot, Run
     sys.install_telemetry(t);
     let mut wl = spec.build(region.base, g.accesses, g.seed);
     let mut m5 = M5Manager::new(M5Config::default());
-    let report = run_overlapped(&mut sys, &mut wl, &mut m5, g.accesses);
+    let report = run(&mut sys, &mut wl, &mut m5, g.accesses);
     sys.telemetry_mut().flush();
     (sys.telemetry().snapshot(), report)
 }

@@ -23,7 +23,6 @@ pub mod crash_sweep;
 pub mod golden;
 pub mod loaded;
 pub mod parallel;
-pub mod pipeline;
 pub mod results;
 pub mod soak;
 

@@ -1,33 +1,61 @@
 //! Deterministic parallel execution of the bench-suite's embarrassingly
-//! parallel work: crash-sweep points, golden workloads, and figure-bench
+//! parallel work: crash-sweep points, soak campaigns, and figure-bench
 //! config grids.
 //!
-//! Every sweep point, golden run, and grid cell owns its *entire* world —
+//! Every sweep point, campaign, and grid cell owns its *entire* world —
 //! a fresh [`cxl_sim::system::System`], workload, and manager built from
 //! an index-addressable spec — so points share no mutable state and can
 //! run on any thread. The only ordering that matters is the order results
-//! are *merged* in, and the vendored `rayon` guarantees collection in
-//! input-index order regardless of OS scheduling. Together those two
+//! are *merged* in, and [`par_indexed`] writes each result into its
+//! input-index slot regardless of OS scheduling. Together those two
 //! properties make the parallel drivers **byte-identical** to their
 //! sequential counterparts: same specs in, same artifact text out
-//! (`tests/crash_sweep.rs` and `tests/golden.rs` assert exactly this).
+//! (`tests/crash_sweep.rs` and `tests/soak.rs` assert exactly this).
 
 use crate::crash_sweep::{
     baseline, run_with_reset, run_with_reset_from_seed, seed_checkpoint, SweepRun, SweepSpec,
 };
-use crate::golden::{render, run_golden, GoldenSpec};
-use rayon::prelude::*;
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
-/// Runs `f` over `items` on all available cores, returning results in
-/// input order — the generic fan-out every driver below is built on.
-/// With one core (or one item) this is exactly a sequential loop.
+/// Runs `f` over `items` on `available_parallelism()` scoped threads,
+/// returning results in input order — the generic fan-out every driver
+/// below is built on. Workers pull `(index, item)` jobs from one shared
+/// queue and deposit each result in its index slot. With one core (or
+/// one item) this is exactly a sequential loop. A panic in any worker
+/// propagates when the scope joins.
 pub fn par_indexed<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    items.into_par_iter().map(f).collect()
+    let n = items.len();
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |t| t.get())
+        .min(n);
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate().collect::<VecDeque<_>>());
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let job = queue.lock().expect("queue poisoned").pop_front();
+                let Some((i, item)) = job else { break };
+                *slots[i].lock().expect("slot poisoned") = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot poisoned")
+                .expect("every job ran")
+        })
+        .collect()
 }
 
 /// The outcome of one workload's full crash sweep.
@@ -127,28 +155,6 @@ impl SweepOutcome {
     }
 }
 
-/// Runs a set of golden workloads across the thread pool, returning each
-/// one's rendered canonical snapshot text in input order. Each run owns a
-/// fresh `System` + `Telemetry`, so the rendering is identical to calling
-/// [`run_golden`] in a loop.
-pub fn goldens_parallel(specs: &[GoldenSpec]) -> Vec<String> {
-    par_indexed(specs.to_vec(), |g| {
-        let (snap, _) = run_golden(&g, None);
-        render(g.name, &snap)
-    })
-}
-
-/// Sequential reference for [`goldens_parallel`].
-pub fn goldens_sequential(specs: &[GoldenSpec]) -> Vec<String> {
-    specs
-        .iter()
-        .map(|g| {
-            let (snap, _) = run_golden(g, None);
-            render(g.name, &snap)
-        })
-        .collect()
-}
-
 /// One cell of a figure-bench configuration grid: a named configuration
 /// evaluated to a scalar (the shape `fig07`-style DSE sweeps produce).
 #[derive(Clone, Debug, PartialEq)]
@@ -201,6 +207,22 @@ mod tests {
     fn par_indexed_preserves_order() {
         let out = par_indexed((0..64u64).collect(), |i| i * 3);
         assert_eq!(out, (0..64u64).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_input_yields_empty_output() {
+        let out: Vec<u64> = par_indexed(Vec::<u64>::new(), |x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panics_propagate() {
+        par_indexed((0..8usize).collect(), |i| {
+            if i == 3 {
+                panic!("boom");
+            }
+        });
     }
 
     #[test]

@@ -18,18 +18,18 @@
 //! * the drain was genuinely incremental: pages moved never exceed
 //!   `drain epochs × per-epoch budget`.
 //!
-//! Campaigns share nothing, so the parallel driver fans them across the
-//! vendored work queue and merges in input order — byte-identical to the
+//! Campaigns share nothing, so the parallel driver fans them across
+//! [`par_indexed`] and merges in input order — byte-identical to the
 //! sequential reference (`tests/soak.rs` asserts this). The `soak` binary
 //! (`cargo run --release -p m5-bench --bin soak`) runs the default
 //! campaign set; `--long` scales it up for nightly soaking.
 
 use crate::parallel::par_indexed;
-use crate::pipeline::run_overlapped;
 use cxl_sim::faults::{DeviceFault, FaultKind, FaultPlan};
 use cxl_sim::memory::NodeId;
 use cxl_sim::prelude::*;
 use cxl_sim::ras::{EvacuationReport, NodeHealth, RasConfig};
+use cxl_sim::system::{run, DEFAULT_CHUNK_ACCESSES};
 use m5_core::manager::{M5Config, M5Manager};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -295,12 +295,12 @@ pub fn run_campaign(spec: SoakSpec) -> CampaignReport {
         .expect("CXL sized to fit the soak region");
     let mut wl = campaign_stream(&spec, region.base);
     let mut m5 = M5Manager::new(campaign_m5_config());
-    let report = run_overlapped(&mut sys, &mut wl, &mut m5, spec.accesses);
+    let report = run(&mut sys, &mut wl, &mut m5, spec.accesses);
     audit(&spec, &mut sys, &m5, &report)
 }
 
-/// Runs a fresh campaign to `upto` accesses with the sequential chunked
-/// driver and commits a run checkpoint at that point — the "process was
+/// Runs a fresh campaign to `upto` accesses with
+/// [`ChunkedRun::drive_to`](cxl_sim::system::ChunkedRun::drive_to) and commits a run checkpoint at that point — the "process was
 /// killed mid-campaign" setup for [`run_campaign_resumable`].
 pub fn checkpoint_campaign(spec: SoakSpec, ckpt: &std::path::Path, upto: u64) {
     use crate::checkpoint as ck;
@@ -312,24 +312,23 @@ pub fn checkpoint_campaign(spec: SoakSpec, ckpt: &std::path::Path, upto: u64) {
     let mut wl = campaign_stream(&spec, region.base);
     let mut m5 = M5Manager::new(campaign_m5_config());
     let mut run = cxl_sim::system::ChunkedRun::begin(&mut sys, &mut m5);
-    ck::drive_to(
+    run.drive_to(
         &mut sys,
-        &mut m5,
-        &mut run,
         &mut wl,
+        &mut m5,
         upto.min(spec.accesses),
+        DEFAULT_CHUNK_ACCESSES,
     );
     let cp = ck::capture(&mut sys, &m5, &run, &wl);
     ck::commit(&mut sys, &cp, ckpt).expect("campaign checkpoint io");
 }
 
-/// Runs one campaign with the sequential chunked driver, committing a
-/// run checkpoint to `ckpt` every `every` accesses. When `ckpt` already
-/// holds a valid image (possibly via its `.prev` fallback) the campaign
-/// resumes from it instead of starting over — the engine behind
-/// `soak --resume`. The chunked driver is byte-identical to the
-/// overlapped one, so an uninterrupted resumable campaign reports exactly
-/// what [`run_campaign`] does.
+/// Runs one campaign in checkpointed legs, committing a run checkpoint
+/// to `ckpt` every `every` accesses. When `ckpt` already holds a valid
+/// image (possibly via its `.prev` fallback) the campaign resumes from it
+/// instead of starting over — the engine behind `soak --resume`. Legs
+/// and the one-leg `run` drive the same chunks, so an uninterrupted
+/// resumable campaign reports exactly what [`run_campaign`] does.
 pub fn run_campaign_resumable(
     spec: SoakSpec,
     ckpt: &std::path::Path,

@@ -14,10 +14,9 @@
 use cxl_sim::checkpoint::Checkpoint;
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
-use cxl_sim::system::ChunkedRun;
+use cxl_sim::system::{ChunkedRun, DEFAULT_CHUNK_ACCESSES};
 use m5_bench::checkpoint::{
-    capture, drive_to, drive_with_checkpoints, golden_parts, golden_parts_faulted, resume,
-    resume_from_file,
+    capture, drive_with_checkpoints, golden_parts, golden_parts_faulted, resume, resume_from_file,
 };
 use m5_bench::golden::{render, GoldenSpec, GOLDENS};
 use m5_bench::soak::{
@@ -43,7 +42,13 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 fn golden_uninterrupted(g: &GoldenSpec) -> (Vec<u8>, RunReport, String) {
     let (mut sys, mut wl, mut m5) = golden_parts(g);
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+    run.drive_to(
+        &mut sys,
+        &mut wl,
+        &mut m5,
+        g.accesses,
+        DEFAULT_CHUNK_ACCESSES,
+    );
     let cp = capture(&mut sys, &m5, &run, &wl);
     let report = run.finish(&mut sys, &m5);
     sys.telemetry_mut().flush();
@@ -58,7 +63,7 @@ fn golden_split(g: &GoldenSpec, split: u64) -> (Vec<u8>, RunReport, String) {
     // First process: run to the split point and checkpoint.
     let (mut sys, mut wl, mut m5) = golden_parts(g);
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, split);
+    run.drive_to(&mut sys, &mut wl, &mut m5, split, DEFAULT_CHUNK_ACCESSES);
     assert_eq!(run.accesses(), split, "split point not reached");
     let mid = capture(&mut sys, &m5, &run, &wl).encode();
     let config = sys.config().clone();
@@ -77,7 +82,13 @@ fn golden_split(g: &GoldenSpec, split: u64) -> (Vec<u8>, RunReport, String) {
     .expect("mid-run snapshot restores");
     let (mut sys, mut m5, mut run) = (resumed.sys, resumed.m5, resumed.run);
     assert_eq!(run.accesses(), split, "restored driver lost its position");
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+    run.drive_to(
+        &mut sys,
+        &mut wl,
+        &mut m5,
+        g.accesses,
+        DEFAULT_CHUNK_ACCESSES,
+    );
     let cp = capture(&mut sys, &m5, &run, &wl);
     let report = run.finish(&mut sys, &m5);
     sys.telemetry_mut().flush();
@@ -120,9 +131,9 @@ fn golden_spec_restore_equals_continue() {
     assert_restore_equals_continue(&GOLDENS[2], 100_000);
 }
 
-/// The chunked driver the checkpoint harness uses must itself be
-/// byte-identical to the overlapped driver the golden suite runs — the
-/// quiescent (checkpoint-free) path is exactly the committed goldens.
+/// Driving the checkpoint harness's legs must be byte-identical to the
+/// one-leg `run` the golden suite uses — the quiescent (checkpoint-free)
+/// path is exactly the committed goldens.
 #[test]
 fn chunked_driver_matches_the_golden_harness() {
     let g = GoldenSpec {
@@ -175,7 +186,13 @@ fn contended_faulted_restore_equals_continue() {
     let run_full = |()| {
         let (mut sys, mut wl, mut m5) = golden_parts_faulted(&g, &plan, background);
         let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+        run.drive_to(
+            &mut sys,
+            &mut wl,
+            &mut m5,
+            g.accesses,
+            DEFAULT_CHUNK_ACCESSES,
+        );
         let cp = capture(&mut sys, &m5, &run, &wl);
         let report = run.finish(&mut sys, &m5);
         sys.telemetry_mut().flush();
@@ -193,7 +210,7 @@ fn contended_faulted_restore_equals_continue() {
 
     let (mut sys, mut wl, mut m5) = golden_parts_faulted(&g, &plan, background);
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, split);
+    run.drive_to(&mut sys, &mut wl, &mut m5, split, DEFAULT_CHUNK_ACCESSES);
     let mid = capture(&mut sys, &m5, &run, &wl).encode();
     let config = sys.config().clone();
     drop((sys, wl, m5, run));
@@ -203,7 +220,13 @@ fn contended_faulted_restore_equals_continue() {
     let resumed =
         resume(&cp, config, &plan, M5Config::default(), &mut wl).expect("snapshot restores");
     let (mut sys, mut m5, mut run) = (resumed.sys, resumed.m5, resumed.run);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+    run.drive_to(
+        &mut sys,
+        &mut wl,
+        &mut m5,
+        g.accesses,
+        DEFAULT_CHUNK_ACCESSES,
+    );
     let cp_b = capture(&mut sys, &m5, &run, &wl).encode();
     let report_b = run.finish(&mut sys, &m5);
     sys.telemetry_mut().flush();
@@ -231,9 +254,9 @@ fn torn_commit_at_every_section_falls_back_to_previous_valid() {
 
     let (mut sys, mut wl, mut m5) = golden_parts(&g);
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, 15_000);
+    run.drive_to(&mut sys, &mut wl, &mut m5, 15_000, DEFAULT_CHUNK_ACCESSES);
     let cp1 = capture(&mut sys, &m5, &run, &wl);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, 30_000);
+    run.drive_to(&mut sys, &mut wl, &mut m5, 30_000, DEFAULT_CHUNK_ACCESSES);
     let cp2 = capture(&mut sys, &m5, &run, &wl);
     let config = sys.config().clone();
 
@@ -289,7 +312,13 @@ fn torn_commit_at_every_section_falls_back_to_previous_valid() {
             15_000,
             "fallback resumed at the wrong point"
         );
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+        run.drive_to(
+            &mut sys,
+            &mut wl,
+            &mut m5,
+            g.accesses,
+            DEFAULT_CHUNK_ACCESSES,
+        );
         let report = run.finish(&mut sys, &m5);
         assert_eq!(report.accesses, g.accesses);
         let violations = sys.check_invariants();
@@ -320,7 +349,7 @@ fn armed_torn_fault_tears_the_periodic_commit_and_restart_falls_back() {
     let t_mid = {
         let (mut sys, mut wl, mut m5) = golden_parts(&g);
         let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, 10_000);
+        run.drive_to(&mut sys, &mut wl, &mut m5, 10_000, DEFAULT_CHUNK_ACCESSES);
         sys.now()
     };
     let plan = FaultPlan::none().with(
@@ -356,7 +385,13 @@ fn armed_torn_fault_tears_the_periodic_commit_and_restart_falls_back() {
     );
     let (mut sys, mut m5, mut run) = (resumed.sys, resumed.m5, resumed.run);
     assert_eq!(run.accesses(), 10_000);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, g.accesses);
+    run.drive_to(
+        &mut sys,
+        &mut wl,
+        &mut m5,
+        g.accesses,
+        DEFAULT_CHUNK_ACCESSES,
+    );
     let report = run.finish(&mut sys, &m5);
     assert_eq!(report.accesses, g.accesses);
     assert!(sys.check_invariants().is_empty());
@@ -449,7 +484,7 @@ fn restore_rejects_config_skew() {
     };
     let (mut sys, mut wl, mut m5) = golden_parts(&g);
     let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-    drive_to(&mut sys, &mut m5, &mut run, &mut wl, 5_000);
+    run.drive_to(&mut sys, &mut wl, &mut m5, 5_000, DEFAULT_CHUNK_ACCESSES);
     let cp = capture(&mut sys, &m5, &run, &wl);
     let skewed = sys.config().clone().with_ddr_frames(7);
     let (_, mut fresh_wl, _) = golden_parts(&g);
@@ -523,7 +558,7 @@ mod interleaving {
                 match *op {
                     Op::Advance(n) => {
                         let target = (run.accesses() + n as u64).min(g.accesses);
-                        drive_to(&mut sys, &mut m5, &mut run, &mut wl, target);
+                        run.drive_to(&mut sys, &mut wl, &mut m5, target, DEFAULT_CHUNK_ACCESSES);
                     }
                     Op::Snapshot => {
                         let cp = capture(&mut sys, &m5, &run, &wl);

@@ -1,5 +1,7 @@
-//! Batch-driver determinism: the chunked and overlapped drivers must be
-//! **byte-identical** to the per-access reference loop.
+//! Batch-driver determinism: the chunked driver must be **byte-identical**
+//! to the per-access reference loop, both in one leg (`run_chunked`) and
+//! split into two [`ChunkedRun::drive_to`] legs whose first leg stops the
+//! access budget mid-chunk.
 //!
 //! Equality is asserted on the strongest observable evidence the system
 //! produces: the rendered golden-format telemetry snapshot (every
@@ -14,10 +16,9 @@
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::report::RunReport;
-use cxl_sim::system::{run_chunked, run_per_access};
+use cxl_sim::system::{run_chunked, run_per_access, ChunkedRun};
 use m5_baselines::anb::{Anb, AnbConfig};
 use m5_bench::golden::{self, GOLDENS};
-use m5_bench::pipeline::run_overlapped_chunked;
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::access::ReplayWorkload;
 
@@ -62,7 +63,7 @@ fn observe(
     (snap, format!("{report:?}"))
 }
 
-/// Asserts every chunked/overlapped variant matches the per-access
+/// Asserts every chunked variant matches the per-access
 /// reference for one (spec, plan, daemon) configuration.
 #[allow(clippy::too_many_arguments)]
 fn assert_all_drivers_match(
@@ -97,18 +98,23 @@ fn assert_all_drivers_match(
             chunked, reference,
             "{label}: run_chunked(cap={cap}) diverged from per-access"
         );
-        let overlapped = observe(
+        let two_legs = observe(
             spec,
             plan,
             seed,
             accesses,
             contended,
             daemon_new,
-            &move |s, w, d, m| run_overlapped_chunked(s, w, d, m, cap),
+            &move |s, w, d, m| {
+                let mut run = ChunkedRun::begin(s, d);
+                run.drive_to(s, w, d, m / 3, cap);
+                run.drive_to(s, w, d, m, cap);
+                run.finish(s, d)
+            },
         );
         assert_eq!(
-            overlapped, reference,
-            "{label}: run_overlapped(cap={cap}) diverged from per-access"
+            two_legs, reference,
+            "{label}: two drive_to legs (cap={cap}) diverged from per-access"
         );
     }
 }

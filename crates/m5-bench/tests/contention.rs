@@ -15,11 +15,11 @@
 //! latency — measurably when enabled, not at all when disabled.
 
 use cxl_sim::prelude::*;
+use cxl_sim::system::run;
 use m5_bench::crash_sweep::{SweepSpec, SWEEPS};
 use m5_bench::golden::{self, GOLDENS};
 use m5_bench::loaded::{self, SWEEP_BACKGROUNDS};
 use m5_bench::parallel::{crash_sweep_parallel, crash_sweep_sequential};
-use m5_bench::pipeline::run_overlapped;
 use m5_core::manager::{M5Config, M5Manager};
 
 /// Reduced budget: several M5 epochs and migrations per golden workload.
@@ -40,7 +40,7 @@ fn observe(g: &golden::GoldenSpec, config: SystemConfig) -> (String, String) {
         .unwrap();
     let mut wl = spec.build(region.base, ACCESSES, g.seed);
     let mut m5 = M5Manager::new(M5Config::default());
-    let report = run_overlapped(&mut sys, &mut wl, &mut m5, ACCESSES);
+    let report = run(&mut sys, &mut wl, &mut m5, ACCESSES);
     sys.telemetry_mut().flush();
     let snap = golden::render("contention-diff", &sys.telemetry().snapshot());
     (snap, format!("{report:?}"))

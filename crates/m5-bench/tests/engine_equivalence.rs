@@ -15,9 +15,9 @@
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
-use cxl_sim::system::{run_chunked, run_per_access, Region};
+use cxl_sim::system::{run_chunked, run_per_access, Region, DEFAULT_CHUNK_ACCESSES};
 use m5_baselines::anb::{Anb, AnbConfig};
-use m5_bench::checkpoint::{capture, drive_to, resume};
+use m5_bench::checkpoint::{capture, resume};
 use m5_bench::golden;
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::access::{AccessRecorder, ReplayWorkload};
@@ -176,7 +176,7 @@ proptest! {
             let mut wl = replay(&ops, pages, &region);
             let mut m5 = M5Manager::new(M5Config::default());
             let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-            drive_to(&mut sys, &mut m5, &mut run, &mut wl, accesses);
+            run.drive_to(&mut sys, &mut wl, &mut m5, accesses, DEFAULT_CHUNK_ACCESSES);
             let cp = capture(&mut sys, &m5, &run, &wl).encode();
             let report = run.finish(&mut sys, &m5);
             let (snap, rep) = snapshot(&mut sys, &report);
@@ -189,7 +189,7 @@ proptest! {
             let mut wl = replay(&ops, pages, &region);
             let mut m5 = M5Manager::new(M5Config::default());
             let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-            drive_to(&mut sys, &mut m5, &mut run, &mut wl, split);
+            run.drive_to(&mut sys, &mut wl, &mut m5, split, DEFAULT_CHUNK_ACCESSES);
             prop_assert_eq!(run.accesses(), split, "split point not reached");
             let mid = capture(&mut sys, &m5, &run, &wl).encode();
             let config = sys.config().clone();
@@ -202,7 +202,7 @@ proptest! {
             let resumed = resume(&cp, config, &plan, M5Config::default(), &mut wl)
                 .expect("mid-run snapshot restores");
             let (mut sys, mut m5, mut run) = (resumed.sys, resumed.m5, resumed.run);
-            drive_to(&mut sys, &mut m5, &mut run, &mut wl, accesses);
+            run.drive_to(&mut sys, &mut wl, &mut m5, accesses, DEFAULT_CHUNK_ACCESSES);
             let cp = capture(&mut sys, &m5, &run, &wl).encode();
             let report = run.finish(&mut sys, &m5);
             let (snap, rep) = snapshot(&mut sys, &report);

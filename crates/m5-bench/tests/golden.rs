@@ -85,29 +85,3 @@ fn golden_runs_are_deterministic() {
         "rendered snapshots diverged across identical runs"
     );
 }
-
-/// The parallel golden driver must render byte-identical snapshots to the
-/// sequential loop, in the same order — each run owns a fresh `System`
-/// and `Telemetry`, and the fan-out merges results in input order.
-#[test]
-fn parallel_goldens_match_sequential() {
-    use m5_bench::parallel::{goldens_parallel, goldens_sequential};
-    // Reduced budgets: this compares drivers, not workload behaviour.
-    let specs: Vec<GoldenSpec> = GOLDENS
-        .iter()
-        .map(|g| GoldenSpec {
-            accesses: 20_000,
-            ..*g
-        })
-        .collect();
-    let par = goldens_parallel(&specs);
-    let seq = goldens_sequential(&specs);
-    assert_eq!(par.len(), seq.len());
-    for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
-        assert_eq!(
-            p, s,
-            "golden '{}' rendered differently under the parallel driver",
-            specs[i].name
-        );
-    }
-}

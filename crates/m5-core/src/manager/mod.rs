@@ -1047,25 +1047,6 @@ mod tests {
         }
     }
 
-    fn drive(
-        sys: &mut System,
-        m5: &mut M5Manager,
-        run: &mut cxl_sim::system::ChunkedRun,
-        wl: &mut SkewedStream,
-        target: u64,
-    ) {
-        let mut chunk = cxl_sim::chunk::AccessChunk::with_capacity(512);
-        while run.accesses() < target {
-            chunk.clear();
-            let left = (target - run.accesses()).min(512) as usize;
-            chunk.set_limit(left);
-            if wl.fill_chunk(&mut chunk) == 0 {
-                break;
-            }
-            run.drive(sys, m5, &chunk, target);
-        }
-    }
-
     fn checkpoint_all(
         sys: &mut System,
         m5: &M5Manager,
@@ -1107,7 +1088,7 @@ mod tests {
         let mut wl_a = make_wl(region.base);
         let mut m5_a = M5Manager::new(m5cfg);
         let mut run_a = ChunkedRun::begin(&mut sys_a, &mut m5_a);
-        drive(&mut sys_a, &mut m5_a, &mut run_a, &mut wl_a, 120_000);
+        run_a.drive_to(&mut sys_a, &mut wl_a, &mut m5_a, 120_000, 512);
         let cp_a = checkpoint_all(&mut sys_a, &m5_a, &run_a);
 
         // B: same run, checkpointed at the midpoint and restored into an
@@ -1117,7 +1098,7 @@ mod tests {
         let mut wl_b = make_wl(region_b.base);
         let mut m5_b = M5Manager::new(m5cfg);
         let mut run_b = ChunkedRun::begin(&mut sys_b, &mut m5_b);
-        drive(&mut sys_b, &mut m5_b, &mut run_b, &mut wl_b, 60_000);
+        run_b.drive_to(&mut sys_b, &mut wl_b, &mut m5_b, 60_000, 512);
         let mid = checkpoint_all(&mut sys_b, &m5_b, &run_b);
         drop((sys_b, m5_b, run_b));
 
@@ -1131,7 +1112,7 @@ mod tests {
         r.expect_end().unwrap();
         assert_eq!(run_b2.accesses(), 60_000);
 
-        drive(&mut sys_b2, &mut m5_b2, &mut run_b2, &mut wl_b, 120_000);
+        run_b2.drive_to(&mut sys_b2, &mut wl_b, &mut m5_b2, 120_000, 512);
         let cp_b = checkpoint_all(&mut sys_b2, &m5_b2, &run_b2);
 
         // The full serialized state — system, manager, tracker SRAM, run

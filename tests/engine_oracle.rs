@@ -103,27 +103,6 @@ fn chunked_engine_matches_per_access_oracle() {
     }
 }
 
-/// Drives `run` to `target` total accesses with the default chunk
-/// capacity, never pulling the workload cursor past the target.
-fn drive_to(
-    sys: &mut System,
-    m5: &mut M5Manager,
-    run: &mut ChunkedRun,
-    wl: &mut ReplayWorkload,
-    target: u64,
-) {
-    let mut chunk = AccessChunk::with_capacity(DEFAULT_CHUNK_ACCESSES);
-    while run.accesses() < target {
-        chunk.clear();
-        let left = target - run.accesses();
-        chunk.set_limit(left.min(DEFAULT_CHUNK_ACCESSES as u64) as usize);
-        if wl.fill_chunk(&mut chunk) == 0 {
-            break;
-        }
-        run.drive(sys, m5, &chunk, target);
-    }
-}
-
 /// The machine checkpoint plus the manager and run-driver sections.
 fn capture(sys: &mut System, m5: &M5Manager, run: &ChunkedRun) -> Checkpoint {
     let mut cp = sys.checkpoint();
@@ -150,7 +129,7 @@ fn checkpoint_restore_split_matches_uninterrupted_run() {
     let uninterrupted = {
         let (mut sys, mut wl, mut m5) = parts();
         let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, ACCESSES);
+        run.drive_to(&mut sys, &mut wl, &mut m5, ACCESSES, DEFAULT_CHUNK_ACCESSES);
         assert_eq!(run.accesses(), ACCESSES, "workload ended early");
         finish(sys, m5, run)
     };
@@ -160,7 +139,7 @@ fn checkpoint_restore_split_matches_uninterrupted_run() {
     let (image, pos) = {
         let (mut sys, mut wl, mut m5) = parts();
         let mut run = ChunkedRun::begin(&mut sys, &mut m5);
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, split);
+        run.drive_to(&mut sys, &mut wl, &mut m5, split, DEFAULT_CHUNK_ACCESSES);
         assert_eq!(run.accesses(), split);
         (capture(&mut sys, &m5, &run).encode(), wl.pos())
     };
@@ -174,7 +153,7 @@ fn checkpoint_restore_split_matches_uninterrupted_run() {
         let mut run = ChunkedRun::resume(&mut r).expect("run driver restores");
         let (_, mut wl, _) = parts();
         wl.seek(pos);
-        drive_to(&mut sys, &mut m5, &mut run, &mut wl, ACCESSES);
+        run.drive_to(&mut sys, &mut wl, &mut m5, ACCESSES, DEFAULT_CHUNK_ACCESSES);
         finish(sys, m5, run)
     };
 
