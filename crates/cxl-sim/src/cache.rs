@@ -14,10 +14,10 @@
 //! address in bits 0..63 and the dirty flag in bit 63; `u64::MAX` is the
 //! empty sentinel (a real line address never reaches 2^63 − 1). Entries
 //! stay in the way they were filled into; each set's exact-LRU order is a
-//! separate [recency word](crate::recency), so a hit rewrites one `u64`
-//! instead of shifting the set. Replacement decisions are bit-identical to
-//! a recency-ordered array whose valid entries form a prefix, and
-//! checkpoints store exactly that array.
+//! separate recency word (the private `recency` module), so a hit
+//! rewrites one `u64` instead of shifting the set. Replacement decisions
+//! are bit-identical to a recency-ordered array whose valid entries form
+//! a prefix, and checkpoints store exactly that array.
 
 use crate::addr::CacheLineAddr;
 use crate::checkpoint::{CodecError, StateReader, StateWriter};

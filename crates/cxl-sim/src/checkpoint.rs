@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"M5CKPT01";
 
 /// Current manifest version. Bump on any incompatible layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Terminator written after the last section; catches truncation at an
 /// exact section boundary (which no per-section checksum would see).
@@ -656,7 +656,7 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 
 /// Serializes an exact telemetry log2 histogram (all buckets, not just
 /// aggregates — restore must be lossless).
-pub fn save_log2_histogram(h: &m5_telemetry::Log2Histogram, w: &mut StateWriter) {
+fn save_log2_histogram(h: &m5_telemetry::Log2Histogram, w: &mut StateWriter) {
     w.put_u64_slice(h.buckets());
     w.put_u128(h.sum());
     w.put_u64(h.max());
@@ -667,7 +667,7 @@ pub fn save_log2_histogram(h: &m5_telemetry::Log2Histogram, w: &mut StateWriter)
 /// # Errors
 ///
 /// Fails on truncation or a bucket vector of the wrong geometry.
-pub fn restore_log2_histogram(
+fn restore_log2_histogram(
     r: &mut StateReader<'_>,
 ) -> Result<m5_telemetry::Log2Histogram, CodecError> {
     let buckets = r.get_u64_vec()?;

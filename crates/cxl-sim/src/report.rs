@@ -5,6 +5,7 @@ use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::NodeId;
 use crate::migration::MigrationStats;
 use crate::time::Nanos;
+use m5_telemetry::metrics::{log2_bucket, Log2Histogram, LOG2_BUCKETS};
 use std::fmt;
 
 /// A compact log-scale latency histogram for percentile estimation.
@@ -18,6 +19,8 @@ pub struct LatencyHistogram {
     /// counts[b] where b encodes (exponent, 64ths mantissa).
     counts: Vec<u64>,
     total: u64,
+    /// Exact sum of the samples (the buckets only bound each one).
+    sum: u128,
     max: Nanos,
 }
 
@@ -48,6 +51,7 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             counts: vec![0; (64 - SUB_BITS as usize + 1) * SUB as usize],
             total: 0,
+            sum: 0,
             max: Nanos::ZERO,
         }
     }
@@ -63,6 +67,7 @@ impl LatencyHistogram {
     pub fn record(&mut self, v: Nanos) {
         self.counts[bucket_of(v.0)] += 1;
         self.total += 1;
+        self.sum += v.0 as u128;
         self.max = self.max.max(v);
     }
 
@@ -76,10 +81,22 @@ impl LatencyHistogram {
         self.max
     }
 
+    /// The same samples in power-of-two buckets. Every bucket here lies
+    /// inside one power of two and the count, sum and max are exact, so
+    /// this equals recording each sample into a [`Log2Histogram`].
+    pub fn to_log2(&self) -> Log2Histogram {
+        let mut counts = [0u64; LOG2_BUCKETS];
+        for (b, &c) in self.counts.iter().enumerate() {
+            counts[log2_bucket(bucket_lower_bound(b))] += c;
+        }
+        Log2Histogram::from_parts(&counts, self.sum, self.max.0).expect("LOG2_BUCKETS counts")
+    }
+
     /// Serializes the histogram for a checkpoint.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_u64_slice(&self.counts);
         w.put_u64(self.total);
+        w.put_u128(self.sum);
         w.put_u64(self.max.0);
     }
 
@@ -102,6 +119,7 @@ impl LatencyHistogram {
         Ok(LatencyHistogram {
             counts,
             total: r.get_u64()?,
+            sum: r.get_u128()?,
             max: Nanos(r.get_u64()?),
         })
     }

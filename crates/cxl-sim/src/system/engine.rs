@@ -3,7 +3,7 @@
 
 use crate::addr::{Pfn, VirtAddr, Vpn, WordIndex};
 use crate::chunk::{AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT, CHUNK_WRITE_BIT};
-use crate::faults::SimError;
+use crate::faults::{FaultClass, SimError};
 use crate::kernel::CostKind;
 use crate::memory::NodeId;
 use crate::paging::Pte;
@@ -12,35 +12,26 @@ use crate::time::Nanos;
 
 use super::{AccessOutcome, System};
 
-/// Per-access telemetry deltas, accumulated locally and flushed to the
-/// [`Telemetry`] registry once per tick instead of once per access.
+/// Per-access telemetry that no ledger holds, accumulated locally and
+/// flushed to the [`Telemetry`](m5_telemetry::Telemetry) registry once per
+/// tick instead of once per access: the read/write split of accesses, the
+/// snoop outcomes, and the latency and contention histograms.
 ///
-/// `Telemetry::counter_add` costs a `HashMap` probe per call; the access
-/// hot path bumps up to eight counters and one histogram per access, so on
-/// instrumented runs the probes dominate. This struct holds those deltas
-/// as plain array slots — indexed by node, snoop kind, or [`CostKind`] —
-/// and [`System::flush_telemetry`] merges them in one probe per metric.
+/// `Telemetry::counter_add` costs a `HashMap` probe per call, so these
+/// deltas sit in plain array slots and [`System::flush_telemetry`] merges
+/// them in one probe per metric. Every other `sim.*` counter is published
+/// at the flush as the growth of the ledger [`System::stats`] reads.
 /// Flush points: every [`System::rollover_bandwidth`] (the Monitor tick),
 /// every [`System::telemetry_mut`] borrow (so external writers/snapshots
-/// never see a torn view), and the end of [`run`](super::run). Counters only ever sum,
-/// so the final snapshot is identical to per-access recording.
+/// never see a torn view), and the end of [`run`](super::run). Counters
+/// only ever sum, so the final snapshot is identical to per-access
+/// recording.
 #[derive(Debug, Default)]
 pub(super) struct TelemetryBatch {
-    pending: bool,
     /// `[read, write]`.
     accesses: [u64; 2],
-    /// `[hit, miss]`.
-    llc: [u64; 2],
-    hinting_faults: u64,
-    poison_repairs: u64,
-    /// Indexed like [`NodeId::ALL`]: `[ddr, cxl]`.
-    dram_reads: [u64; 2],
-    dram_writebacks: [u64; 2],
     /// `[read, writeback, dropped]`.
     snoops: [u64; 3],
-    /// Indexed like [`CostKind::ALL`].
-    kernel_ns: [u64; CostKind::ALL.len()],
-    kernel_events: [u64; CostKind::ALL.len()],
     /// Access-latency scratch histograms: `[llc, ddr, cxl]`.
     latency: [m5_telemetry::Log2Histogram; 3],
     /// Per-node contention queue-delay histograms (`[ddr, cxl]`); only
@@ -79,14 +70,11 @@ pub enum BatchPause {
 }
 
 /// Per-run state threaded through [`System::access_batch`] calls: the
-/// access count and the op-latency accumulators (ops may straddle chunk
+/// access count and the op-latency histogram (ops may straddle chunk
 /// boundaries, so this outlives any single chunk).
 #[derive(Clone, Debug)]
 pub struct BatchState {
     pub(super) op_hist: LatencyHistogram,
-    /// Scratch for `sim.op.latency`: merged once at the end instead of one
-    /// registry probe per completed op.
-    pub(super) op_telemetry: m5_telemetry::Log2Histogram,
     op_start: Nanos,
     pub(super) n: u64,
 }
@@ -97,7 +85,6 @@ impl BatchState {
     pub fn new(start: Nanos) -> BatchState {
         BatchState {
             op_hist: LatencyHistogram::new(),
-            op_telemetry: m5_telemetry::Log2Histogram::new(),
             op_start: start,
             n: 0,
         }
@@ -110,17 +97,14 @@ impl BatchState {
 
     #[inline]
     fn record_op_end(&mut self, now: Nanos) {
-        let op = now - self.op_start;
-        self.op_hist.record(op);
-        self.op_telemetry.record(op.0);
+        self.op_hist.record(now - self.op_start);
         self.op_start = now;
     }
 
-    /// Serializes the op-latency accumulators and access count for a
+    /// Serializes the op-latency histogram and access count for a
     /// checkpoint.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         self.op_hist.save(w);
-        crate::checkpoint::save_log2_histogram(&self.op_telemetry, w);
         w.put_u64(self.op_start.0);
         w.put_u64(self.n);
     }
@@ -135,7 +119,6 @@ impl BatchState {
     ) -> Result<BatchState, crate::checkpoint::CodecError> {
         Ok(BatchState {
             op_hist: LatencyHistogram::restore(r)?,
-            op_telemetry: crate::checkpoint::restore_log2_histogram(r)?,
             op_start: Nanos(r.get_u64()?),
             n: r.get_u64()?,
         })
@@ -143,59 +126,51 @@ impl BatchState {
 }
 
 impl System {
-    /// Drains the per-access telemetry batch into the bus registry: one
-    /// probe per touched metric instead of one per access. Idempotent and
-    /// cheap when nothing is pending. Called automatically on
+    /// Publishes everything counted since the last flush to the bus
+    /// registry: the growth of each ledger [`System::stats`] reads, as
+    /// `sim.llc`, `sim.dram.*`, `sim.hinting_faults`, `sim.poison.repairs`,
+    /// `sim.kernel.*`, `sim.faults` and `sim.degraded` counters (zero
+    /// deltas skipped), then the drained per-access batch. A no-op with
+    /// telemetry disabled. Called automatically on
     /// [`System::rollover_bandwidth`], [`System::telemetry_mut`], and at
     /// the end of [`run`](super::run).
     pub fn flush_telemetry(&mut self) {
-        if !self.batch.pending {
+        if !self.telemetry_on {
             return;
         }
-        let b = std::mem::take(&mut self.batch);
+        let now = self.stats();
+        let d = now.since(&self.published);
+        self.published = now;
         let t = &mut self.telemetry;
-        for (label, v) in [("read", b.accesses[0]), ("write", b.accesses[1])] {
+        let mut add = |name: &'static str, label: &'static str, v: u64| {
             if v > 0 {
-                t.counter_add("sim.accesses", label, v);
+                t.counter_add(name, label, v);
             }
+        };
+        add("sim.llc", "hit", d.llc_hits);
+        add("sim.llc", "miss", d.llc_misses);
+        add("sim.hinting_faults", "", d.hinting_faults);
+        add("sim.poison.repairs", "", d.poison_repairs);
+        for (i, node) in NodeId::ALL.into_iter().enumerate() {
+            add("sim.dram.reads", node.label(), d.dram_reads[i]);
+            add("sim.dram.writebacks", node.label(), d.dram_writebacks[i]);
         }
-        for (label, v) in [("hit", b.llc[0]), ("miss", b.llc[1])] {
-            if v > 0 {
-                t.counter_add("sim.llc", label, v);
-            }
+        for kind in CostKind::ALL {
+            add("sim.kernel.ns", kind.label(), d.kernel.of(kind).0);
+            add("sim.kernel.events", kind.label(), d.kernel.events_of(kind));
         }
-        if b.hinting_faults > 0 {
-            t.counter_add("sim.hinting_faults", "", b.hinting_faults);
+        for (i, class) in FaultClass::ALL.into_iter().enumerate() {
+            add("sim.faults", class.label(), d.fault_counts[i]);
         }
-        if b.poison_repairs > 0 {
-            t.counter_add("sim.poison.repairs", "", b.poison_repairs);
-        }
-        for node in NodeId::ALL {
-            let i = node_idx(node);
-            if b.dram_reads[i] > 0 {
-                t.counter_add("sim.dram.reads", node.label(), b.dram_reads[i]);
-            }
-            if b.dram_writebacks[i] > 0 {
-                t.counter_add("sim.dram.writebacks", node.label(), b.dram_writebacks[i]);
-            }
-        }
-        for (label, i) in [
-            ("read", BATCH_SNOOP_READ),
-            ("writeback", BATCH_SNOOP_WRITEBACK),
-            ("dropped", BATCH_SNOOP_DROPPED),
-        ] {
-            if b.snoops[i] > 0 {
-                t.counter_add("sim.snoops", label, b.snoops[i]);
-            }
-        }
-        for (i, kind) in CostKind::ALL.iter().enumerate() {
-            if b.kernel_ns[i] > 0 {
-                t.counter_add("sim.kernel.ns", kind.label(), b.kernel_ns[i]);
-            }
-            if b.kernel_events[i] > 0 {
-                t.counter_add("sim.kernel.events", kind.label(), b.kernel_events[i]);
-            }
-        }
+        add("sim.degraded", "", d.degradations as u64);
+
+        let b = std::mem::take(&mut self.batch);
+        add("sim.accesses", "read", b.accesses[0]);
+        add("sim.accesses", "write", b.accesses[1]);
+        add("sim.snoops", "read", b.snoops[BATCH_SNOOP_READ]);
+        add("sim.snoops", "writeback", b.snoops[BATCH_SNOOP_WRITEBACK]);
+        add("sim.snoops", "dropped", b.snoops[BATCH_SNOOP_DROPPED]);
+        let t = &mut self.telemetry;
         for (label, i) in [
             ("llc", BATCH_LAT_LLC),
             ("ddr", BATCH_LAT_DDR),
@@ -285,7 +260,8 @@ impl System {
             // Soft (hinting) page fault: kernel re-establishes the mapping.
             hinting_fault = true;
             self.hinting_faults += 1;
-            self.bill_kernel(CostKind::HintingFault, costs.hinting_fault);
+            self.kernel
+                .bill(CostKind::HintingFault, costs.hinting_fault);
             latency += costs.hinting_fault;
             flags = flags.with_present();
         }
@@ -352,7 +328,6 @@ impl System {
                 let extra = self.contention.demand_delay(node, now);
                 latency += extra;
                 if self.telemetry_on {
-                    self.batch.pending = true;
                     self.batch.contention_extra[node_idx(node)].record(extra.0);
                 }
             }
@@ -372,7 +347,7 @@ impl System {
                         // and resumes the load — slow but never fatal.
                         poisoned = true;
                         self.faults.note_poison_repaired();
-                        self.bill_kernel(CostKind::DaemonOther, costs.poison_repair);
+                        self.kernel.bill(CostKind::DaemonOther, costs.poison_repair);
                         latency += costs.poison_repair;
                     }
                 }
@@ -380,7 +355,6 @@ impl System {
                     self.controller.snoop(line, false, now);
                 }
                 if self.telemetry_on {
-                    self.batch.pending = true;
                     self.batch.snoops[if stalled {
                         BATCH_SNOOP_DROPPED
                     } else {
@@ -399,10 +373,6 @@ impl System {
                 // this access does not stall for them.
                 self.contention.writeback(wb_node, now);
             }
-            if self.telemetry_on {
-                self.batch.pending = true;
-                self.batch.dram_writebacks[node_idx(wb_node)] += 1;
-            }
             if wb_node == NodeId::Cxl {
                 if !stalled {
                     self.controller.snoop(wb, true, now);
@@ -418,18 +388,12 @@ impl System {
         }
 
         if self.telemetry_on {
-            self.batch.pending = true;
             self.batch.accesses[is_write as usize] += 1;
-            self.batch.llc[!res.hit as usize] += 1;
-            self.batch.hinting_faults += hinting_fault as u64;
-            self.batch.poison_repairs += poisoned as u64;
-            match dram_node {
-                Some(node) => {
-                    self.batch.dram_reads[node_idx(node)] += 1;
-                    self.batch.latency[BATCH_LAT_DDR + node_idx(node)].record(latency.0);
-                }
-                None => self.batch.latency[BATCH_LAT_LLC].record(latency.0),
-            }
+            let lat = match dram_node {
+                Some(node) => BATCH_LAT_DDR + node_idx(node),
+                None => BATCH_LAT_LLC,
+            };
+            self.batch.latency[lat].record(latency.0);
         }
 
         self.clock.advance(latency);
@@ -504,13 +468,7 @@ impl System {
             // the flush-interval check, and the per-access fault queries
             // are all no-ops — skip them wholesale up to the horizon.
             let now = self.clock.now();
-            let quiet = self.faults.quiescent(now)
-                && self.ras.quiescent()
-                && self.fault_events_seen == self.faults.log().len()
-                && self.spike_span.is_none()
-                && self.stall_span.is_none()
-                && self.pressure_span.is_none();
-            if quiet {
+            if self.faults_idle(now) && self.ras.quiescent() {
                 let mut horizon = deadline.unwrap_or(Nanos(u64::MAX));
                 if let Some(interval) = self.config.tlb_flush_interval {
                     horizon = horizon.min(self.last_tlb_flush + interval);
@@ -581,21 +539,10 @@ impl System {
         }
     }
 
-    /// Bills kernel work to the ledger and mirrors it to telemetry (via
-    /// the per-tick batch; see [`TelemetryBatch`]).
-    fn bill_kernel(&mut self, kind: CostKind, d: Nanos) {
-        self.kernel.bill(kind, d);
-        if self.telemetry_on {
-            self.batch.pending = true;
-            self.batch.kernel_ns[kind as usize] += d.0;
-            self.batch.kernel_events[kind as usize] += 1;
-        }
-    }
-
     /// Bills daemon kernel work; when the daemon is co-located with the
     /// application core, the clock advances too (the application stalls).
     pub fn daemon_bill(&mut self, kind: CostKind, d: Nanos) {
-        self.bill_kernel(kind, d);
+        self.kernel.bill(kind, d);
         if self.config.colocated_daemon {
             self.clock.advance(d);
         }

@@ -239,6 +239,9 @@ pub struct System {
     /// path.
     contention_on: bool,
     batch: TelemetryBatch,
+    /// The ledgers as last published to telemetry: each flush publishes
+    /// the growth since this point (see [`System::flush_telemetry`]).
+    published: SystemStats,
     fault_events_seen: usize,
     spike_span: Option<SpanId>,
     stall_span: Option<SpanId>,
@@ -288,6 +291,7 @@ impl System {
             ),
             contention_on: config.contention.enabled,
             batch: TelemetryBatch::default(),
+            published: SystemStats::default(),
             fault_events_seen: 0,
             spike_span: None,
             stall_span: None,
@@ -305,14 +309,14 @@ impl System {
     pub fn install_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
         self.telemetry_on = self.telemetry.is_enabled();
+        self.published = self.stats();
     }
 
     /// The telemetry bus (read-only: snapshots).
     ///
-    /// Per-access `sim.*` counters accumulate in a local batch and become
-    /// visible at flush points (see [`System::flush_telemetry`]); a
-    /// snapshot taken between flushes can trail the current tick's
-    /// accesses. Borrow via [`System::telemetry_mut`] first — it flushes —
+    /// `sim.*` counters become visible at flush points (see
+    /// [`System::flush_telemetry`]); a snapshot taken between flushes can
+    /// trail the current tick's accesses. Borrow via [`System::telemetry_mut`] first — it flushes —
     /// when an exact point-in-time view is needed.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -328,9 +332,13 @@ impl System {
     }
 
     /// Replaces the fault plan (resets the injector; already-armed windows
-    /// close, pending one-shot faults are dropped).
+    /// close, pending one-shot faults are dropped). The old injector's
+    /// fault and poison-repair counts are published first; telemetry keeps
+    /// them while the new injector counts from zero.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
+        self.flush_telemetry();
         self.faults = FaultInjector::from_plan(plan);
+        self.published = self.stats();
     }
 
     /// The fault injector (read-only: counts, log, poison repairs).
@@ -360,7 +368,6 @@ impl System {
         if self.telemetry.is_enabled() {
             let now = self.clock.now().0;
             self.telemetry.event(now, "sim.degraded", msg.clone());
-            self.telemetry.counter_add("sim.degraded", "", 1);
         }
         self.degradations.push(msg);
     }
@@ -558,12 +565,6 @@ impl System {
     /// The performance monitor.
     pub fn perfmon(&self) -> &PerfMonitor {
         &self.perfmon
-    }
-
-    /// The performance monitor (mutable — the Monitor component rolls its
-    /// measurement window).
-    pub fn perfmon_mut(&mut self) -> &mut PerfMonitor {
-        &mut self.perfmon
     }
 
     /// The kernel-cost ledger.

@@ -31,19 +31,24 @@ pub struct RasServiceReport {
 }
 
 impl System {
-    /// Arms due faults and delivers queued device faults to the controller.
+    /// Whether [`System::service_faults`] is a no-op at `now`: a quiescent
+    /// injector with no unseen log entries and no open fault-window span.
+    /// True throughout fault-free operation (every golden run, most
+    /// benches).
     #[inline]
-    pub(super) fn service_faults(&mut self) {
-        let now = self.clock.now();
-        // Fast path for fault-free operation (every golden run, most
-        // benches): a quiescent injector with no open telemetry span and
-        // no unseen log entries makes the rest of this function a no-op.
-        if self.faults.quiescent(now)
+    pub(super) fn faults_idle(&self, now: Nanos) -> bool {
+        self.faults.quiescent(now)
             && self.fault_events_seen == self.faults.log().len()
             && self.spike_span.is_none()
             && self.stall_span.is_none()
             && self.pressure_span.is_none()
-        {
+    }
+
+    /// Arms due faults and delivers queued device faults to the controller.
+    #[inline]
+    pub(super) fn service_faults(&mut self) {
+        let now = self.clock.now();
+        if self.faults_idle(now) {
             return;
         }
         self.faults.poll(now);
@@ -102,8 +107,6 @@ impl System {
         let now = self.clock.now();
         for i in self.fault_events_seen..self.faults.log().len() {
             let ev = self.faults.log()[i];
-            self.telemetry
-                .counter_add("sim.faults", ev.class.label(), 1);
             self.telemetry.event(ev.at.0, "sim.fault", ev.class.label());
         }
         self.fault_events_seen = self.faults.log().len();

@@ -4,7 +4,6 @@
 use crate::chunk::AccessChunk;
 use crate::faults::FaultClass;
 use crate::memory::NodeId;
-use crate::migration::MigrationStats;
 use crate::report::{HealthReport, LatencyHistogram, RunReport};
 
 use super::{AccessStream, BatchPause, BatchState, MigrationDaemon, System, SystemStats};
@@ -137,9 +136,6 @@ impl ChunkedRun {
     where
         D: MigrationDaemon + ?Sized,
     {
-        sys.flush_telemetry();
-        sys.telemetry
-            .histogram_merge("sim.op.latency", "", &self.st.op_telemetry);
         sys.report_since(
             &self.before,
             daemon.name().to_string(),
@@ -205,9 +201,6 @@ where
     daemon.on_start(sys);
 
     let mut op_hist = LatencyHistogram::new();
-    // Scratch for `sim.op.latency`: merged once at the end instead of one
-    // registry probe per completed op.
-    let mut op_telemetry = m5_telemetry::Log2Histogram::new();
     let mut op_start = sys.now();
     let mut n = 0u64;
     while n < max_accesses {
@@ -232,64 +225,59 @@ where
         n += 1;
         if acc.op_end {
             let now = sys.now();
-            let op = now - op_start;
-            op_hist.record(op);
-            op_telemetry.record(op.0);
+            op_hist.record(now - op_start);
             op_start = now;
         }
     }
 
-    sys.flush_telemetry();
-    sys.telemetry
-        .histogram_merge("sim.op.latency", "", &op_telemetry);
     sys.report_since(&before, daemon.name().to_string(), n, op_hist)
 }
 
 impl System {
-    /// Assembles a [`RunReport`] covering everything since `before` (a
-    /// snapshot from [`System::stats`]). `accesses` and `op_latency` come
-    /// from the driver, which is the only place that can count them.
+    /// Flushes telemetry, publishes `op_latency` as the `sim.op.latency`
+    /// histogram, and assembles a [`RunReport`] covering everything since
+    /// `before` (a snapshot from [`System::stats`]). `accesses` and
+    /// `op_latency` come from the driver, which is the only place that
+    /// can count them.
     pub fn report_since(
-        &self,
+        &mut self,
         before: &SystemStats,
         daemon: String,
         accesses: u64,
         op_latency: LatencyHistogram,
     ) -> RunReport {
-        let after = self.stats();
+        self.flush_telemetry();
+        if self.telemetry_on {
+            self.telemetry
+                .histogram_merge("sim.op.latency", "", &op_latency.to_log2());
+        }
+        let d = self.stats().since(before);
         let fault_counts: Vec<_> = FaultClass::ALL
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &class)| {
-                let n = after.fault_counts[i] - before.fault_counts[i];
-                (n > 0).then_some((class, n))
-            })
+            .into_iter()
+            .zip(d.fault_counts)
+            .filter(|&(_, n)| n > 0)
             .collect();
         RunReport {
             daemon,
-            total_time: after.now - before.now,
+            total_time: d.now,
             accesses,
-            llc_hits: after.llc_hits - before.llc_hits,
-            llc_misses: after.llc_misses - before.llc_misses,
+            llc_hits: d.llc_hits,
+            llc_misses: d.llc_misses,
             dram_reads: [
-                (NodeId::Ddr, after.dram_reads[0] - before.dram_reads[0]),
-                (NodeId::Cxl, after.dram_reads[1] - before.dram_reads[1]),
+                (NodeId::Ddr, d.dram_reads[0]),
+                (NodeId::Cxl, d.dram_reads[1]),
             ],
-            hinting_faults: after.hinting_faults - before.hinting_faults,
-            migrations: MigrationStats {
-                promotions: after.migrations.promotions - before.migrations.promotions,
-                demotions: after.migrations.demotions - before.migrations.demotions,
-                rejected: after.migrations.rejected - before.migrations.rejected,
-            },
-            kernel: after.kernel.delta_since(&before.kernel),
+            hinting_faults: d.hinting_faults,
+            migrations: d.migrations,
+            kernel: d.kernel,
             op_latency,
             health: HealthReport {
                 faults_injected: fault_counts.iter().map(|&(_, n)| n).sum(),
                 fault_counts,
-                poison_repairs: after.poison_repairs - before.poison_repairs,
+                poison_repairs: d.poison_repairs,
                 degraded: self.degradations[before.degradations..].to_vec(),
-                promoter_retried: after.promoter_retried - before.promoter_retried,
-                promoter_gave_up: after.promoter_gave_up - before.promoter_gave_up,
+                promoter_retried: d.promoter_retried,
+                promoter_gave_up: d.promoter_gave_up,
             },
         }
     }

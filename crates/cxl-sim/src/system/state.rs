@@ -22,8 +22,8 @@ use super::{System, TelemetryBatch};
 
 /// A cumulative snapshot of the aggregates behind [`RunReport`](crate::report::RunReport), captured
 /// with [`System::stats`]. All fields count from system construction;
-/// subtract two snapshots for per-run deltas.
-#[derive(Clone, Debug)]
+/// [`SystemStats::since`] subtracts two snapshots for per-run deltas.
+#[derive(Clone, Debug, Default)]
 pub struct SystemStats {
     /// Simulated time at capture.
     pub now: Nanos,
@@ -54,6 +54,34 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
+    /// The growth of every aggregate since `before`, an earlier snapshot
+    /// of the same machine; `now` becomes the elapsed time. Run reports
+    /// and the telemetry flush both subtract through here.
+    pub fn since(&self, before: &SystemStats) -> SystemStats {
+        fn sub<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+            std::array::from_fn(|i| a[i] - b[i])
+        }
+        SystemStats {
+            now: self.now - before.now,
+            llc_hits: self.llc_hits - before.llc_hits,
+            llc_misses: self.llc_misses - before.llc_misses,
+            dram_reads: sub(self.dram_reads, before.dram_reads),
+            dram_writebacks: sub(self.dram_writebacks, before.dram_writebacks),
+            hinting_faults: self.hinting_faults - before.hinting_faults,
+            kernel: self.kernel.delta_since(&before.kernel),
+            migrations: MigrationStats {
+                promotions: self.migrations.promotions - before.migrations.promotions,
+                demotions: self.migrations.demotions - before.migrations.demotions,
+                rejected: self.migrations.rejected - before.migrations.rejected,
+            },
+            fault_counts: sub(self.fault_counts, before.fault_counts),
+            poison_repairs: self.poison_repairs - before.poison_repairs,
+            degradations: self.degradations - before.degradations,
+            promoter_retried: self.promoter_retried - before.promoter_retried,
+            promoter_gave_up: self.promoter_gave_up - before.promoter_gave_up,
+        }
+    }
+
     /// Serializes the snapshot for a checkpoint (drivers persist their
     /// report baseline so a restored run's [`RunReport`](crate::report::RunReport) deltas match the
     /// uninterrupted run's).
@@ -129,8 +157,9 @@ impl SystemStats {
 impl System {
     /// A cumulative snapshot of every aggregate a [`RunReport`](crate::report::RunReport) is built
     /// from. Capture one before a run, another after, and diff — this is
-    /// the single accounting path used by [`run`](super::run), so reports and live
-    /// telemetry can never disagree about what a counter means.
+    /// the single accounting path used by [`run`](super::run) and
+    /// [`System::flush_telemetry`], so reports and live telemetry can never
+    /// disagree about what a counter means.
     pub fn stats(&self) -> SystemStats {
         SystemStats {
             now: self.clock.now(),
@@ -372,7 +401,7 @@ impl System {
         })?;
 
         let telemetry_on = telemetry.is_enabled();
-        Ok(System {
+        let mut sys = System {
             clock,
             memory,
             page_table,
@@ -397,6 +426,7 @@ impl System {
             contention,
             contention_on: config.contention.enabled,
             batch: TelemetryBatch::default(),
+            published: SystemStats::default(),
             fault_events_seen: misc.fault_events_seen as usize,
             spike_span: misc.spans[0],
             stall_span: misc.spans[1],
@@ -405,7 +435,11 @@ impl System {
             evac_span: misc.spans[3],
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
             config,
-        })
+        };
+        // The checkpoint flushed before capture, so the restored registry
+        // already holds every count up to here.
+        sys.published = sys.stats();
+        Ok(sys)
     }
 }
 

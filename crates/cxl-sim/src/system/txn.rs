@@ -546,25 +546,23 @@ impl System {
         violations
     }
 
+    /// How many pages a daemon may still migrate under a time quota: the
+    /// number of `migrate_per_page` slots left before cumulative migration
+    /// time reaches `budget × elapsed`. Each promotion implies a matching
+    /// demotion once the fast tier is full, so a factor of two is reserved.
+    pub fn migration_allowance(&self, budget: f64) -> usize {
+        let spent = self.kernel.of(CostKind::Migration).0 as f64;
+        let allowed = budget * self.clock.now().0.max(1) as f64 - spent;
+        let per_page = self.config.costs.migrate_per_page.0.max(1) as f64 * 2.0;
+        (allowed / per_page).max(0.0) as usize
+    }
+
     /// Counts `n` migration requests whose final outcome was rejection.
     /// Paired with [`System::migrate_page_uncounted`]: a retrying caller
     /// calls this once per request it gives up on, never per attempt.
     pub fn note_rejected_migrations(&mut self, n: u64) {
         self.migrations.rejected += n;
         self.telemetry.counter_add("sim.migrations", "rejected", n);
-    }
-
-    /// Migrates a batch of pages to `dst`, collecting per-page outcomes
-    /// (the `migrate_pages()` interface used by the Promoter).
-    pub fn migrate_batch(&mut self, vpns: &[Vpn], dst: NodeId) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        for &vpn in vpns {
-            match self.migrate_page(vpn, dst) {
-                Ok(()) => out.migrated.push(vpn),
-                Err(e) => out.rejected.push((vpn, e)),
-            }
-        }
-        out
     }
 
     /// Runs one MGLRU aging pass over the DDR-resident pages, billing the

@@ -10,7 +10,7 @@
 //!
 //! Like the LLC, the TLB is one contiguous `Vec<u64>` of `sets × ways`
 //! VPN entries in fixed ways, with `u64::MAX` as the empty sentinel, and
-//! one [recency word](crate::recency) per set holding its exact-LRU
+//! one recency word (the private `recency` module) per set holding its exact-LRU
 //! order. Decisions are bit-identical to a recency-ordered array whose
 //! valid entries form a prefix, which is what checkpoints store.
 

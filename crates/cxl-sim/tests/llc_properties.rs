@@ -114,4 +114,21 @@ proptest! {
             prev = v;
         }
     }
+
+    /// Folding the op-latency histogram into power-of-two buckets equals
+    /// recording the same samples into a `Log2Histogram` directly, from 0
+    /// up through the top power of two.
+    #[test]
+    fn latency_histogram_folds_exactly_to_log2(samples in prop::collection::vec(prop_oneof![Just(0u64), 1u64..4096, any::<u64>(), (1u64 << 63)..u64::MAX, Just(u64::MAX)], 0..200)) {
+        use cxl_sim::report::LatencyHistogram;
+        use cxl_sim::telemetry::Log2Histogram;
+        use cxl_sim::time::Nanos;
+        let mut h = LatencyHistogram::new();
+        let mut direct = Log2Histogram::new();
+        for &s in &samples {
+            h.record(Nanos(s));
+            direct.record(s);
+        }
+        prop_assert_eq!(h.to_log2(), direct);
+    }
 }

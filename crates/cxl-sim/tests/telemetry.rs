@@ -7,6 +7,7 @@ use cxl_sim::faults::FaultKind;
 use cxl_sim::prelude::*;
 use cxl_sim::report::RunReport;
 use cxl_sim::system::{run, NoMigration, Region};
+use cxl_sim::telemetry::HistogramSnapshot;
 
 struct Stream {
     region: Region,
@@ -39,7 +40,9 @@ impl AccessStream for Stream {
 }
 
 /// A daemon that exercises the migration engine during the run: promotions,
-/// demotions, and a permanent rejection.
+/// demotions, and a permanent rejection. Its ticks are 400 µs apart, so the
+/// demotion lands in a warm LLC where the migration's cache pollution
+/// evicts dirty lines.
 struct Exerciser {
     region: Region,
     wake: Nanos,
@@ -68,7 +71,7 @@ impl MigrationDaemon for Exerciser {
             _ => sys.note_degradation("exerciser: synthetic degradation"),
         }
         self.ticks += 1;
-        self.wake = sys.now() + Nanos::from_micros(20);
+        self.wake = sys.now() + Nanos::from_micros(400);
     }
 }
 
@@ -126,6 +129,27 @@ fn snapshot_exactly_reproduces_run_report() {
             "dram reads on {node}"
         );
     }
+    // Writebacks are not in the report; the ledger counts them from
+    // construction, where telemetry was installed. The ledger includes
+    // the writebacks of migration cache pollution, which no access takes.
+    let stats = sys.stats();
+    for (i, node) in NodeId::ALL.into_iter().enumerate() {
+        assert_eq!(
+            snap.counter("sim.dram.writebacks", node.label())
+                .unwrap_or(0),
+            stats.dram_writebacks[i],
+            "dram writebacks on {node}"
+        );
+    }
+    // Every CXL writeback an access takes also takes one snoop, delivered
+    // or dropped; more writebacks than that means pollution wrote back.
+    let access_snoops = snap.counter("sim.snoops", "writeback").unwrap_or(0)
+        + snap.counter("sim.snoops", "dropped").unwrap_or(0);
+    assert!(
+        stats.dram_writebacks[1] > access_snoops,
+        "no pollution writeback: {} CXL writebacks, {access_snoops} snoops",
+        stats.dram_writebacks[1]
+    );
     assert_eq!(
         snap.counter("sim.migrations", "promoted").unwrap_or(0),
         report.migrations.promotions
@@ -182,11 +206,10 @@ fn snapshot_exactly_reproduces_run_report() {
         .map(|h| h.count)
         .sum();
     assert_eq!(lat_total, report.accesses);
+    assert!(report.op_latency.count() > 0);
     assert_eq!(
-        snap.histogram("sim.op.latency", "")
-            .map(|h| h.count)
-            .unwrap_or(0),
-        report.op_latency.count()
+        snap.histogram("sim.op.latency", ""),
+        Some(HistogramSnapshot::of(&report.op_latency.to_log2()))
     );
 }
 
@@ -235,4 +258,32 @@ fn disabled_telemetry_does_not_perturb_the_run() {
     let (_, with) = seeded_run(Some(Telemetry::enabled()));
     let (_, without) = seeded_run(None);
     assert_eq!(with, without, "telemetry must be observation-only");
+}
+
+/// Replacing the fault plan restarts the injector's counts from zero; the
+/// published `sim.faults` and `sim.poison.repairs` totals must keep what
+/// the old injectors counted, including counts no flush has published yet.
+#[test]
+fn replacing_the_fault_plan_keeps_fault_totals() {
+    let (mut sys, report) = seeded_run(Some(Telemetry::enabled()));
+    let cold = sys.alloc_region(1, Placement::AllOnCxl).unwrap();
+    let plan = FaultPlan::none().with(sys.now(), FaultKind::PoisonLine { reads: 2 });
+    sys.install_fault_plan(&plan);
+    // Cold lines miss to CXL, so both poisoned fills happen here, with no
+    // flush in between.
+    for i in 0..8 {
+        sys.access(cold.base.offset(i * 64), false);
+    }
+    assert_eq!(sys.fault_injector().poison_repairs(), 2);
+    sys.install_fault_plan(&FaultPlan::none());
+
+    let snap = sys.telemetry_mut().snapshot();
+    assert_eq!(
+        snap.counter_total("sim.faults"),
+        report.health.faults_injected + 1
+    );
+    assert_eq!(
+        snap.counter("sim.poison.repairs", ""),
+        Some(report.health.poison_repairs + 2)
+    );
 }

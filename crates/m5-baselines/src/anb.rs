@@ -17,7 +17,7 @@
 //! to mark it hot, so rarely-accessed pages that happen to be touched once
 //! during the scan window get promoted alongside truly hot ones.
 
-use crate::daemon::{migration_allowance, AdaptivePeriod, HotPageLog};
+use crate::daemon::{AdaptivePeriod, HotPageLog};
 use cxl_sim::addr::Vpn;
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
@@ -223,7 +223,7 @@ impl MigrationDaemon for Anb {
             if pte.node() == NodeId::Cxl {
                 self.log.record(vpn, pte.pfn);
                 if self.config.migrate
-                    && migration_allowance(sys, self.config.migration_time_budget) > 0
+                    && sys.migration_allowance(self.config.migration_time_budget) > 0
                 {
                     // `migrate_misplaced_page()`: promotion succeeds only if
                     // the fast tier has a free frame right now.

@@ -3,20 +3,6 @@
 pub use cxl_sim::hotlog::HotPageLog;
 use cxl_sim::time::Nanos;
 
-/// How many pages a daemon may still migrate under a time quota: the
-/// number of `migrate_per_page` slots left before cumulative migration
-/// time reaches `budget × elapsed`. Each promotion implies a matching
-/// demotion once the fast tier is full, so a factor of two is reserved.
-pub fn migration_allowance(sys: &cxl_sim::system::System, budget: f64) -> usize {
-    let spent = sys
-        .kernel_costs()
-        .of(cxl_sim::kernel::CostKind::Migration)
-        .0 as f64;
-    let allowed = budget * sys.now().0.max(1) as f64 - spent;
-    let per_page = sys.config().costs.migrate_per_page.0.max(1) as f64 * 2.0;
-    (allowed / per_page).max(0.0) as usize
-}
-
 /// An exponentially adaptive period between `min` and `max`: back off
 /// (double) when work is unproductive, speed up (halve) when productive —
 /// ANB's scan-rate adaptation.

@@ -20,7 +20,7 @@
 //!   workload (Redis) the scheme keeps migrating interchangeable pages,
 //!   which costs more than it earns (Figure 9's Redis regression).
 
-use crate::daemon::{migration_allowance, HotPageLog};
+use crate::daemon::HotPageLog;
 use cxl_sim::addr::Vpn;
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
@@ -230,7 +230,7 @@ impl Damon {
         }
         // The scheme walks region PTEs to find movable pages.
         sys.daemon_bill(CostKind::PteScan, per_pte * walked);
-        let allowed = migration_allowance(sys, self.config.migration_time_budget);
+        let allowed = sys.migration_allowance(self.config.migration_time_budget);
         batch.truncate(allowed);
         if self.config.migrate && !batch.is_empty() {
             if sys.free_frames(NodeId::Ddr) < batch.len() as u64 {

@@ -19,7 +19,7 @@
 //! whereas real PEBS samples on the CPU; since all baselines here manage
 //! only the CXL tier, the streams coincide.)
 
-use crate::daemon::{migration_allowance, HotPageLog};
+use crate::daemon::HotPageLog;
 use cxl_sim::addr::{CacheLineAddr, Pfn};
 use cxl_sim::controller::{CxlDevice, DeviceHandle};
 use cxl_sim::kernel::CostKind;
@@ -248,7 +248,7 @@ impl MigrationDaemon for PebsSampler {
                 }
             }
         }
-        batch.truncate(migration_allowance(sys, self.config.migration_time_budget));
+        batch.truncate(sys.migration_allowance(self.config.migration_time_budget));
         if self.config.migrate && !batch.is_empty() {
             sys.promote_with_demotion(&batch, self.config.demote_batch);
         }

@@ -652,13 +652,8 @@ impl MigrationDaemon for M5Manager {
                     self.log.record(vpn, e.pfn);
                 }
             }
-            // Time quota: truncate this epoch's batch to the allowance
-            // (each promotion implies a matching demotion at capacity, so
-            // the allowance reserves 2x the per-page cost).
-            let spent = sys.kernel_costs().of(CostKind::Migration).0 as f64;
-            let allowed = self.config.migration_time_budget * sys.now().0.max(1) as f64 - spent;
-            let per_page = sys.config().costs.migrate_per_page.0.max(1) as f64 * 2.0;
-            nominated.truncate((allowed / per_page).max(0.0) as usize);
+            // Time quota: truncate this epoch's batch to the allowance.
+            nominated.truncate(sys.migration_allowance(self.config.migration_time_budget));
             if !self.config.record_only && !nominated.is_empty() {
                 self.promoter.promote(sys, &nominated);
                 for e in &nominated {
