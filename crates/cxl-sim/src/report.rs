@@ -104,21 +104,30 @@ impl LatencyHistogram {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects a bucket array of the wrong width.
+    /// Propagates codec errors; rejects a bucket array of the wrong width
+    /// and a total that is not the sum of the buckets.
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<LatencyHistogram, crate::checkpoint::CodecError> {
+        use crate::checkpoint::CodecError;
         let counts = r.get_u64_vec()?;
         let expected = (64 - SUB_BITS as usize + 1) * SUB as usize;
         if counts.len() != expected {
-            return Err(crate::checkpoint::CodecError::BadValue {
+            return Err(CodecError::BadValue {
                 what: "latency-histogram bucket count",
                 value: counts.len() as u64,
             });
         }
+        let total = r.get_u64()?;
+        if counts.iter().map(|&c| c as u128).sum::<u128>() != total as u128 {
+            return Err(CodecError::BadValue {
+                what: "latency-histogram total",
+                value: total,
+            });
+        }
         Ok(LatencyHistogram {
             counts,
-            total: r.get_u64()?,
+            total,
             sum: r.get_u128()?,
             max: Nanos(r.get_u64()?),
         })
@@ -388,6 +397,42 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.quantile(0.99), None);
         assert_eq!(h.mean(), None);
+    }
+
+    #[test]
+    fn restore_rejects_a_wrong_width_or_a_total_off_the_buckets() {
+        use crate::checkpoint::{CodecError, StateReader, StateWriter};
+        let mut h = LatencyHistogram::new();
+        for ns in [0, 70, 5_000, u64::MAX] {
+            h.record(Nanos(ns));
+        }
+        let image = |counts: &[u64], total: u64| {
+            let mut w = StateWriter::new();
+            w.put_u64_slice(counts);
+            w.put_u64(total);
+            w.put_u128(h.sum);
+            w.put_u64(h.max.0);
+            w.finish()
+        };
+        let restore = |b: &[u8]| LatencyHistogram::restore(&mut StateReader::new(b));
+
+        assert_eq!(restore(&image(&h.counts, 4)), Ok(h.clone()));
+        assert!(matches!(
+            restore(&image(&h.counts[1..], 4)),
+            Err(CodecError::BadValue {
+                what: "latency-histogram bucket count",
+                ..
+            })
+        ));
+        for total in [3, 5, u64::MAX] {
+            assert_eq!(
+                restore(&image(&h.counts, total)),
+                Err(CodecError::BadValue {
+                    what: "latency-histogram total",
+                    value: total
+                })
+            );
+        }
     }
 
     fn dummy_report(total: u64) -> RunReport {

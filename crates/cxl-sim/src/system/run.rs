@@ -238,8 +238,9 @@ impl System {
     /// histogram, and assembles a [`RunReport`] covering everything since
     /// `before` (a snapshot from [`System::stats`]). `accesses` and
     /// `op_latency` come from the driver, which is the only place that
-    /// can count them.
-    pub fn report_since(
+    /// can count them. Call it once per run, at its end: a second call
+    /// would publish the same op latencies again.
+    pub(crate) fn report_since(
         &mut self,
         before: &SystemStats,
         daemon: String,

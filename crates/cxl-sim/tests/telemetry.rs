@@ -39,10 +39,11 @@ impl AccessStream for Stream {
     }
 }
 
-/// A daemon that exercises the migration engine during the run: promotions,
-/// demotions, and a permanent rejection. Its ticks are 400 µs apart, so the
-/// demotion lands in a warm LLC where the migration's cache pollution
-/// evicts dirty lines.
+/// A daemon that exercises the migration engine during the run: promotions
+/// and a degradation on its first tick, a demotion and a permanent
+/// rejection on its second. The ticks are 400 µs apart, so the demotion
+/// lands in a warm LLC where the migration's cache pollution evicts dirty
+/// lines.
 struct Exerciser {
     region: Region,
     wake: Nanos,
@@ -54,21 +55,18 @@ impl MigrationDaemon for Exerciser {
         "exerciser"
     }
     fn next_wake(&self) -> Option<Nanos> {
-        (self.ticks < 3).then_some(self.wake)
+        (self.ticks < 2).then_some(self.wake)
     }
     fn on_tick(&mut self, sys: &mut System) {
         let base = self.region.base.vpn();
-        match self.ticks {
-            0 => {
-                let _ = sys.migrate_page(base, NodeId::Ddr);
-                let _ = sys.migrate_page(base.offset(1), NodeId::Ddr);
-            }
-            1 => {
-                let _ = sys.migrate_page(base, NodeId::Cxl);
-                // Unmapped page: a finally-rejected request.
-                let _ = sys.migrate_page(Vpn(9_999), NodeId::Ddr);
-            }
-            _ => sys.note_degradation("exerciser: synthetic degradation"),
+        if self.ticks == 0 {
+            let _ = sys.migrate_page(base, NodeId::Ddr);
+            let _ = sys.migrate_page(base.offset(1), NodeId::Ddr);
+            sys.note_degradation("exerciser: synthetic degradation");
+        } else {
+            let _ = sys.migrate_page(base, NodeId::Cxl);
+            // Unmapped page: a finally-rejected request.
+            let _ = sys.migrate_page(Vpn(9_999), NodeId::Ddr);
         }
         self.ticks += 1;
         self.wake = sys.now() + Nanos::from_micros(400);
@@ -164,6 +162,7 @@ fn snapshot_exactly_reproduces_run_report() {
     );
     assert!(report.migrations.promotions >= 2, "exerciser promoted");
     assert!(report.migrations.rejected >= 1, "exerciser was rejected");
+    assert!(report.migrations.demotions >= 1, "exerciser demoted");
 
     for kind in CostKind::ALL {
         assert_eq!(
@@ -198,6 +197,7 @@ fn snapshot_exactly_reproduces_run_report() {
         snap.counter("sim.degraded", "").unwrap_or(0),
         report.health.degraded.len() as u64
     );
+    assert!(!report.health.degraded.is_empty(), "exerciser degraded");
 
     // Histogram totals equal event counts.
     let lat_total: u64 = ["llc", "ddr", "cxl"]
@@ -257,6 +257,7 @@ fn fault_windows_trace_as_spans() {
 fn disabled_telemetry_does_not_perturb_the_run() {
     let (_, with) = seeded_run(Some(Telemetry::enabled()));
     let (_, without) = seeded_run(None);
+    assert!(!with.health.degraded.is_empty() && with.migrations.demotions > 0);
     assert_eq!(with, without, "telemetry must be observation-only");
 }
 
