@@ -501,34 +501,51 @@ impl FaultInjector {
         }
     }
 
-    /// Whether the injector has nothing armed, queued, or in flight at
-    /// `now`: no unfired schedule entries, no open latency/stall/pressure
-    /// window, and no pending consumable faults. The `System` uses this to
-    /// skip per-access fault tracing entirely on fault-free runs.
+    /// Whether nothing an *access* can observe is armed at `now`: no
+    /// scheduled fault due, no open latency/stall/pressure window, no
+    /// pending poisoned read, and empty device and RAS queues. Faults
+    /// scheduled after `now` do not count — [`next_scheduled`] bounds how
+    /// long this stays true — and neither do the consumables only
+    /// migrations and checkpoints read (copy failures, reset steps, torn
+    /// sections): those run at batch boundaries, never inside a quiet
+    /// segment.
+    ///
+    /// [`next_scheduled`]: FaultInjector::next_scheduled
     #[inline]
-    pub fn quiescent(&self, now: Nanos) -> bool {
-        self.next >= self.schedule.len()
+    pub fn idle(&self, now: Nanos) -> bool {
+        self.next_scheduled().is_none_or(|at| at > now)
             && now >= self.spike_until
             && now >= self.stall_until
             && now >= self.pressure_until
             && self.poison_pending == 0
-            && self.copy_fail_pending == 0
-            && self.reset_steps.is_empty()
-            && self.torn_sections.is_empty()
             && self.device_queue.is_empty()
             && self.ras_queue.is_empty()
     }
 
+    /// Whether the injector has nothing left to do at all from `now` on:
+    /// [`idle`], the schedule exhausted, and no pending copy failure,
+    /// controller reset or torn checkpoint.
+    ///
+    /// [`idle`]: FaultInjector::idle
+    #[inline]
+    pub fn quiescent(&self, now: Nanos) -> bool {
+        self.idle(now)
+            && self.next >= self.schedule.len()
+            && self.copy_fail_pending == 0
+            && self.reset_steps.is_empty()
+            && self.torn_sections.is_empty()
+    }
+
     /// The trigger time of the earliest scheduled fault [`poll`] has not
     /// yet armed, or `None` when the schedule is exhausted. Combined with
-    /// [`quiescent`], this bounds how long the injector is *guaranteed* to
-    /// stay quiescent: a quiescent injector cannot open a window, queue a
-    /// device fault, or arm a consumable before this instant, so the batch
-    /// driver hoists every per-access fault check out of its inner loop up
-    /// to it.
+    /// [`idle`], this bounds how long the injector is *guaranteed* to stay
+    /// idle: only [`poll`] opens a window, queues a device fault, or arms
+    /// a poisoned read, and it arms nothing before this instant, so the
+    /// batch driver hoists every per-access fault check out of its inner
+    /// loop up to it.
     ///
     /// [`poll`]: FaultInjector::poll
-    /// [`quiescent`]: FaultInjector::quiescent
+    /// [`idle`]: FaultInjector::idle
     #[inline]
     pub fn next_scheduled(&self) -> Option<Nanos> {
         self.schedule.get(self.next).map(|f| f.at)
@@ -982,6 +999,64 @@ mod tests {
         assert!(!inj.torn_checkpoint_pending());
         assert!(inj.quiescent(Nanos(25)));
         assert_eq!(inj.count_of(FaultClass::TornCheckpoint), 2);
+    }
+
+    #[test]
+    fn a_future_fault_is_idle_but_not_quiescent() {
+        let plan = FaultPlan::none().with(Nanos(100), FaultKind::PoisonLine { reads: 1 });
+        let mut inj = FaultInjector::from_plan(&plan);
+        assert!(inj.idle(Nanos(99)));
+        assert!(!inj.quiescent(Nanos(99)));
+        assert_eq!(inj.next_scheduled(), Some(Nanos(100)));
+        // Due but not yet polled: the next access must poll, so not idle.
+        assert!(!inj.idle(Nanos(100)));
+        inj.poll(Nanos(100));
+        assert!(!inj.idle(Nanos(100)), "a pending poisoned read is visible");
+        assert!(inj.take_poisoned_read());
+        assert!(inj.idle(Nanos(100)));
+        assert!(inj.quiescent(Nanos(100)));
+    }
+
+    #[test]
+    fn boundary_only_consumables_are_idle_but_not_quiescent() {
+        for kind in [
+            FaultKind::MigrationCopyFail { attempts: 2 },
+            FaultKind::ControllerReset { at_step: 1 << 40 },
+            FaultKind::TornCheckpoint { at_section: 1 },
+        ] {
+            let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
+            inj.poll(Nanos(10));
+            assert!(inj.idle(Nanos(10)), "{kind:?} pending");
+            assert!(!inj.quiescent(Nanos(10)), "{kind:?} pending");
+        }
+    }
+
+    #[test]
+    fn open_windows_pending_poison_and_queued_faults_are_not_idle() {
+        let window = Nanos(50);
+        for kind in [
+            FaultKind::LatencySpike {
+                extra: Nanos(300),
+                duration: window,
+            },
+            FaultKind::ControllerStall { duration: window },
+            FaultKind::DdrPressure { duration: window },
+        ] {
+            let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
+            inj.poll(Nanos(10));
+            assert!(!inj.idle(Nanos(59)), "{kind:?} open");
+            assert!(inj.idle(Nanos(60)), "{kind:?} closed");
+        }
+        for kind in [
+            FaultKind::PoisonLine { reads: 1 },
+            FaultKind::Device(DeviceFault::SramSaturate),
+            FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 3 }),
+            FaultKind::Device(DeviceFault::LinkDegrade { factor: 150 }),
+        ] {
+            let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
+            inj.poll(Nanos(10));
+            assert!(!inj.idle(Nanos(1_000)), "{kind:?} pending");
+        }
     }
 
     #[test]

@@ -222,10 +222,11 @@ impl RasState {
         }]
     }
 
-    /// Whether the RAS layer has never seen a fault. Mirrors
-    /// [`crate::faults::FaultInjector::quiescent`]: the `System` skips every
-    /// RAS branch on its hot paths while this holds, so fault-free runs are
-    /// byte-identical to a build without this module.
+    /// Whether the RAS layer has never seen a fault. The `System` skips
+    /// its RAS service epoch and health checks while this holds, so
+    /// fault-free runs are byte-identical to a build without this module.
+    /// The access path needs no such gate: [`RasState::extra_latency`] is
+    /// zero until a link degrades.
     #[inline]
     pub fn quiescent(&self) -> bool {
         self.events == 0

@@ -26,6 +26,7 @@ pub struct LatencyHistogram {
 
 const SUB_BITS: u32 = 6;
 const SUB: u64 = 1 << SUB_BITS;
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB as usize;
 
 fn bucket_of(ns: u64) -> usize {
     if ns < SUB {
@@ -46,10 +47,19 @@ fn bucket_lower_bound(b: usize) -> u64 {
     (SUB + mantissa) << (exp - SUB_BITS as u64)
 }
 
+/// The largest value [`bucket_of`] maps to bucket `b`.
+fn bucket_upper_bound(b: usize) -> u64 {
+    if b + 1 < BUCKETS {
+        bucket_lower_bound(b + 1) - 1
+    } else {
+        u64::MAX
+    }
+}
+
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            counts: vec![0; (64 - SUB_BITS as usize + 1) * SUB as usize],
+            counts: vec![0; BUCKETS],
             total: 0,
             sum: 0,
             max: Nanos::ZERO,
@@ -104,15 +114,16 @@ impl LatencyHistogram {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects a bucket array of the wrong width
-    /// and a total that is not the sum of the buckets.
+    /// Propagates codec errors; rejects a bucket array of the wrong width,
+    /// a total that is not the sum of the buckets, a max outside the
+    /// highest non-empty bucket (or nonzero when empty), and a sum outside
+    /// the range the bucket bounds allow.
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<LatencyHistogram, crate::checkpoint::CodecError> {
         use crate::checkpoint::CodecError;
         let counts = r.get_u64_vec()?;
-        let expected = (64 - SUB_BITS as usize + 1) * SUB as usize;
-        if counts.len() != expected {
+        if counts.len() != BUCKETS {
             return Err(CodecError::BadValue {
                 what: "latency-histogram bucket count",
                 value: counts.len() as u64,
@@ -125,11 +136,41 @@ impl LatencyHistogram {
                 value: total,
             });
         }
+        let sum = r.get_u128()?;
+        let max = r.get_u64()?;
+        let max_fits = match counts.iter().rposition(|&c| c > 0) {
+            Some(top) => (bucket_lower_bound(top)..=bucket_upper_bound(top)).contains(&max),
+            None => max == 0,
+        };
+        if !max_fits {
+            return Err(CodecError::BadValue {
+                what: "latency-histogram max",
+                value: max,
+            });
+        }
+        // Cannot overflow: the counts sum to a u64, so each bound is at
+        // most u64::MAX squared.
+        let (lo, hi) = counts
+            .iter()
+            .enumerate()
+            .fold((0u128, 0u128), |(lo, hi), (b, &c)| {
+                let c = c as u128;
+                (
+                    lo + c * bucket_lower_bound(b) as u128,
+                    hi + c * bucket_upper_bound(b) as u128,
+                )
+            });
+        if !(lo..=hi).contains(&sum) {
+            return Err(CodecError::BadValue {
+                what: "latency-histogram sum",
+                value: u64::try_from(sum).unwrap_or(u64::MAX),
+            });
+        }
         Ok(LatencyHistogram {
             counts,
             total,
-            sum: r.get_u128()?,
-            max: Nanos(r.get_u64()?),
+            sum,
+            max: Nanos(max),
         })
     }
 
@@ -432,6 +473,73 @@ mod tests {
                     value: total
                 })
             );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_max_or_sum_off_the_bucket_bounds() {
+        use crate::checkpoint::{CodecError, StateReader, StateWriter};
+        let image = |h: &LatencyHistogram, sum: u128, max: u64| {
+            let mut w = StateWriter::new();
+            w.put_u64_slice(&h.counts);
+            w.put_u64(h.total);
+            w.put_u128(sum);
+            w.put_u64(max);
+            w.finish()
+        };
+        let restore = |b: &[u8]| LatencyHistogram::restore(&mut StateReader::new(b));
+        let bad = |what, value| Err(CodecError::BadValue { what, value });
+
+        let empty = LatencyHistogram::new();
+        assert_eq!(restore(&image(&empty, 0, 0)), Ok(empty.clone()));
+        assert_eq!(
+            restore(&image(&empty, 0, 7)),
+            bad("latency-histogram max", 7)
+        );
+
+        let samples = [3u64, 70, 5_000];
+        let mut h = LatencyHistogram::new();
+        for ns in samples {
+            h.record(Nanos(ns));
+        }
+        // Any max inside the top bucket restores; one outside does not.
+        let top = bucket_of(5_000);
+        let (top_lo, top_hi) = (bucket_lower_bound(top), bucket_upper_bound(top));
+        for max in [top_lo, top_hi] {
+            assert!(restore(&image(&h, h.sum, max)).is_ok(), "max {max}");
+        }
+        for max in [0, 70, top_lo - 1, top_hi + 1, u64::MAX] {
+            assert_eq!(
+                restore(&image(&h, h.sum, max)),
+                bad("latency-histogram max", max)
+            );
+        }
+
+        // The sum lies between the samples' bucket lower and upper bounds.
+        let sum_of = |bound: fn(usize) -> u64| -> u128 {
+            samples.iter().map(|&ns| bound(bucket_of(ns)) as u128).sum()
+        };
+        let (lo, hi) = (sum_of(bucket_lower_bound), sum_of(bucket_upper_bound));
+        for sum in [lo, hi] {
+            assert!(restore(&image(&h, sum, 5_000)).is_ok(), "sum {sum}");
+        }
+        for sum in [0, lo - 1, hi + 1, u128::MAX] {
+            let value = u64::try_from(sum).unwrap_or(u64::MAX);
+            assert_eq!(
+                restore(&image(&h, sum, 5_000)),
+                bad("latency-histogram sum", value)
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_bounds_tile_the_u64_range() {
+        assert_eq!(bucket_lower_bound(0), 0);
+        assert_eq!(bucket_upper_bound(BUCKETS - 1), u64::MAX);
+        for b in 0..BUCKETS - 1 {
+            assert_eq!(bucket_upper_bound(b) + 1, bucket_lower_bound(b + 1));
+            assert_eq!(bucket_of(bucket_lower_bound(b)), b);
+            assert_eq!(bucket_of(bucket_upper_bound(b)), b);
         }
     }
 

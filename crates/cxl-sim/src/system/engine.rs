@@ -69,6 +69,29 @@ pub enum BatchPause {
     Fault(Vpn),
 }
 
+/// How many accesses each engine path served: a deterministic work
+/// count — it depends on the simulated run only, never on the host or on
+/// the chunk capacity — read through [`System::access_paths`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccessPaths {
+    /// Accesses served by the quiet loop of [`System::access_batch`].
+    pub quiet: u64,
+    /// Accesses served by the fully-checked [`System::try_access`].
+    pub checked: u64,
+}
+
+impl AccessPaths {
+    /// The quiet loop's share of all accesses (zero before any access).
+    pub fn quiet_share(&self) -> f64 {
+        let total = self.quiet + self.checked;
+        if total == 0 {
+            0.0
+        } else {
+            self.quiet as f64 / total as f64
+        }
+    }
+}
+
 /// Per-run state threaded through [`System::access_batch`] calls: the
 /// access count and the op-latency histogram (ops may straddle chunk
 /// boundaries, so this outlives any single chunk).
@@ -189,6 +212,16 @@ impl System {
         }
     }
 
+    /// Accesses served by each engine path since this machine was built
+    /// or restored. Kept out of checkpoints, reports and telemetry, so
+    /// reading it perturbs nothing.
+    pub fn access_paths(&self) -> AccessPaths {
+        AccessPaths {
+            quiet: self.quiet_accesses,
+            checked: self.checked_accesses,
+        }
+    }
+
     /// Performs one memory access, advancing the clock by its latency.
     ///
     /// # Panics
@@ -228,7 +261,26 @@ impl System {
         }
 
         let (pte, latency, hinting_fault) = self.translate(vaddr, is_write)?;
-        Ok(self.access_frame(vaddr, pte.pfn, is_write, latency, hinting_fault, true))
+        self.checked_accesses += 1;
+        let ras_extra = self.cxl_ras_extra();
+        Ok(self.access_frame(
+            vaddr,
+            pte.pfn,
+            is_write,
+            latency,
+            hinting_fault,
+            true,
+            ras_extra,
+        ))
+    }
+
+    /// What a degraded link adds to one CXL fill: the retrained link slows
+    /// every fill in proportion to the nominal node latency. Zero at full
+    /// link speed, which includes every run that never saw a RAS fault.
+    #[inline]
+    fn cxl_ras_extra(&self) -> Nanos {
+        self.ras
+            .extra_latency(NodeId::Cxl, self.memory.node(NodeId::Cxl).access_latency())
     }
 
     /// Translates `vaddr` for one access: a hinting fault on a
@@ -294,13 +346,19 @@ impl System {
     /// translation's share.
     ///
     /// `faults_active = false` is the batch fast path: the caller has
-    /// proven the injector quiescent up to a horizon (no stall window, no
+    /// proven the injector idle up to a horizon (no stall window, no
     /// latency spike, no pending poison), so the per-access fault queries
-    /// compile down to constants. With a quiescent injector both variants
-    /// are exactly equivalent — `controller_stalled` is false,
-    /// `cxl_extra_latency` is zero, `take_poisoned_read` is false — which
-    /// keeps the chunked driver byte-identical to the per-access loop.
+    /// are skipped. With an idle injector both variants are exactly
+    /// equivalent — `controller_stalled` is false, `cxl_extra_latency` is
+    /// zero, `take_poisoned_read` is false — which keeps the chunked
+    /// driver byte-identical to the per-access loop.
+    ///
+    /// `ras_extra` is [`System::cxl_ras_extra`], added to every CXL fill.
+    /// The link factor behind it changes only when a RAS fault is
+    /// delivered or a RAS service epoch runs, both at batch boundaries,
+    /// so a quiet segment computes it once at its start.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn access_frame(
         &mut self,
         vaddr: VirtAddr,
@@ -309,6 +367,7 @@ impl System {
         mut latency: Nanos,
         hinting_fault: bool,
         faults_active: bool,
+        ras_extra: Nanos,
     ) -> AccessOutcome {
         let costs = self.config.costs;
         let word = WordIndex(vaddr.word_index().0);
@@ -332,15 +391,9 @@ impl System {
                 }
             }
             if node == NodeId::Cxl {
+                latency += ras_extra;
                 if faults_active {
                     latency += self.faults.cxl_extra_latency(now);
-                    if !self.ras.quiescent() {
-                        // Degraded-link penalty scales with the nominal
-                        // node latency (a retrained link slows every fill).
-                        latency += self
-                            .ras
-                            .extra_latency(node, self.memory.node(node).access_latency());
-                    }
                     if self.faults.take_poisoned_read() {
                         // Uncorrectable ECC on the fill: the kernel's
                         // memory-failure path isolates the line, re-fetches,
@@ -463,12 +516,13 @@ impl System {
                 }
             }
 
-            // Hot segment: while the injector is provably quiescent and no
-            // flush or wake boundary has been reached, `service_faults`,
-            // the flush-interval check, and the per-access fault queries
-            // are all no-ops — skip them wholesale up to the horizon.
+            // Hot segment: while the injector is provably idle and no
+            // flush, wake or scheduled-fault boundary has been reached,
+            // `service_faults`, the flush-interval check, and the
+            // per-access fault queries are all no-ops — skip them
+            // wholesale up to the horizon.
             let now = self.clock.now();
-            if self.faults_idle(now) && self.ras.quiescent() {
+            if self.faults_idle(now) {
                 let mut horizon = deadline.unwrap_or(Nanos(u64::MAX));
                 if let Some(interval) = self.config.tlb_flush_interval {
                     horizon = horizon.min(self.last_tlb_flush + interval);
@@ -477,6 +531,11 @@ impl System {
                     horizon = horizon.min(at);
                 }
                 if now < horizon {
+                    // RAS health moves only at boundaries (fault delivery,
+                    // service epochs), so the link penalty is a constant.
+                    let ras_extra = self.cxl_ras_extra();
+                    let start = st.n;
+                    let mut fault = None;
                     // Same-page reuse: the previous access of this segment
                     // stored its page's flags and left the translation at
                     // its TLB set's MRU position (by hitting or inserting
@@ -507,22 +566,35 @@ impl System {
                                 (pte.pfn, latency, hinting_fault)
                             }
                         };
-                        self.access_frame(vaddr, pfn, is_write, latency, hinting_fault, false);
+                        self.access_frame(
+                            vaddr,
+                            pfn,
+                            is_write,
+                            latency,
+                            hinting_fault,
+                            false,
+                            ras_extra,
+                        );
                         idx += 1;
                         st.n += 1;
                         if w & CHUNK_OP_END_BIT != 0 {
                             st.record_op_end(self.clock.now());
                         }
                         if hinting_fault {
-                            return (idx, BatchPause::Fault(vpn));
+                            fault = Some(vpn);
+                            break;
                         }
+                    }
+                    self.quiet_accesses += st.n - start;
+                    if let Some(vpn) = fault {
+                        return (idx, BatchPause::Fault(vpn));
                     }
                     executed = true;
                     continue;
                 }
             }
 
-            // Boundary (or non-quiescent injector): one fully-checked
+            // Boundary (or a fault open now): one fully-checked
             // access, then re-evaluate.
             let w = words[idx];
             let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);

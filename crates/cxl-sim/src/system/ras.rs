@@ -31,14 +31,18 @@ pub struct RasServiceReport {
 }
 
 impl System {
-    /// Whether [`System::service_faults`] is a no-op at `now`: a quiescent
-    /// injector with no unseen log entries and no open fault-window span.
-    /// True throughout fault-free operation (every golden run, most
-    /// benches).
+    /// Whether [`System::service_faults`] is a no-op at `now`: an idle
+    /// injector ([`FaultInjector::idle`](crate::faults::FaultInjector::idle)),
+    /// and with telemetry on no untraced log entries and no open
+    /// fault-window span. True throughout fault-free operation (every
+    /// golden run, most benches) and between the faults of a live plan.
     #[inline]
     pub(super) fn faults_idle(&self, now: Nanos) -> bool {
-        self.faults.quiescent(now)
-            && self.fault_events_seen == self.faults.log().len()
+        self.faults.idle(now)
+            // Only `trace_faults` advances the cursor, and it runs only
+            // with telemetry on; the cursor is checkpointed, so it is
+            // tested here rather than advanced with telemetry off.
+            && (!self.telemetry_on || self.fault_events_seen == self.faults.log().len())
             && self.spike_span.is_none()
             && self.stall_span.is_none()
             && self.pressure_span.is_none()
@@ -58,7 +62,7 @@ impl System {
         while let Some(f) = self.faults.pop_ras_fault() {
             self.ras_record(f);
         }
-        if self.telemetry.is_enabled() {
+        if self.telemetry_on {
             self.trace_faults();
         }
     }

@@ -434,6 +434,8 @@ impl System {
             ras,
             evac_span: misc.spans[3],
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
+            quiet_accesses: 0,
+            checked_accesses: 0,
             config,
         };
         // The checkpoint flushed before capture, so the restored registry

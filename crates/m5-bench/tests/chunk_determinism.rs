@@ -12,11 +12,15 @@
 //! that misalign with every internal cadence, and at the default.
 //!
 //! `run_per_access` is kept in-tree precisely as this test's oracle.
+//!
+//! Every chunked variant must also split its accesses between the quiet
+//! loop and the checked path identically ([`System::access_paths`]): the
+//! split is a function of the simulated run, never of the chunk size.
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::report::RunReport;
-use cxl_sim::system::{run_chunked, run_per_access, ChunkedRun};
+use cxl_sim::system::{run_chunked, run_per_access, AccessPaths, ChunkedRun};
 use m5_baselines::anb::{Anb, AnbConfig};
 use m5_bench::golden::{self, GOLDENS};
 use m5_core::manager::{M5Config, M5Manager};
@@ -36,7 +40,8 @@ type Driver =
     dyn Fn(&mut System, &mut ReplayWorkload, &mut (dyn MigrationDaemon + Send), u64) -> RunReport;
 
 /// Runs one workload under `daemon_new()` with telemetry enabled and the
-/// given driver, returning the full rendered snapshot + report.
+/// given driver, returning the full rendered snapshot + report, and the
+/// engine-path split.
 /// `contended` enables the queueing timing model with that CXL background
 /// load — the determinism contract must hold with contention state in the
 /// loop too.
@@ -49,7 +54,7 @@ fn observe(
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
     drive: &Driver,
-) -> (String, String) {
+) -> ((String, String), AccessPaths) {
     let (mut sys, region) = match contended {
         Some(bg) => m5_bench::standard_contended_system_with_faults(spec, plan, bg),
         None => m5_bench::standard_system_with_faults(spec, plan),
@@ -60,7 +65,7 @@ fn observe(
     let report = drive(&mut sys, &mut wl, daemon.as_mut(), accesses);
     sys.telemetry_mut().flush();
     let snap = golden::render("determinism", &sys.telemetry().snapshot());
-    (snap, format!("{report:?}"))
+    ((snap, format!("{report:?}")), sys.access_paths())
 }
 
 /// Asserts every chunked variant matches the per-access
@@ -75,7 +80,7 @@ fn assert_all_drivers_match(
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
 ) {
-    let reference = observe(
+    let (reference, _) = observe(
         spec,
         plan,
         seed,
@@ -84,8 +89,9 @@ fn assert_all_drivers_match(
         daemon_new,
         &|s, w, d, m| run_per_access(s, w, d, m),
     );
+    let mut first_paths: Option<AccessPaths> = None;
     for cap in CAPS {
-        let chunked = observe(
+        let (chunked, paths) = observe(
             spec,
             plan,
             seed,
@@ -98,7 +104,12 @@ fn assert_all_drivers_match(
             chunked, reference,
             "{label}: run_chunked(cap={cap}) diverged from per-access"
         );
-        let two_legs = observe(
+        let first = *first_paths.get_or_insert(paths);
+        assert_eq!(
+            paths, first,
+            "{label}: run_chunked(cap={cap}) split its accesses differently"
+        );
+        let (two_legs, paths) = observe(
             spec,
             plan,
             seed,
@@ -115,6 +126,10 @@ fn assert_all_drivers_match(
         assert_eq!(
             two_legs, reference,
             "{label}: two drive_to legs (cap={cap}) diverged from per-access"
+        );
+        assert_eq!(
+            paths, first,
+            "{label}: two drive_to legs (cap={cap}) split their accesses differently"
         );
     }
 }
@@ -211,5 +226,40 @@ fn contended_runs_match_per_access_at_every_chunk_size() {
         ACCESSES,
         Some(0.7),
         &m5_daemon,
+    );
+}
+
+/// With telemetry off, a plan whose faults all fire early must leave the
+/// rest of the run to the quiet loop — the fault log alone must not latch
+/// the checked path — and still match the per-access oracle. The chaos
+/// plan mixes every class, RAS faults included, so the tail also runs on
+/// a degraded link.
+#[test]
+fn telemetry_off_chaos_run_serves_its_tail_quiet() {
+    let spec = GOLDENS[2].benchmark.spec();
+    let plan = FaultPlan::chaos(7, Nanos::from_micros(500));
+    let run = |chunked: bool| {
+        let (mut sys, region) = m5_bench::standard_system_with_faults(&spec, &plan);
+        let mut wl = spec.build(region.base, ACCESSES, 42);
+        let mut daemon = M5Manager::new(M5Config::default());
+        let report = if chunked {
+            run_chunked(&mut sys, &mut wl, &mut daemon, ACCESSES, 509)
+        } else {
+            run_per_access(&mut sys, &mut wl, &mut daemon, ACCESSES)
+        };
+        (report, sys.access_paths(), sys.fault_log().len())
+    };
+    let (oracle, _, _) = run(false);
+    let (report, paths, fired) = run(true);
+    assert_eq!(report, oracle, "chunked run diverged from per-access");
+    assert_eq!(fired, plan.len(), "every fault fires inside the run");
+    assert!(
+        oracle.total_time > Nanos::from_millis(2),
+        "the run outlasts its faults by a long tail"
+    );
+    assert_eq!(paths.quiet + paths.checked, ACCESSES);
+    assert!(
+        paths.quiet_share() >= 0.9,
+        "quiet loop served only {paths:?} of the accesses"
     );
 }

@@ -13,7 +13,7 @@
 //! and epoch rollovers landing between segments, and split points that
 //! cut a chunk anywhere.
 
-use cxl_sim::faults::{FaultKind, FaultPlan};
+use cxl_sim::faults::{DeviceFault, FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::system::{run_chunked, run_per_access, Region, DEFAULT_CHUNK_ACCESSES};
 use m5_baselines::anb::{Anb, AnbConfig};
@@ -24,8 +24,13 @@ use m5_workloads::access::{AccessRecorder, ReplayWorkload};
 use proptest::prelude::*;
 
 /// A fault plan whose spike/stall/poison/pressure windows all land inside
-/// even the shortest generated run (a few hundred accesses simulate tens
-/// of microseconds on the scaled machine).
+/// even the shortest generated run (a few hundred accesses simulate a few
+/// hundred microseconds on the contended scaled machine). A correctable
+/// error and a link degrade put the rest of the run on a slow link, so
+/// quiet segments add the RAS penalty to their CXL fills; a controller
+/// reset at an unreachable journal step and a copy failure stay pending
+/// without stopping the quiet loop; and a poisoned read after a long
+/// quiet stretch makes the scheduled-fault horizon cut a segment.
 fn active_plan() -> FaultPlan {
     FaultPlan::none()
         .with(
@@ -34,6 +39,22 @@ fn active_plan() -> FaultPlan {
                 extra: Nanos::from_micros(1),
                 duration: Nanos::from_micros(3),
             },
+        )
+        .with(
+            Nanos::from_micros(2),
+            FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 3 }),
+        )
+        .with(
+            Nanos::from_micros(3),
+            FaultKind::Device(DeviceFault::LinkDegrade { factor: 200 }),
+        )
+        .with(
+            Nanos::from_micros(4),
+            FaultKind::ControllerReset { at_step: 1 << 40 },
+        )
+        .with(
+            Nanos::from_micros(6),
+            FaultKind::MigrationCopyFail { attempts: 2 },
         )
         .with(
             Nanos::from_micros(5),
@@ -48,7 +69,14 @@ fn active_plan() -> FaultPlan {
                 duration: Nanos::from_micros(4),
             },
         )
+        .with(
+            Nanos::from_micros(LATE_FAULT_US),
+            FaultKind::PoisonLine { reads: 2 },
+        )
 }
+
+/// When [`active_plan`]'s last fault fires, long after the others.
+const LATE_FAULT_US: u64 = 150;
 
 /// The default M5 manager, or with `fast_epochs` one whose Elector
 /// period is 20–200 µs instead of 2–20 ms and whose migration time quota

@@ -22,9 +22,26 @@ const BENCH: Benchmark = Benchmark::Redis;
 
 /// Spike, stall, poison, and DDR-pressure windows inside the run's first
 /// few simulated milliseconds, so boundary accesses and quiet segments
-/// alternate throughout.
+/// alternate throughout. A correctable error and a link degrade early on
+/// leave every later quiet segment adding the RAS penalty to its CXL
+/// fills; a controller reset at an unreachable journal step and a copy
+/// failure stay pending without stopping the quiet loop; and a poisoned
+/// read after a long quiet stretch makes the scheduled-fault horizon cut
+/// a segment.
 fn plan() -> FaultPlan {
     FaultPlan::none()
+        .with(
+            Nanos::from_micros(100),
+            FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 5 }),
+        )
+        .with(
+            Nanos::from_micros(200),
+            FaultKind::Device(DeviceFault::LinkDegrade { factor: 150 }),
+        )
+        .with(
+            Nanos::from_micros(250),
+            FaultKind::ControllerReset { at_step: 1 << 40 },
+        )
         .with(
             Nanos::from_micros(300),
             FaultKind::LatencySpike {
@@ -48,7 +65,15 @@ fn plan() -> FaultPlan {
                 duration: Nanos::from_micros(400),
             },
         )
+        .with(
+            Nanos::from_micros(2_500),
+            FaultKind::MigrationCopyFail { attempts: 2 },
+        )
+        .with(LATE_FAULT, FaultKind::PoisonLine { reads: 2 })
 }
+
+/// When [`plan`]'s last fault fires, long after the others.
+const LATE_FAULT: Nanos = Nanos::from_millis(50);
 
 fn config() -> SystemConfig {
     let pages = BENCH.spec().footprint_pages;
@@ -82,9 +107,10 @@ fn chunked_engine_matches_per_access_oracle() {
     let oracle = run_per_access(&mut sys, &mut wl, &mut m5, ACCESSES);
     assert_eq!(oracle.accesses, ACCESSES, "workload ended early");
     let oracle_snap = rendered_snapshot(&mut sys);
-    assert!(
-        !sys.fault_log().is_empty(),
-        "the fault plan never fired: the boundary path went untested"
+    assert_eq!(
+        sys.fault_log().len(),
+        plan().len(),
+        "a fault never fired: its boundary went untested"
     );
     assert!(
         oracle.migrations.promotions > 0,
