@@ -146,12 +146,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns this config with the migration watchdog deadline overridden.
-    pub fn with_migration_watchdog(mut self, deadline: Nanos) -> SystemConfig {
-        self.migration_watchdog = deadline;
-        self
-    }
-
     /// Returns this config with the RAS policy overridden.
     pub fn with_ras(mut self, ras: RasConfig) -> SystemConfig {
         self.ras = ras;

@@ -52,63 +52,10 @@ pub trait CxlDevice: Any + Send {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DeviceHandle(usize);
 
-/// One attached near-memory function, dispatched statically where the
-/// concrete type lives in this crate.
-///
-/// The simulator's own devices get their own variants so the per-access
-/// snoop fan-out is a direct call with no vtable load; everything defined
-/// downstream (profilers, trackers, PEBS, test probes) rides in the
-/// [`AttachedDevice::Dyn`] variant, which preserves the original
-/// `Box<dyn CxlDevice>` behaviour exactly.
-pub enum AttachedDevice {
-    /// A [`crate::trace::TraceCapture`], dispatched statically.
-    Trace(crate::trace::TraceCapture),
-    /// Any other device, dispatched through its vtable.
-    Dyn(Box<dyn CxlDevice>),
-}
-
-impl AttachedDevice {
-    #[inline]
-    fn on_access(&mut self, line: CacheLineAddr, is_write: bool, now: Nanos) {
-        match self {
-            AttachedDevice::Trace(t) => t.on_access(line, is_write, now),
-            AttachedDevice::Dyn(d) => d.on_access(line, is_write, now),
-        }
-    }
-
-    fn on_fault(&mut self, fault: DeviceFault) {
-        match self {
-            AttachedDevice::Trace(t) => t.on_fault(fault),
-            AttachedDevice::Dyn(d) => d.on_fault(fault),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            AttachedDevice::Trace(t) => t.name(),
-            AttachedDevice::Dyn(d) => d.name(),
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        match self {
-            AttachedDevice::Trace(t) => t,
-            AttachedDevice::Dyn(d) => d.as_any(),
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        match self {
-            AttachedDevice::Trace(t) => t,
-            AttachedDevice::Dyn(d) => d.as_any_mut(),
-        }
-    }
-}
-
 /// The controller: a registry of devices plus the snoop fan-out.
 #[derive(Default)]
 pub struct CxlController {
-    devices: Vec<AttachedDevice>,
+    devices: Vec<Box<dyn CxlDevice>>,
 }
 
 impl CxlController {
@@ -118,33 +65,8 @@ impl CxlController {
     }
 
     /// Attaches a device; the returned handle retrieves it later.
-    ///
-    /// Devices whose concrete type this crate knows are routed to a static
-    /// [`AttachedDevice`] variant; anything else is boxed as before.
     pub fn attach<D: CxlDevice>(&mut self, device: D) -> DeviceHandle {
-        // Stable-Rust specialization: downcast the concrete `Option<D>`
-        // to claim crate-native types by value without a second box.
-        let mut slot = Some(device);
-        let any: &mut dyn Any = &mut slot;
-        let entry = match any.downcast_mut::<Option<crate::trace::TraceCapture>>() {
-            Some(t) => AttachedDevice::Trace(
-                t.take()
-                    .expect("slot was filled above and taken at most once"),
-            ),
-            None => AttachedDevice::Dyn(Box::new(
-                slot.take()
-                    .expect("downcast missed, so the slot still holds the device"),
-            )),
-        };
-        self.devices.push(entry);
-        DeviceHandle(self.devices.len() - 1)
-    }
-
-    /// Attaches an already-boxed device on the dynamic path, bypassing the
-    /// static routing in [`CxlController::attach`] — the plugin/test
-    /// escape hatch for exercising the vtable dispatch itself.
-    pub fn attach_dyn(&mut self, device: Box<dyn CxlDevice>) -> DeviceHandle {
-        self.devices.push(AttachedDevice::Dyn(device));
+        self.devices.push(Box::new(device));
         DeviceHandle(self.devices.len() - 1)
     }
 
@@ -242,9 +164,12 @@ mod tests {
 
     #[test]
     fn snoop_fans_out_to_all_devices() {
+        use crate::trace::TraceCapture;
         let mut ctl = CxlController::new();
         let h1 = ctl.attach(counting());
+        let h_trace = ctl.attach(TraceCapture::new());
         let h2 = ctl.attach(counting());
+        assert!(ctl.has_devices());
         ctl.snoop(CacheLineAddr(7), false, Nanos(1));
         ctl.snoop(CacheLineAddr(8), true, Nanos(2));
         for h in [h1, h2] {
@@ -253,6 +178,12 @@ mod tests {
             assert_eq!(d.writes, 1);
             assert_eq!(d.last, Some(CacheLineAddr(8)));
         }
+        let t: &TraceCapture = ctl.device(h_trace).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.records()[1].line, CacheLineAddr(8));
+        assert!(t.records()[1].is_write);
+        let t: &mut TraceCapture = ctl.device_mut(h_trace).unwrap();
+        assert_eq!(t.name(), "trace-capture");
     }
 
     #[test]
@@ -282,35 +213,5 @@ mod tests {
         ctl.attach(counting());
         assert!(format!("{ctl:?}").contains("counter"));
         assert_eq!(ctl.device_count(), 1);
-    }
-
-    #[test]
-    fn trace_capture_routes_to_static_variant() {
-        use crate::trace::TraceCapture;
-        let mut ctl = CxlController::new();
-        let h = ctl.attach(TraceCapture::new());
-        assert!(matches!(ctl.devices[0], AttachedDevice::Trace(_)));
-        ctl.snoop(CacheLineAddr(3), true, Nanos(5));
-        let t: &TraceCapture = ctl.device(h).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.records()[0].line, CacheLineAddr(3));
-        let t: &mut TraceCapture = ctl.device_mut(h).unwrap();
-        assert_eq!(t.name(), "trace-capture");
-    }
-
-    #[test]
-    fn attach_dyn_keeps_the_vtable_path() {
-        let mut ctl = CxlController::new();
-        // Even a crate-native type stays dynamic when boxed explicitly.
-        let h_trace = ctl.attach_dyn(Box::new(crate::trace::TraceCapture::new()));
-        let h_count = ctl.attach_dyn(Box::new(counting()));
-        assert!(matches!(ctl.devices[0], AttachedDevice::Dyn(_)));
-        assert!(matches!(ctl.devices[1], AttachedDevice::Dyn(_)));
-        ctl.snoop(CacheLineAddr(1), false, Nanos(0));
-        let t: &crate::trace::TraceCapture = ctl.device(h_trace).unwrap();
-        assert_eq!(t.len(), 1);
-        let d: &CountingDevice = ctl.device(h_count).unwrap();
-        assert_eq!(d.reads, 1);
-        assert!(ctl.has_devices());
     }
 }

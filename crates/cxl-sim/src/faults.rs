@@ -522,20 +522,6 @@ impl FaultInjector {
             && self.ras_queue.is_empty()
     }
 
-    /// Whether the injector has nothing left to do at all from `now` on:
-    /// [`idle`], the schedule exhausted, and no pending copy failure,
-    /// controller reset or torn checkpoint.
-    ///
-    /// [`idle`]: FaultInjector::idle
-    #[inline]
-    pub fn quiescent(&self, now: Nanos) -> bool {
-        self.idle(now)
-            && self.next >= self.schedule.len()
-            && self.copy_fail_pending == 0
-            && self.reset_steps.is_empty()
-            && self.torn_sections.is_empty()
-    }
-
     /// The trigger time of the earliest scheduled fault [`poll`] has not
     /// yet armed, or `None` when the schedule is exhausted. Combined with
     /// [`idle`], this bounds how long the injector is *guaranteed* to stay
@@ -991,22 +977,19 @@ mod tests {
         assert!(inj.take_torn_checkpoint().is_none());
         inj.poll(Nanos(10));
         assert!(inj.torn_checkpoint_pending());
-        assert!(!inj.quiescent(Nanos(15)));
         assert_eq!(inj.take_torn_checkpoint(), Some(3));
         assert!(inj.take_torn_checkpoint().is_none());
         inj.poll(Nanos(25));
         assert_eq!(inj.take_torn_checkpoint(), Some(0));
         assert!(!inj.torn_checkpoint_pending());
-        assert!(inj.quiescent(Nanos(25)));
         assert_eq!(inj.count_of(FaultClass::TornCheckpoint), 2);
     }
 
     #[test]
-    fn a_future_fault_is_idle_but_not_quiescent() {
+    fn a_future_fault_is_idle_until_due() {
         let plan = FaultPlan::none().with(Nanos(100), FaultKind::PoisonLine { reads: 1 });
         let mut inj = FaultInjector::from_plan(&plan);
         assert!(inj.idle(Nanos(99)));
-        assert!(!inj.quiescent(Nanos(99)));
         assert_eq!(inj.next_scheduled(), Some(Nanos(100)));
         // Due but not yet polled: the next access must poll, so not idle.
         assert!(!inj.idle(Nanos(100)));
@@ -1014,11 +997,10 @@ mod tests {
         assert!(!inj.idle(Nanos(100)), "a pending poisoned read is visible");
         assert!(inj.take_poisoned_read());
         assert!(inj.idle(Nanos(100)));
-        assert!(inj.quiescent(Nanos(100)));
     }
 
     #[test]
-    fn boundary_only_consumables_are_idle_but_not_quiescent() {
+    fn boundary_only_consumables_stay_idle() {
         for kind in [
             FaultKind::MigrationCopyFail { attempts: 2 },
             FaultKind::ControllerReset { at_step: 1 << 40 },
@@ -1027,7 +1009,12 @@ mod tests {
             let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
             inj.poll(Nanos(10));
             assert!(inj.idle(Nanos(10)), "{kind:?} pending");
-            assert!(!inj.quiescent(Nanos(10)), "{kind:?} pending");
+            let armed = match kind {
+                FaultKind::MigrationCopyFail { .. } => inj.take_copy_failure(),
+                FaultKind::ControllerReset { .. } => inj.reset_pending(),
+                _ => inj.torn_checkpoint_pending(),
+            };
+            assert!(armed, "{kind:?} stays armed for its boundary");
         }
     }
 

@@ -107,9 +107,6 @@ pub struct MigrationTxn {
     pub shadow: Option<Pfn>,
     /// Current state.
     pub state: TxnState,
-    /// Whether a failed outcome should count one rejected migration (the
-    /// counted/uncounted split is a commit-time flag, not two code paths).
-    pub counted: bool,
     /// The telemetry span opened for this transaction, ended at the
     /// terminal transition (or during recovery).
     pub span: Option<SpanId>,
@@ -183,7 +180,7 @@ impl MigrationJournal {
 
     /// Opens a transaction for moving `vpn` (currently on `src`) to `dst`,
     /// appending its `Intent` record. One journal step.
-    pub fn begin(&mut self, vpn: Vpn, src: Pfn, dst: NodeId, counted: bool) -> TxnId {
+    pub fn begin(&mut self, vpn: Vpn, src: Pfn, dst: NodeId) -> TxnId {
         let id = TxnId(self.next_id);
         self.next_id += 1;
         self.steps += 1;
@@ -194,7 +191,6 @@ impl MigrationJournal {
             dst,
             shadow: None,
             state: TxnState::Intent,
-            counted,
             span: None,
         });
         id
@@ -325,7 +321,6 @@ impl MigrationJournal {
                 TxnState::Aborted => 4,
                 TxnState::RolledBack => 5,
             });
-            w.put_bool(t.counted);
         }
         w.put_u64(self.next_id);
         w.put_u64(self.steps);
@@ -379,7 +374,6 @@ impl MigrationJournal {
                     })
                 }
             };
-            let counted = r.get_bool()?;
             open.push(MigrationTxn {
                 id,
                 vpn,
@@ -387,7 +381,6 @@ impl MigrationJournal {
                 dst,
                 shadow,
                 state,
-                counted,
                 span: None,
             });
         }
@@ -428,7 +421,7 @@ mod tests {
     #[test]
     fn begin_and_commit_walk_the_state_machine() {
         let mut j = MigrationJournal::new();
-        let id = j.begin(Vpn(1), SRC, NodeId::Ddr, true);
+        let id = j.begin(Vpn(1), SRC, NodeId::Ddr);
         assert_eq!(j.steps(), 1);
         assert_eq!(j.open().len(), 1);
         j.set_shadow(id, Pfn(7));
@@ -444,12 +437,12 @@ mod tests {
     #[test]
     fn terminal_states_are_tallied_by_kind() {
         let mut j = MigrationJournal::new();
-        let a = j.begin(Vpn(1), SRC, NodeId::Ddr, true);
+        let a = j.begin(Vpn(1), SRC, NodeId::Ddr);
         j.transition(a, TxnState::Aborted);
-        let b = j.begin(Vpn(2), SRC, NodeId::Cxl, false);
+        let b = j.begin(Vpn(2), SRC, NodeId::Cxl);
         j.transition(b, TxnState::CopyInProgress);
         j.transition(b, TxnState::RolledBack);
-        let c = j.begin(Vpn(3), SRC, NodeId::Cxl, true);
+        let c = j.begin(Vpn(3), SRC, NodeId::Cxl);
         j.transition(c, TxnState::CopyInProgress);
         j.transition(c, TxnState::Remapped);
         j.transition(c, TxnState::Committed);
@@ -464,7 +457,7 @@ mod tests {
     #[test]
     fn fence_and_recovery_drain() {
         let mut j = MigrationJournal::new();
-        let id = j.begin(Vpn(9), SRC, NodeId::Ddr, true);
+        let id = j.begin(Vpn(9), SRC, NodeId::Ddr);
         j.transition(id, TxnState::CopyInProgress);
         j.fence();
         assert!(j.is_fenced());

@@ -29,9 +29,9 @@
 //!   (or the evacuation deadline expired with residual pages), reported in
 //!   an [`EvacuationReport`].
 //!
-//! Like [`crate::faults::FaultInjector`], the whole layer is **quiescent**
-//! when no RAS fault has ever been delivered: fault-free runs take none of
-//! these branches and stay byte-identical to a build without this module.
+//! The whole layer is **quiescent** when no RAS fault has ever been
+//! delivered: fault-free runs take none of these branches and stay
+//! byte-identical to a build without this module.
 
 use crate::faults::DeviceFault;
 use crate::memory::NodeId;

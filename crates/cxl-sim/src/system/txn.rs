@@ -41,10 +41,11 @@ impl System {
         self.migrate_txn(vpn, dst, false)
     }
 
-    /// The single migration entry point: counted/uncounted is a flag on the
-    /// transaction, not a separate code path.
+    /// The single migration entry point: counted/uncounted decides only
+    /// whether a failure counts one rejected migration; the transaction
+    /// is the same either way.
     fn migrate_txn(&mut self, vpn: Vpn, dst: NodeId, counted: bool) -> Result<(), MigrateError> {
-        let r = self.migrate_txn_inner(vpn, dst, counted);
+        let r = self.migrate_txn_inner(vpn, dst);
         if counted && r.is_err() {
             self.note_rejected_migrations(1);
         }
@@ -98,12 +99,7 @@ impl System {
         }
     }
 
-    fn migrate_txn_inner(
-        &mut self,
-        vpn: Vpn,
-        dst: NodeId,
-        counted: bool,
-    ) -> Result<(), MigrateError> {
+    fn migrate_txn_inner(&mut self, vpn: Vpn, dst: NodeId) -> Result<(), MigrateError> {
         self.service_faults();
         if self.journal.is_fenced() {
             return Err(MigrateError::NeedsRecovery);
@@ -134,7 +130,7 @@ impl System {
         let costs = self.config.costs;
 
         // Phase 1 — Intent: the write-ahead promise.
-        let id = self.journal.begin(vpn, src, dst, counted);
+        let id = self.journal.begin(vpn, src, dst);
         if self.telemetry.is_enabled() {
             let span = self.telemetry.span_start(
                 self.clock.now().0,

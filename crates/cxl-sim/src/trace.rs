@@ -59,11 +59,6 @@ impl TraceCapture {
         &self.records
     }
 
-    /// Consumes the capture, returning the trace.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-
     /// Number of records captured.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -1,11 +1,14 @@
 //! Hot-path micro-benchmarks: the streaming trackers' update loops, the
-//! per-access pipeline with a PAC snooping, and page migration.
+//! per-access pipeline with no device and with a PAC snooping, and page
+//! migration.
 //!
 //! The hardware requirement (§5.1) is one tracker update per 2.5 ns (tCCD
 //! of DDR4-3200) — the software models obviously don't hit that, but their
 //! relative throughput matters for simulation turnaround, and the update
-//! paths are the hot loops of every figure harness. The device-free access
-//! path is timed by the `throughput` bench's `micro_random` suite.
+//! paths are the hot loops of every figure harness. The two access cases
+//! replay the same random stream on the same machine, so their difference
+//! is the cost of the snoop fan-out. End-to-end host time is measured by
+//! the `m5-benchmark` crate, not here.
 //!
 //! Each case runs once to warm up, then `SAMPLES` timed times; the line
 //! printed is the mean time per run and the elements processed per second.
@@ -103,6 +106,13 @@ fn bench_sim() {
     let n = 100_000u64;
     let mut rng = SmallRng::seed_from_u64(5);
     let addrs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4096u64 * 4096)).collect();
+    let (mut sys, region) = setup(4096);
+    time_case("system_access/random_no_devices", n, || {
+        for &a in &addrs {
+            black_box(sys.access(region.base.offset(a), false));
+        }
+    });
+
     let (mut sys, region) = setup(4096);
     sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
     time_case("system_access/random_with_pac", n, || {

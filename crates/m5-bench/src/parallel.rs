@@ -12,9 +12,7 @@
 //! sequential counterparts: same specs in, same artifact text out
 //! (`tests/crash_sweep.rs` and `tests/soak.rs` assert exactly this).
 
-use crate::crash_sweep::{
-    baseline, run_with_reset, run_with_reset_from_seed, seed_checkpoint, SweepRun, SweepSpec,
-};
+use crate::crash_sweep::{baseline, run_with_reset, SweepRun, SweepSpec};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -86,30 +84,6 @@ pub fn crash_sweep_parallel(s: &SweepSpec) -> SweepOutcome {
 pub fn crash_sweep_sequential(s: &SweepSpec) -> SweepOutcome {
     let base = baseline(s);
     let points = (1..=base.steps).map(|k| run_with_reset(s, k)).collect();
-    SweepOutcome {
-        baseline: base,
-        points,
-    }
-}
-
-/// Runs one workload's crash sweep seeded from a mid-run checkpoint:
-/// points striking inside the snapshotted prefix (`1..=seed.steps`)
-/// replay the whole workload as usual; points in the tail restore the
-/// snapshot and run only the remainder, halving the sweep's total work
-/// when the seed sits at the midpoint. Byte-identical outcomes to the
-/// unseeded sweep are NOT guaranteed for prefix-overlapping bookkeeping
-/// (the injector arms at restore time, not t=0), but the sweep contract —
-/// reset fires, budget completes, invariants hold — is checked the same.
-pub fn crash_sweep_seeded(s: &SweepSpec, seed_at_accesses: u64) -> SweepOutcome {
-    let base = baseline(s);
-    let seed = seed_checkpoint(s, seed_at_accesses);
-    let points = par_indexed((1..=base.steps).collect(), |at_step| {
-        if at_step > seed.steps {
-            run_with_reset_from_seed(s, &seed, at_step)
-        } else {
-            run_with_reset(s, at_step)
-        }
-    });
     SweepOutcome {
         baseline: base,
         points,

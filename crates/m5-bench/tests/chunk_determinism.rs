@@ -16,6 +16,11 @@
 //! Every chunked variant must also split its accesses between the quiet
 //! loop and the checked path identically ([`System::access_paths`]): the
 //! split is a function of the simulated run, never of the chunk size.
+//! For the three goldens the split is pinned exactly ([`PINNED_PATHS`]).
+//! An engine change that keeps every output but serves accesses on the
+//! checked path instead of the quiet loop passes every other oracle;
+//! the pin fails it on every host. A change that moves the split on
+//! purpose updates the pins, as it would a golden line.
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
@@ -68,8 +73,17 @@ fn observe(
     ((snap, format!("{report:?}")), sys.access_paths())
 }
 
+/// The exact `(quiet, checked)` engine-path split of each golden's
+/// [`ACCESSES`]-access run under the M5 manager, by golden name.
+const PINNED_PATHS: [(&str, u64, u64); 3] = [
+    ("graph", 59_996, 4),
+    ("kv", 59_980, 20),
+    ("spec", 59_978, 22),
+];
+
 /// Asserts every chunked variant matches the per-access
-/// reference for one (spec, plan, daemon) configuration.
+/// reference for one (spec, plan, daemon) configuration, and returns the
+/// engine-path split they all share.
 #[allow(clippy::too_many_arguments)]
 fn assert_all_drivers_match(
     label: &str,
@@ -79,7 +93,7 @@ fn assert_all_drivers_match(
     accesses: u64,
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
-) {
+) -> AccessPaths {
     let (reference, _) = observe(
         spec,
         plan,
@@ -132,6 +146,7 @@ fn assert_all_drivers_match(
             "{label}: two drive_to legs (cap={cap}) split their accesses differently"
         );
     }
+    first_paths.expect("CAPS is not empty")
 }
 
 fn m5_daemon() -> BoxedDaemon {
@@ -140,12 +155,14 @@ fn m5_daemon() -> BoxedDaemon {
 
 /// Every golden workload under the M5 manager: graph (PageRank), kv
 /// (uniform Redis), spec (Zipf Mcf) — the exact configurations whose
-/// checked-in goldens the chunked pipeline regenerated.
+/// checked-in goldens the chunked pipeline regenerated — each with its
+/// pinned engine-path split.
 #[test]
 fn golden_workloads_match_per_access_at_every_chunk_size() {
-    for g in &GOLDENS {
+    for (g, (name, quiet, checked)) in GOLDENS.iter().zip(PINNED_PATHS) {
+        assert_eq!(g.name, name, "PINNED_PATHS follows GOLDENS order");
         let spec = g.benchmark.spec();
-        assert_all_drivers_match(
+        let paths = assert_all_drivers_match(
             g.name,
             &spec,
             &FaultPlan::none(),
@@ -153,6 +170,11 @@ fn golden_workloads_match_per_access_at_every_chunk_size() {
             ACCESSES,
             None,
             &m5_daemon,
+        );
+        assert_eq!(
+            paths,
+            AccessPaths { quiet, checked },
+            "{name}: the engine-path split moved; if on purpose, update PINNED_PATHS"
         );
     }
 }

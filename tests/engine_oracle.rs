@@ -7,12 +7,14 @@
 //! M5 run with telemetry on, live fault windows, and the contention model
 //! enabled must produce the same `RunReport` and the same rendered
 //! telemetry snapshot under both, at chunk capacities that cut quiet
-//! segments everywhere. A run checkpointed mid-chunk and restored into a
-//! fresh machine must finish byte-identical to the run that never stopped.
+//! segments everywhere, and must split its accesses between the quiet
+//! loop and the checked path exactly as pinned. A run checkpointed
+//! mid-chunk and restored into a fresh machine must finish byte-identical
+//! to the run that never stopped.
 
 use m5::core::manager::{M5Config, M5Manager};
 use m5::sim::prelude::*;
-use m5::sim::system::{run_chunked, run_per_access, DEFAULT_CHUNK_ACCESSES};
+use m5::sim::system::{run_chunked, run_per_access, AccessPaths, DEFAULT_CHUNK_ACCESSES};
 use m5::workloads::access::ReplayWorkload;
 use m5::workloads::registry::Benchmark;
 
@@ -75,6 +77,15 @@ fn plan() -> FaultPlan {
 /// When [`plan`]'s last fault fires, long after the others.
 const LATE_FAULT: Nanos = Nanos::from_millis(50);
 
+/// The chunked run's exact engine-path split. Every digest and oracle
+/// would still pass if an engine change served quiet accesses on the
+/// checked path; this pin would not. A change that moves the split on
+/// purpose updates it, as it would a golden line.
+const PINNED_PATHS: AccessPaths = AccessPaths {
+    quiet: 199_026,
+    checked: 974,
+};
+
 fn config() -> SystemConfig {
     let pages = BENCH.spec().footprint_pages;
     SystemConfig::scaled_default()
@@ -125,6 +136,11 @@ fn chunked_engine_matches_per_access_oracle() {
             rendered_snapshot(&mut sys),
             oracle_snap,
             "telemetry diverged at chunk cap {cap}"
+        );
+        assert_eq!(
+            sys.access_paths(),
+            PINNED_PATHS,
+            "engine-path split moved at chunk cap {cap}"
         );
     }
 }
