@@ -420,7 +420,6 @@ pub struct FaultInjector {
     device_queue: Vec<DeviceFault>,
     ras_queue: Vec<DeviceFault>,
     log: Vec<FaultEvent>,
-    counts: [u64; FaultClass::ALL.len()],
     poison_repairs: u64,
 }
 
@@ -452,7 +451,6 @@ impl FaultInjector {
             device_queue: Vec::new(),
             ras_queue: Vec::new(),
             log: Vec::new(),
-            counts: [0; FaultClass::ALL.len()],
             poison_repairs: 0,
         }
     }
@@ -467,7 +465,6 @@ impl FaultInjector {
             }
             let f = *f;
             self.next += 1;
-            self.counts[f.kind.class().index()] += 1;
             self.log.push(FaultEvent {
                 at: now,
                 class: f.kind.class(),
@@ -501,40 +498,31 @@ impl FaultInjector {
         }
     }
 
-    /// Whether nothing an *access* can observe is armed at `now`: no
-    /// scheduled fault due, no open latency/stall/pressure window, no
-    /// pending poisoned read, and empty device and RAS queues. Faults
-    /// scheduled after `now` do not count — [`next_scheduled`] bounds how
-    /// long this stays true — and neither do the consumables only
-    /// migrations and checkpoints read (copy failures, reset steps, torn
-    /// sections): those run at batch boundaries, never inside a quiet
-    /// segment.
+    /// The earliest instant after `now` at which what an access observes
+    /// can change without an intervening [`poll`]: the trigger time of the
+    /// next scheduled fault, and the end of every latency-spike, stall and
+    /// DDR-pressure window still open at `now`. `None` when the schedule
+    /// is exhausted and no window is open.
     ///
-    /// [`next_scheduled`]: FaultInjector::next_scheduled
-    #[inline]
-    pub fn idle(&self, now: Nanos) -> bool {
-        self.next_scheduled().is_none_or(|at| at > now)
-            && now >= self.spike_until
-            && now >= self.stall_until
-            && now >= self.pressure_until
-            && self.poison_pending == 0
-            && self.device_queue.is_empty()
-            && self.ras_queue.is_empty()
-    }
-
-    /// The trigger time of the earliest scheduled fault [`poll`] has not
-    /// yet armed, or `None` when the schedule is exhausted. Combined with
-    /// [`idle`], this bounds how long the injector is *guaranteed* to stay
-    /// idle: only [`poll`] opens a window, queues a device fault, or arms
-    /// a poisoned read, and it arms nothing before this instant, so the
-    /// batch driver hoists every per-access fault check out of its inner
-    /// loop up to it.
+    /// Only [`poll`] opens a window, queues a device or RAS fault, or arms
+    /// a poisoned read, and it arms nothing before the next scheduled
+    /// fault; an open window closes at its end. So between `now` and this
+    /// edge [`cxl_extra_latency`] and [`controller_stalled`] are constant,
+    /// and the batch driver reads them once per segment. Poisoned reads
+    /// need no edge: each CXL fill consumes one in order. Neither do the
+    /// consumables only migrations and checkpoints read (copy failures,
+    /// reset steps, torn sections): those run between segments.
     ///
     /// [`poll`]: FaultInjector::poll
-    /// [`idle`]: FaultInjector::idle
+    /// [`cxl_extra_latency`]: FaultInjector::cxl_extra_latency
+    /// [`controller_stalled`]: FaultInjector::controller_stalled
     #[inline]
-    pub fn next_scheduled(&self) -> Option<Nanos> {
-        self.schedule.get(self.next).map(|f| f.at)
+    pub(crate) fn next_edge(&self, now: Nanos) -> Option<Nanos> {
+        [self.spike_until, self.stall_until, self.pressure_until]
+            .into_iter()
+            .filter(|&end| end > now)
+            .chain(self.schedule.get(self.next).map(|f| f.at))
+            .min()
     }
 
     /// Extra latency added to a CXL access at `now` (zero outside spikes).
@@ -669,12 +657,22 @@ impl FaultInjector {
 
     /// Total faults armed so far.
     pub fn injected_total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.log.len() as u64
+    }
+
+    /// Faults armed so far per class, indexed like [`FaultClass::ALL`]:
+    /// the per-class histogram of [`FaultInjector::log`], in one pass.
+    pub(crate) fn class_counts(&self) -> [u64; FaultClass::ALL.len()] {
+        let mut counts = [0; FaultClass::ALL.len()];
+        for e in &self.log {
+            counts[e.class.index()] += 1;
+        }
+        counts
     }
 
     /// Faults of `class` armed so far.
     pub fn count_of(&self, class: FaultClass) -> u64 {
-        self.counts[class.index()]
+        self.class_counts()[class.index()]
     }
 
     /// Serializes the injector's dynamic state for a checkpoint. The
@@ -703,9 +701,6 @@ impl FaultInjector {
         for e in &self.log {
             w.put_u64(e.at.0);
             w.put_u64(e.class.index() as u64);
-        }
-        for c in &self.counts {
-            w.put_u64(*c);
         }
         w.put_u64(self.poison_repairs);
     }
@@ -757,9 +752,6 @@ impl FaultInjector {
                 value: idx,
             })?;
             inj.log.push(FaultEvent { at, class });
-        }
-        for c in &mut inj.counts {
-            *c = r.get_u64()?;
         }
         inj.poison_repairs = r.get_u64()?;
         Ok(inj)
@@ -986,21 +978,22 @@ mod tests {
     }
 
     #[test]
-    fn a_future_fault_is_idle_until_due() {
+    fn the_next_scheduled_fault_is_an_edge_until_polled() {
         let plan = FaultPlan::none().with(Nanos(100), FaultKind::PoisonLine { reads: 1 });
         let mut inj = FaultInjector::from_plan(&plan);
-        assert!(inj.idle(Nanos(99)));
-        assert_eq!(inj.next_scheduled(), Some(Nanos(100)));
-        // Due but not yet polled: the next access must poll, so not idle.
-        assert!(!inj.idle(Nanos(100)));
+        assert_eq!(inj.next_edge(Nanos(99)), Some(Nanos(100)));
+        // Due but not yet polled: still the edge, so a segment opened now
+        // ends after one access and the next prologue polls it.
+        assert_eq!(inj.next_edge(Nanos(100)), Some(Nanos(100)));
         inj.poll(Nanos(100));
-        assert!(!inj.idle(Nanos(100)), "a pending poisoned read is visible");
+        // A pending poisoned read is consumed per fill and cuts nothing.
+        assert_eq!(inj.next_edge(Nanos(100)), None);
         assert!(inj.take_poisoned_read());
-        assert!(inj.idle(Nanos(100)));
+        assert!(!inj.take_poisoned_read());
     }
 
     #[test]
-    fn boundary_only_consumables_stay_idle() {
+    fn boundary_only_consumables_are_not_edges() {
         for kind in [
             FaultKind::MigrationCopyFail { attempts: 2 },
             FaultKind::ControllerReset { at_step: 1 << 40 },
@@ -1008,7 +1001,7 @@ mod tests {
         ] {
             let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
             inj.poll(Nanos(10));
-            assert!(inj.idle(Nanos(10)), "{kind:?} pending");
+            assert_eq!(inj.next_edge(Nanos(10)), None, "{kind:?} pending");
             let armed = match kind {
                 FaultKind::MigrationCopyFail { .. } => inj.take_copy_failure(),
                 FaultKind::ControllerReset { .. } => inj.reset_pending(),
@@ -1019,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn open_windows_pending_poison_and_queued_faults_are_not_idle() {
+    fn open_windows_end_at_an_edge_and_closed_ones_do_not() {
         let window = Nanos(50);
         for kind in [
             FaultKind::LatencySpike {
@@ -1029,20 +1022,36 @@ mod tests {
             FaultKind::ControllerStall { duration: window },
             FaultKind::DdrPressure { duration: window },
         ] {
-            let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
+            let plan = FaultPlan::none()
+                .with(Nanos(10), kind)
+                .with(Nanos(1_000), FaultKind::PoisonLine { reads: 1 });
+            let mut inj = FaultInjector::from_plan(&plan);
             inj.poll(Nanos(10));
-            assert!(!inj.idle(Nanos(59)), "{kind:?} open");
-            assert!(inj.idle(Nanos(60)), "{kind:?} closed");
+            assert_eq!(inj.next_edge(Nanos(10)), Some(Nanos(60)), "{kind:?} open");
+            assert_eq!(inj.next_edge(Nanos(59)), Some(Nanos(60)), "{kind:?} open");
+            assert_eq!(
+                inj.next_edge(Nanos(60)),
+                Some(Nanos(1_000)),
+                "{kind:?} closed: only the schedule remains"
+            );
         }
-        for kind in [
-            FaultKind::PoisonLine { reads: 1 },
-            FaultKind::Device(DeviceFault::SramSaturate),
-            FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 3 }),
-            FaultKind::Device(DeviceFault::LinkDegrade { factor: 150 }),
+        // Device and RAS faults are queued by `poll` and drained by the
+        // segment prologue that polled them; they add no later edge.
+        for d in [
+            DeviceFault::SramSaturate,
+            DeviceFault::CorrectableEcc { pfn: 3 },
+            DeviceFault::LinkDegrade { factor: 150 },
         ] {
-            let mut inj = FaultInjector::from_plan(&FaultPlan::none().with(Nanos(10), kind));
+            let plan = FaultPlan::none().with(Nanos(10), FaultKind::Device(d));
+            let mut inj = FaultInjector::from_plan(&plan);
             inj.poll(Nanos(10));
-            assert!(!inj.idle(Nanos(1_000)), "{kind:?} pending");
+            assert_eq!(inj.next_edge(Nanos(10)), None, "{d:?} queued");
+            let queued = if d.is_ras() {
+                inj.pop_ras_fault()
+            } else {
+                inj.pop_device_fault()
+            };
+            assert_eq!(queued, Some(d), "{d:?} stays queued for the prologue");
         }
     }
 

@@ -80,18 +80,34 @@ impl HotPageLog {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// rejects with [`CodecError::BadValue`] a log that
+    /// [`HotPageLog::record`] cannot build: more entries than its
+    /// capacity, or a page listed twice.
+    ///
+    /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<HotPageLog, crate::checkpoint::CodecError> {
+        use crate::checkpoint::CodecError;
         let cap = r.get_u64()? as usize;
-        let n = r.get_u64()? as usize;
+        let n = r.get_u64()?;
+        if n > cap as u64 {
+            return Err(CodecError::BadValue {
+                what: "hot-page log length",
+                value: n,
+            });
+        }
         let mut log = HotPageLog::new(cap);
         for _ in 0..n {
             let vpn = Vpn(r.get_u64()?);
             let pfn = Pfn(r.get_u64()?);
-            log.seen.insert(vpn);
-            log.entries.push((vpn, pfn));
+            if !log.record(vpn, pfn) {
+                return Err(CodecError::BadValue {
+                    what: "hot-page log vpn",
+                    value: vpn.0,
+                });
+            }
         }
         Ok(log)
     }
@@ -100,6 +116,7 @@ impl HotPageLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CodecError;
 
     #[test]
     fn log_dedups_and_caps() {
@@ -112,5 +129,38 @@ mod tests {
         assert_eq!(log.pfns().collect::<Vec<_>>(), vec![Pfn(10), Pfn(20)]);
         assert_eq!(log.capacity(), 2);
         assert!(!log.is_empty());
+    }
+
+    fn restored(cap: u64, entries: &[(u64, u64)]) -> Result<HotPageLog, CodecError> {
+        let mut w = crate::checkpoint::StateWriter::new();
+        w.put_u64(cap);
+        w.put_u64(entries.len() as u64);
+        for &(vpn, pfn) in entries {
+            w.put_u64(vpn);
+            w.put_u64(pfn);
+        }
+        let bytes = w.finish();
+        HotPageLog::restore(&mut crate::checkpoint::StateReader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_rejects_states_record_cannot_build() {
+        let mut log = restored(3, &[(1, 10), (2, 20)]).unwrap();
+        assert_eq!(log.entries(), &[(Vpn(1), Pfn(10)), (Vpn(2), Pfn(20))]);
+        assert!(!log.record(Vpn(1), Pfn(11)), "the dedup set was rebuilt");
+        assert!(matches!(
+            restored(1, &[(1, 10), (2, 20)]),
+            Err(CodecError::BadValue {
+                what: "hot-page log length",
+                value: 2
+            })
+        ));
+        assert!(matches!(
+            restored(4, &[(1, 10), (2, 20), (1, 30)]),
+            Err(CodecError::BadValue {
+                what: "hot-page log vpn",
+                value: 1
+            })
+        ));
     }
 }

@@ -113,7 +113,5 @@ pub mod prelude {
         RasServiceReport, System, SystemStats,
     };
     pub use crate::time::Nanos;
-    pub use m5_telemetry::{
-        JsonlSink, MemorySink, MetricsSnapshot, SpanId, SummarySink, Telemetry,
-    };
+    pub use m5_telemetry::{JsonlSink, MemorySink, MetricsSnapshot, SpanId, Telemetry};
 }

@@ -69,27 +69,18 @@ pub enum BatchPause {
     Fault(Vpn),
 }
 
-/// How many accesses each engine path served: a deterministic work
-/// count — it depends on the simulated run only, never on the host or on
-/// the chunk capacity — read through [`System::access_paths`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AccessPaths {
-    /// Accesses served by the quiet loop of [`System::access_batch`].
-    pub quiet: u64,
-    /// Accesses served by the fully-checked [`System::try_access`].
-    pub checked: u64,
-}
-
-impl AccessPaths {
-    /// The quiet loop's share of all accesses (zero before any access).
-    pub fn quiet_share(&self) -> f64 {
-        let total = self.quiet + self.checked;
-        if total == 0 {
-            0.0
-        } else {
-            self.quiet as f64 / total as f64
-        }
-    }
+/// The fault state every access of one segment shares, fixed by
+/// [`System::begin_segment`] and constant up to `horizon`.
+struct Segment {
+    /// The segment ends after the first access that finishes at or past
+    /// this instant: the wake deadline, the next TLB flush, or the
+    /// injector's next edge.
+    horizon: Nanos,
+    /// Added to every CXL fill: the degraded-link penalty plus any open
+    /// latency spike.
+    cxl_extra: Nanos,
+    /// Whether a controller stall drops this segment's snoops.
+    stalled: bool,
 }
 
 /// Per-run state threaded through [`System::access_batch`] calls: the
@@ -212,14 +203,16 @@ impl System {
         }
     }
 
-    /// Accesses served by each engine path since this machine was built
-    /// or restored. Kept out of checkpoints, reports and telemetry, so
-    /// reading it perturbs nothing.
-    pub fn access_paths(&self) -> AccessPaths {
-        AccessPaths {
-            quiet: self.quiet_accesses,
-            checked: self.checked_accesses,
-        }
+    /// Segments of [`System::access_batch`] that ended because the clock
+    /// reached their horizon (a wake deadline, a TLB flush, or a fault
+    /// edge), since this machine was built or restored. A segment cut by
+    /// the end of a chunk, the access budget or a hinting fault does not
+    /// count, so this is a deterministic work count: it depends on the
+    /// simulated run only, never on the host or the chunk capacity. Kept
+    /// out of checkpoints, reports and telemetry, so reading it perturbs
+    /// nothing.
+    pub fn horizon_breaks(&self) -> u64 {
+        self.horizon_breaks
     }
 
     /// Performs one memory access, advancing the clock by its latency.
@@ -234,7 +227,8 @@ impl System {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Performs one memory access, advancing the clock by its latency.
+    /// Performs one memory access, advancing the clock by its latency: a
+    /// one-access segment.
     ///
     /// Injected faults are handled here: latency spikes inflate the CXL
     /// access time, controller stalls blind the snoop devices, and poisoned
@@ -249,38 +243,52 @@ impl System {
         vaddr: VirtAddr,
         is_write: bool,
     ) -> Result<AccessOutcome, SimError> {
-        self.service_faults();
+        let seg = self.begin_segment(None);
+        let (pte, latency, hinting_fault) = self.translate(vaddr, is_write)?;
+        Ok(self.access_frame(vaddr, pte.pfn, is_write, latency, hinting_fault, &seg))
+    }
 
+    /// The prologue of every access segment: arms due faults and delivers
+    /// queued ones, runs a due TLB flush, and fixes the fault state the
+    /// segment's accesses share up to its horizon.
+    ///
+    /// Exactness: until the clock reaches the horizon, repeating this
+    /// prologue before each access would change nothing. `poll` arms
+    /// nothing before the next scheduled fault and every open window's
+    /// end is an edge ([`FaultInjector::next_edge`](crate::faults::FaultInjector::next_edge)),
+    /// so the spike penalty, the stall and, with telemetry on, the
+    /// fault-window spans stay as they are; the device and RAS queues were
+    /// drained here and only `poll` refills them; the link factor behind
+    /// the RAS penalty moves only when a RAS fault is delivered or a RAS
+    /// service epoch runs, both outside a segment; and the next flush is a
+    /// horizon term.
+    #[inline]
+    fn begin_segment(&mut self, deadline: Option<Nanos>) -> Segment {
+        self.service_faults();
+        let now = self.clock.now();
+        let mut horizon = deadline.unwrap_or(Nanos(u64::MAX));
         // Context-switch-style full TLB flush: the passive invalidation that
         // lets accessed bits get re-set for TLB-resident hot pages (§2.1).
         if let Some(interval) = self.config.tlb_flush_interval {
-            if self.clock.now() - self.last_tlb_flush >= interval {
+            if now - self.last_tlb_flush >= interval {
                 self.tlb.flush();
-                self.last_tlb_flush = self.clock.now();
+                self.last_tlb_flush = now;
             }
+            horizon = horizon.min(self.last_tlb_flush + interval);
         }
-
-        let (pte, latency, hinting_fault) = self.translate(vaddr, is_write)?;
-        self.checked_accesses += 1;
-        let ras_extra = self.cxl_ras_extra();
-        Ok(self.access_frame(
-            vaddr,
-            pte.pfn,
-            is_write,
-            latency,
-            hinting_fault,
-            true,
-            ras_extra,
-        ))
-    }
-
-    /// What a degraded link adds to one CXL fill: the retrained link slows
-    /// every fill in proportion to the nominal node latency. Zero at full
-    /// link speed, which includes every run that never saw a RAS fault.
-    #[inline]
-    fn cxl_ras_extra(&self) -> Nanos {
-        self.ras
-            .extra_latency(NodeId::Cxl, self.memory.node(NodeId::Cxl).access_latency())
+        if let Some(edge) = self.faults.next_edge(now) {
+            horizon = horizon.min(edge);
+        }
+        // A degraded link slows every fill in proportion to the nominal
+        // node latency; zero at full link speed.
+        let ras_extra = self
+            .ras
+            .extra_latency(NodeId::Cxl, self.memory.node(NodeId::Cxl).access_latency());
+        Segment {
+            horizon,
+            cxl_extra: ras_extra + self.faults.cxl_extra_latency(now),
+            stalled: self.faults.controller_stalled(now),
+        }
     }
 
     /// Translates `vaddr` for one access: a hinting fault on a
@@ -343,22 +351,8 @@ impl System {
 
     /// The access past translation to `pfn`: LLC, DRAM, snoops,
     /// telemetry and the clock. `latency` and `hinting_fault` carry the
-    /// translation's share.
-    ///
-    /// `faults_active = false` is the batch fast path: the caller has
-    /// proven the injector idle up to a horizon (no stall window, no
-    /// latency spike, no pending poison), so the per-access fault queries
-    /// are skipped. With an idle injector both variants are exactly
-    /// equivalent — `controller_stalled` is false, `cxl_extra_latency` is
-    /// zero, `take_poisoned_read` is false — which keeps the chunked
-    /// driver byte-identical to the per-access loop.
-    ///
-    /// `ras_extra` is [`System::cxl_ras_extra`], added to every CXL fill.
-    /// The link factor behind it changes only when a RAS fault is
-    /// delivered or a RAS service epoch runs, both at batch boundaries,
-    /// so a quiet segment computes it once at its start.
+    /// translation's share; `seg` the fault state of the segment.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn access_frame(
         &mut self,
         vaddr: VirtAddr,
@@ -366,8 +360,7 @@ impl System {
         is_write: bool,
         mut latency: Nanos,
         hinting_fault: bool,
-        faults_active: bool,
-        ras_extra: Nanos,
+        seg: &Segment,
     ) -> AccessOutcome {
         let costs = self.config.costs;
         let word = WordIndex(vaddr.word_index().0);
@@ -378,7 +371,7 @@ impl System {
         let mut dram_node = None;
         let mut poisoned = false;
         let now = self.clock.now();
-        let stalled = faults_active && self.faults.controller_stalled(now);
+        let stalled = seg.stalled;
         if !res.hit {
             let node = NodeId::of_pfn(pfn);
             latency += self.memory.node(node).access_latency();
@@ -391,18 +384,15 @@ impl System {
                 }
             }
             if node == NodeId::Cxl {
-                latency += ras_extra;
-                if faults_active {
-                    latency += self.faults.cxl_extra_latency(now);
-                    if self.faults.take_poisoned_read() {
-                        // Uncorrectable ECC on the fill: the kernel's
-                        // memory-failure path isolates the line, re-fetches,
-                        // and resumes the load — slow but never fatal.
-                        poisoned = true;
-                        self.faults.note_poison_repaired();
-                        self.kernel.bill(CostKind::DaemonOther, costs.poison_repair);
-                        latency += costs.poison_repair;
-                    }
+                latency += seg.cxl_extra;
+                if self.faults.take_poisoned_read() {
+                    // Uncorrectable ECC on the fill: the kernel's
+                    // memory-failure path isolates the line, re-fetches,
+                    // and resumes the load — slow but never fatal.
+                    poisoned = true;
+                    self.faults.note_poison_repaired();
+                    self.kernel.bill(CostKind::DaemonOther, costs.poison_repair);
+                    latency += costs.poison_repair;
                 }
                 if !stalled {
                     self.controller.snoop(line, false, now);
@@ -463,14 +453,13 @@ impl System {
     /// Executes accesses from `chunk` starting at index `from`, returning
     /// the index of the first unexecuted access and why the batch paused.
     ///
-    /// This is the batch core of the chunked run pipeline: instead of
-    /// paying the epoch/fault/flush checks on every access, it computes the
-    /// distance to the next *boundary* — the daemon's wake `deadline`, the
-    /// periodic TLB flush, and the fault injector's next scheduled event —
-    /// once, and runs a tight loop of bare `System::translate` and
-    /// `System::access_frame` calls up to it. Accesses at or past a boundary fall back to the fully-checked
-    /// [`System::try_access`] path one at a time, so the observable
-    /// behaviour is identical to calling [`System::access`] in a loop.
+    /// This is the batch core of the chunked run pipeline: a loop of
+    /// segments. Each opens with `System::begin_segment`, which runs the
+    /// fault, flush and wake bookkeeping once and fixes a *horizon*; the
+    /// segment's accesses then run as bare `System::translate` and
+    /// `System::access_frame` calls until one finishes at or past the
+    /// horizon, so the observable behaviour is identical to calling
+    /// [`System::access`] in a loop.
     ///
     /// Sequencing contract (mirrors the per-access [`run`](super::run) loop):
     ///
@@ -515,98 +504,52 @@ impl System {
                     }
                 }
             }
-
-            // Hot segment: while the injector is provably idle and no
-            // flush, wake or scheduled-fault boundary has been reached,
-            // `service_faults`, the flush-interval check, and the
-            // per-access fault queries are all no-ops — skip them
-            // wholesale up to the horizon.
-            let now = self.clock.now();
-            if self.faults_idle(now) {
-                let mut horizon = deadline.unwrap_or(Nanos(u64::MAX));
-                if let Some(interval) = self.config.tlb_flush_interval {
-                    horizon = horizon.min(self.last_tlb_flush + interval);
-                }
-                if let Some(at) = self.faults.next_scheduled() {
-                    horizon = horizon.min(at);
-                }
-                if now < horizon {
-                    // RAS health moves only at boundaries (fault delivery,
-                    // service epochs), so the link penalty is a constant.
-                    let ras_extra = self.cxl_ras_extra();
-                    let start = st.n;
-                    let mut fault = None;
-                    // Same-page reuse: the previous access of this segment
-                    // stored its page's flags and left the translation at
-                    // its TLB set's MRU position (by hitting or inserting
-                    // it), and nothing between two accesses of a quiet
-                    // segment touches the page table or the TLB. A repeat
-                    // of that page skips both lookups; the TLB probe would
-                    // only have counted a hit.
-                    let mut last: Option<(Vpn, Pte)> = None;
-                    while idx < words.len() && st.n < max_accesses && self.clock.now() < horizon {
-                        let w = words[idx];
-                        let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);
-                        let is_write = w & CHUNK_WRITE_BIT != 0;
-                        let vpn = vaddr.vpn();
-                        let (pfn, latency, hinting_fault) = match &mut last {
-                            Some((prev, pte)) if *prev == vpn => {
-                                self.tlb.count_mru_hit();
-                                if is_write && !pte.flags.dirty() {
-                                    pte.flags = pte.flags.with_dirty();
-                                    self.page_table.store_flags(vpn, pte.flags);
-                                }
-                                (pte.pfn, Nanos::ZERO, false)
-                            }
-                            _ => {
-                                let (pte, latency, hinting_fault) = self
-                                    .translate(vaddr, is_write)
-                                    .unwrap_or_else(|e| panic!("{e}"));
-                                last = Some((vpn, pte));
-                                (pte.pfn, latency, hinting_fault)
-                            }
-                        };
-                        self.access_frame(
-                            vaddr,
-                            pfn,
-                            is_write,
-                            latency,
-                            hinting_fault,
-                            false,
-                            ras_extra,
-                        );
-                        idx += 1;
-                        st.n += 1;
-                        if w & CHUNK_OP_END_BIT != 0 {
-                            st.record_op_end(self.clock.now());
-                        }
-                        if hinting_fault {
-                            fault = Some(vpn);
-                            break;
-                        }
-                    }
-                    self.quiet_accesses += st.n - start;
-                    if let Some(vpn) = fault {
-                        return (idx, BatchPause::Fault(vpn));
-                    }
-                    executed = true;
-                    continue;
-                }
-            }
-
-            // Boundary (or a fault open now): one fully-checked
-            // access, then re-evaluate.
-            let w = words[idx];
-            let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);
-            let out = self.access(vaddr, w & CHUNK_WRITE_BIT != 0);
-            idx += 1;
-            st.n += 1;
             executed = true;
-            if w & CHUNK_OP_END_BIT != 0 {
-                st.record_op_end(self.clock.now());
-            }
-            if out.hinting_fault {
-                return (idx, BatchPause::Fault(vaddr.vpn()));
+
+            let seg = self.begin_segment(deadline);
+            // Same-page reuse: the previous access of this segment stored
+            // its page's flags and left the translation at its TLB set's
+            // MRU position (by hitting or inserting it), and nothing
+            // between two accesses of a segment touches the page table or
+            // the TLB. A repeat of that page skips both lookups; the TLB
+            // probe would only have counted a hit.
+            let mut last: Option<(Vpn, Pte)> = None;
+            let fault = loop {
+                let w = words[idx];
+                let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);
+                let is_write = w & CHUNK_WRITE_BIT != 0;
+                let vpn = vaddr.vpn();
+                let (pfn, latency, hinting_fault) = match &mut last {
+                    Some((prev, pte)) if *prev == vpn => {
+                        self.tlb.count_mru_hit();
+                        if is_write && !pte.flags.dirty() {
+                            pte.flags = pte.flags.with_dirty();
+                            self.page_table.store_flags(vpn, pte.flags);
+                        }
+                        (pte.pfn, Nanos::ZERO, false)
+                    }
+                    _ => {
+                        let (pte, latency, hinting_fault) = self
+                            .translate(vaddr, is_write)
+                            .unwrap_or_else(|e| panic!("{e}"));
+                        last = Some((vpn, pte));
+                        (pte.pfn, latency, hinting_fault)
+                    }
+                };
+                self.access_frame(vaddr, pfn, is_write, latency, hinting_fault, &seg);
+                idx += 1;
+                st.n += 1;
+                if w & CHUNK_OP_END_BIT != 0 {
+                    st.record_op_end(self.clock.now());
+                }
+                let at_horizon = self.clock.now() >= seg.horizon;
+                if at_horizon || hinting_fault || idx >= words.len() || st.n >= max_accesses {
+                    self.horizon_breaks += at_horizon as u64;
+                    break hinting_fault.then_some(vpn);
+                }
+            };
+            if let Some(vpn) = fault {
+                return (idx, BatchPause::Fault(vpn));
             }
         }
     }

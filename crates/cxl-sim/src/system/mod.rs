@@ -31,7 +31,7 @@ mod state;
 mod txn;
 
 use engine::TelemetryBatch;
-pub use engine::{AccessPaths, BatchPause, BatchState};
+pub use engine::{BatchPause, BatchState};
 pub use ras::RasServiceReport;
 pub use run::{run, run_chunked, run_per_access, ChunkedRun, DEFAULT_CHUNK_ACCESSES};
 pub use state::SystemStats;
@@ -251,11 +251,9 @@ pub struct System {
     /// Whether the current evacuation already noted survivor-capacity
     /// exhaustion (one degradation entry per evacuation, not per epoch).
     evac_exhaustion_noted: bool,
-    /// Accesses served by the quiet loop of [`System::access_batch`]
-    /// (see [`System::access_paths`]; not checkpointed).
-    quiet_accesses: u64,
-    /// Accesses served by [`System::try_access`] (not checkpointed).
-    checked_accesses: u64,
+    /// Segments of [`System::access_batch`] that ended at their horizon
+    /// (see [`System::horizon_breaks`]; not checkpointed).
+    horizon_breaks: u64,
 }
 
 impl System {
@@ -304,8 +302,7 @@ impl System {
             ras: RasState::new(config.ras),
             evac_span: None,
             evac_exhaustion_noted: false,
-            quiet_accesses: 0,
-            checked_accesses: 0,
+            horizon_breaks: 0,
             config,
         }
     }

@@ -31,31 +31,13 @@ pub struct RasServiceReport {
 }
 
 impl System {
-    /// Whether [`System::service_faults`] is a no-op at `now`: an idle
-    /// injector ([`FaultInjector::idle`](crate::faults::FaultInjector::idle)),
-    /// and with telemetry on no untraced log entries and no open
-    /// fault-window span. True throughout fault-free operation (every
-    /// golden run, most benches) and between the faults of a live plan.
-    #[inline]
-    pub(super) fn faults_idle(&self, now: Nanos) -> bool {
-        self.faults.idle(now)
-            // Only `trace_faults` advances the cursor, and it runs only
-            // with telemetry on; the cursor is checkpointed, so it is
-            // tested here rather than advanced with telemetry off.
-            && (!self.telemetry_on || self.fault_events_seen == self.faults.log().len())
-            && self.spike_span.is_none()
-            && self.stall_span.is_none()
-            && self.pressure_span.is_none()
-    }
-
     /// Arms due faults and delivers queued device faults to the controller.
+    /// Runs once per access segment ([`System::access_batch`]) and before
+    /// every migration and RAS epoch; with nothing due, `poll` is one
+    /// compare and the queues are empty.
     #[inline]
     pub(super) fn service_faults(&mut self) {
-        let now = self.clock.now();
-        if self.faults_idle(now) {
-            return;
-        }
-        self.faults.poll(now);
+        self.faults.poll(self.clock.now());
         while let Some(f) = self.faults.pop_device_fault() {
             self.controller.inject(f);
         }

@@ -176,13 +176,7 @@ impl System {
             hinting_faults: self.hinting_faults,
             kernel: self.kernel.clone(),
             migrations: self.migrations,
-            fault_counts: {
-                let mut c = [0u64; FaultClass::ALL.len()];
-                for (slot, &class) in c.iter_mut().zip(FaultClass::ALL.iter()) {
-                    *slot = self.faults.count_of(class);
-                }
-                c
-            },
+            fault_counts: self.faults.class_counts(),
             poison_repairs: self.faults.poison_repairs(),
             degradations: self.degradations.len(),
             promoter_retried: self.promoter_retried,
@@ -434,8 +428,7 @@ impl System {
             ras,
             evac_span: misc.spans[3],
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
-            quiet_accesses: 0,
-            checked_accesses: 0,
+            horizon_breaks: 0,
             config,
         };
         // The checkpoint flushed before capture, so the restored registry

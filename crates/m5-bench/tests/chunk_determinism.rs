@@ -13,19 +13,19 @@
 //!
 //! `run_per_access` is kept in-tree precisely as this test's oracle.
 //!
-//! Every chunked variant must also split its accesses between the quiet
-//! loop and the checked path identically ([`System::access_paths`]): the
-//! split is a function of the simulated run, never of the chunk size.
-//! For the three goldens the split is pinned exactly ([`PINNED_PATHS`]).
-//! An engine change that keeps every output but serves accesses on the
-//! checked path instead of the quiet loop passes every other oracle;
-//! the pin fails it on every host. A change that moves the split on
-//! purpose updates the pins, as it would a golden line.
+//! Every chunked variant must also end the same number of access
+//! segments at their horizon ([`System::horizon_breaks`]): the count is a
+//! function of the simulated run, never of the chunk size. For the three
+//! goldens and the faulted run it is pinned exactly ([`PINNED_BREAKS`],
+//! [`FAULTED_BREAKS`]). An engine change that keeps every output but cuts
+//! segments short passes every other oracle; the pin fails it on every
+//! host. A change that moves the count on purpose updates the pins, as it
+//! would a golden line.
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::report::RunReport;
-use cxl_sim::system::{run_chunked, run_per_access, AccessPaths, ChunkedRun};
+use cxl_sim::system::{run_chunked, run_per_access, ChunkedRun};
 use m5_baselines::anb::{Anb, AnbConfig};
 use m5_bench::golden::{self, GOLDENS};
 use m5_core::manager::{M5Config, M5Manager};
@@ -46,7 +46,7 @@ type Driver =
 
 /// Runs one workload under `daemon_new()` with telemetry enabled and the
 /// given driver, returning the full rendered snapshot + report, and the
-/// engine-path split.
+/// horizon-break count.
 /// `contended` enables the queueing timing model with that CXL background
 /// load — the determinism contract must hold with contention state in the
 /// loop too.
@@ -59,7 +59,7 @@ fn observe(
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
     drive: &Driver,
-) -> ((String, String), AccessPaths) {
+) -> ((String, String), u64) {
     let (mut sys, region) = match contended {
         Some(bg) => m5_bench::standard_contended_system_with_faults(spec, plan, bg),
         None => m5_bench::standard_system_with_faults(spec, plan),
@@ -70,20 +70,21 @@ fn observe(
     let report = drive(&mut sys, &mut wl, daemon.as_mut(), accesses);
     sys.telemetry_mut().flush();
     let snap = golden::render("determinism", &sys.telemetry().snapshot());
-    ((snap, format!("{report:?}")), sys.access_paths())
+    ((snap, format!("{report:?}")), sys.horizon_breaks())
 }
 
-/// The exact `(quiet, checked)` engine-path split of each golden's
-/// [`ACCESSES`]-access run under the M5 manager, by golden name.
-const PINNED_PATHS: [(&str, u64, u64); 3] = [
-    ("graph", 59_996, 4),
-    ("kv", 59_980, 20),
-    ("spec", 59_978, 22),
-];
+/// The exact horizon-break count of each golden's [`ACCESSES`]-access
+/// run under the M5 manager, by golden name.
+const PINNED_BREAKS: [(&str, u64); 3] = [("graph", 4), ("kv", 20), ("spec", 22)];
+
+/// The exact horizon-break count of the faulted-spec run. Open fault
+/// windows are segment constants; an engine that cut its segments at
+/// every access inside a window would count each of those accesses.
+const FAULTED_BREAKS: u64 = 22;
 
 /// Asserts every chunked variant matches the per-access
 /// reference for one (spec, plan, daemon) configuration, and returns the
-/// engine-path split they all share.
+/// horizon-break count they all share.
 #[allow(clippy::too_many_arguments)]
 fn assert_all_drivers_match(
     label: &str,
@@ -93,7 +94,7 @@ fn assert_all_drivers_match(
     accesses: u64,
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
-) -> AccessPaths {
+) -> u64 {
     let (reference, _) = observe(
         spec,
         plan,
@@ -103,9 +104,9 @@ fn assert_all_drivers_match(
         daemon_new,
         &|s, w, d, m| run_per_access(s, w, d, m),
     );
-    let mut first_paths: Option<AccessPaths> = None;
+    let mut first_breaks: Option<u64> = None;
     for cap in CAPS {
-        let (chunked, paths) = observe(
+        let (chunked, breaks) = observe(
             spec,
             plan,
             seed,
@@ -118,12 +119,12 @@ fn assert_all_drivers_match(
             chunked, reference,
             "{label}: run_chunked(cap={cap}) diverged from per-access"
         );
-        let first = *first_paths.get_or_insert(paths);
+        let first = *first_breaks.get_or_insert(breaks);
         assert_eq!(
-            paths, first,
-            "{label}: run_chunked(cap={cap}) split its accesses differently"
+            breaks, first,
+            "{label}: run_chunked(cap={cap}) broke its segments differently"
         );
-        let (two_legs, paths) = observe(
+        let (two_legs, breaks) = observe(
             spec,
             plan,
             seed,
@@ -142,11 +143,11 @@ fn assert_all_drivers_match(
             "{label}: two drive_to legs (cap={cap}) diverged from per-access"
         );
         assert_eq!(
-            paths, first,
-            "{label}: two drive_to legs (cap={cap}) split their accesses differently"
+            breaks, first,
+            "{label}: two drive_to legs (cap={cap}) broke their segments differently"
         );
     }
-    first_paths.expect("CAPS is not empty")
+    first_breaks.expect("CAPS is not empty")
 }
 
 fn m5_daemon() -> BoxedDaemon {
@@ -156,13 +157,13 @@ fn m5_daemon() -> BoxedDaemon {
 /// Every golden workload under the M5 manager: graph (PageRank), kv
 /// (uniform Redis), spec (Zipf Mcf) — the exact configurations whose
 /// checked-in goldens the chunked pipeline regenerated — each with its
-/// pinned engine-path split.
+/// pinned horizon-break count.
 #[test]
 fn golden_workloads_match_per_access_at_every_chunk_size() {
-    for (g, (name, quiet, checked)) in GOLDENS.iter().zip(PINNED_PATHS) {
-        assert_eq!(g.name, name, "PINNED_PATHS follows GOLDENS order");
+    for (g, (name, pinned)) in GOLDENS.iter().zip(PINNED_BREAKS) {
+        assert_eq!(g.name, name, "PINNED_BREAKS follows GOLDENS order");
         let spec = g.benchmark.spec();
-        let paths = assert_all_drivers_match(
+        let breaks = assert_all_drivers_match(
             g.name,
             &spec,
             &FaultPlan::none(),
@@ -172,17 +173,17 @@ fn golden_workloads_match_per_access_at_every_chunk_size() {
             &m5_daemon,
         );
         assert_eq!(
-            paths,
-            AccessPaths { quiet, checked },
-            "{name}: the engine-path split moved; if on purpose, update PINNED_PATHS"
+            breaks, pinned,
+            "{name}: the horizon-break count moved; if on purpose, update PINNED_BREAKS"
         );
     }
 }
 
-/// With an active fault plan the batch driver must fall back to the
-/// fully-checked path at exactly the same accesses: spikes and stalls
-/// add latency, poisoned reads retry, and DDR pressure shifts costs —
-/// all of it must land on identical accesses in every driver.
+/// With an active fault plan the batch driver must see every fault at
+/// exactly the same accesses: spikes and stalls add latency, poisoned
+/// reads retry, and DDR pressure shifts costs — all of it must land on
+/// identical accesses in every driver, with the pinned horizon-break
+/// count.
 #[test]
 fn fault_plan_runs_match_per_access_at_every_chunk_size() {
     let spec = GOLDENS[2].benchmark.spec();
@@ -210,7 +211,12 @@ fn fault_plan_runs_match_per_access_at_every_chunk_size() {
                 duration: Nanos::from_micros(400),
             },
         );
-    assert_all_drivers_match("faulted-spec", &spec, &plan, 42, 40_000, None, &m5_daemon);
+    let breaks =
+        assert_all_drivers_match("faulted-spec", &spec, &plan, 42, 40_000, None, &m5_daemon);
+    assert_eq!(
+        breaks, FAULTED_BREAKS,
+        "faulted-spec: the horizon-break count moved; if on purpose, update FAULTED_BREAKS"
+    );
 }
 
 /// ANB unmaps pages and relies on NUMA hinting faults delivered through
@@ -252,10 +258,10 @@ fn contended_runs_match_per_access_at_every_chunk_size() {
 }
 
 /// With telemetry off, a plan whose faults all fire early must leave the
-/// rest of the run to the quiet loop — the fault log alone must not latch
-/// the checked path — and still match the per-access oracle. The chaos
-/// plan mixes every class, RAS faults included, so the tail also runs on
-/// a degraded link.
+/// rest of the run to long segments — the fault log alone must not cut
+/// them — and still match the per-access oracle. The chaos plan mixes
+/// every class, RAS faults included, so the tail also runs on a degraded
+/// link.
 #[test]
 fn telemetry_off_chaos_run_serves_its_tail_quiet() {
     let spec = GOLDENS[2].benchmark.spec();
@@ -269,19 +275,19 @@ fn telemetry_off_chaos_run_serves_its_tail_quiet() {
         } else {
             run_per_access(&mut sys, &mut wl, &mut daemon, ACCESSES)
         };
-        (report, sys.access_paths(), sys.fault_log().len())
+        (report, sys.horizon_breaks(), sys.fault_log().len())
     };
     let (oracle, _, _) = run(false);
-    let (report, paths, fired) = run(true);
+    let (report, breaks, fired) = run(true);
     assert_eq!(report, oracle, "chunked run diverged from per-access");
     assert_eq!(fired, plan.len(), "every fault fires inside the run");
     assert!(
         oracle.total_time > Nanos::from_millis(2),
         "the run outlasts its faults by a long tail"
     );
-    assert_eq!(paths.quiet + paths.checked, ACCESSES);
+    assert_eq!(report.accesses, ACCESSES);
     assert!(
-        paths.quiet_share() >= 0.9,
-        "quiet loop served only {paths:?} of the accesses"
+        breaks * 100 <= ACCESSES,
+        "{breaks} horizon breaks in {ACCESSES} accesses: more than 1 %"
     );
 }

@@ -1,7 +1,7 @@
 //! Property net for the chunked access engine: on *random* access
 //! streams — not just the golden workloads — the chunked driver (which
-//! runs the fused scalar loop through every quiet segment and a
-//! fully-checked access at each boundary) must stay byte-identical to the
+//! runs the fused scalar loop through segments that check faults,
+//! flushes and wakeups once each) must stay byte-identical to the
 //! `run_per_access` oracle, with fault windows active and the contention
 //! model enabled, and a mid-chunk checkpoint/restore split must land on
 //! the exact same final state as the run that never stopped.
@@ -9,7 +9,7 @@
 //! The deterministic suites (`chunk_determinism.rs`, `checkpoint.rs`)
 //! pin the golden workloads; this file fuzzes the space between them:
 //! arbitrary page-collision patterns, write/op-end mixes, chunk
-//! capacities that cut quiet segments at awkward points, M5 migrations
+//! capacities that cut segments at awkward points, M5 migrations
 //! and epoch rollovers landing between segments, and split points that
 //! cut a chunk anywhere.
 
@@ -27,10 +27,10 @@ use proptest::prelude::*;
 /// even the shortest generated run (a few hundred accesses simulate a few
 /// hundred microseconds on the contended scaled machine). A correctable
 /// error and a link degrade put the rest of the run on a slow link, so
-/// quiet segments add the RAS penalty to their CXL fills; a controller
-/// reset at an unreachable journal step and a copy failure stay pending
-/// without stopping the quiet loop; and a poisoned read after a long
-/// quiet stretch makes the scheduled-fault horizon cut a segment.
+/// segments add the RAS penalty to their CXL fills; a controller reset
+/// at an unreachable journal step and a copy failure stay pending
+/// without cutting a segment; and a poisoned read after a long
+/// fault-free stretch makes the scheduled-fault edge cut a segment.
 fn active_plan() -> FaultPlan {
     FaultPlan::none()
         .with(
@@ -130,9 +130,9 @@ proptest! {
 
     /// Chunked ≡ per-access oracle on random streams, faults and
     /// contention live, under both the M5 manager and the hinting-fault
-    /// heavy ANB daemon, at chunk capacities that slice quiet segments at
+    /// heavy ANB daemon, at chunk capacities that slice segments at
     /// awkward points, and with `fast_epochs` with M5 ticks, promotions,
-    /// and epoch and bandwidth-window rollovers landing between quiet
+    /// and epoch and bandwidth-window rollovers landing between
     /// segments.
     #[test]
     fn chunked_matches_per_access_oracle(
@@ -182,7 +182,7 @@ proptest! {
     }
 
     /// Checkpointing at an arbitrary access index — almost always inside
-    /// a chunk, and usually inside a quiet segment — and restoring into a
+    /// a chunk, and usually inside a segment — and restoring into a
     /// fresh machine must produce the byte-identical final checkpoint,
     /// report, and telemetry of the uninterrupted run.
     #[test]

@@ -7,7 +7,6 @@
 //! [`CostKind::ManagerQuery`], and is tiny compared to what ANB and DAMON
 //! burn — that is Observation 3 turned into a design).
 
-pub mod adaptive;
 pub mod elector;
 pub mod hugepage;
 pub mod monitor;

@@ -10,8 +10,9 @@
 //!   migration epochs, fault windows, and tracker report batches, plus
 //!   instant events for one-off occurrences (fallback engaged, page
 //!   poisoned).
-//! * **Sinks** ([`sink`]): pluggable consumers — in-memory for tests,
-//!   JSONL stream for CI artifacts, human-readable summary for people.
+//! * **Sinks** ([`sink`]): pluggable consumers — in-memory for tests and
+//!   a JSONL stream for CI artifacts. A snapshot's `Display` is the
+//!   human-readable table.
 //!
 //! # Zero cost when disabled
 //!
@@ -52,7 +53,7 @@ pub use metrics::{
     log2_bucket, log2_bucket_lower_bound, HistogramSnapshot, Log2Histogram, MetricKey,
     MetricsSnapshot, LOG2_BUCKETS,
 };
-pub use sink::{Event, EventKind, JsonlSink, MemoryBuffer, MemorySink, Sink, SummarySink};
+pub use sink::{Event, EventKind, JsonlSink, MemoryBuffer, MemorySink, Sink};
 
 use metrics::Registry;
 

@@ -1,6 +1,6 @@
 //! Telemetry sinks: where events and snapshots go.
 //!
-//! Three implementations cover the repo's needs:
+//! Two implementations cover the repo's needs:
 //!
 //! * [`MemorySink`] — buffers everything behind an `Arc<Mutex<…>>` handle;
 //!   the harness of choice for tests and the golden-trace differ.
@@ -8,7 +8,6 @@
 //!   `Write + Send`; the machine-readable trace for CI artifacts. JSON is
 //!   emitted by hand (two dozen lines below) so the vendored-dependency
 //!   budget stays untouched.
-//! * [`SummarySink`] — renders the human-readable snapshot table on flush.
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use std::io::{self, Write};
@@ -217,29 +216,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-/// Writes the human-readable snapshot table ([`MetricsSnapshot`]'s
-/// `Display`) to a writer on every snapshot. Events are ignored.
-pub struct SummarySink<W: Write + Send> {
-    w: W,
-}
-
-impl<W: Write + Send> SummarySink<W> {
-    /// A sink writing to `w`.
-    pub fn new(w: W) -> SummarySink<W> {
-        SummarySink { w }
-    }
-}
-
-impl<W: Write + Send> Sink for SummarySink<W> {
-    fn on_snapshot(&mut self, snapshot: &MetricsSnapshot) {
-        let _ = write!(self.w, "{snapshot}");
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.w.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +274,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"event\""));
         assert!(lines[1].contains("\"c{x}\":3"), "{}", lines[1]);
-    }
-
-    #[test]
-    fn summary_sink_renders_table() {
-        let mut out = Vec::new();
-        {
-            let mut sink = SummarySink::new(&mut out);
-            sink.on_snapshot(&MetricsSnapshot {
-                counters: vec![(MetricKey::new("sim.llc", "hit"), 10)],
-                ..Default::default()
-            });
-        }
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("sim.llc{hit}"), "{text}");
     }
 
     #[test]

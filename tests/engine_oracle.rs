@@ -1,20 +1,20 @@
 //! Smoke test of the access engine against its oracle, through the `m5`
 //! facade only.
 //!
-//! The chunked driver runs the fused scalar loop through every quiet
-//! segment and one fully-checked access at each boundary; the
-//! per-access driver (`run_per_access`) is the semantic reference. A short
-//! M5 run with telemetry on, live fault windows, and the contention model
-//! enabled must produce the same `RunReport` and the same rendered
-//! telemetry snapshot under both, at chunk capacities that cut quiet
-//! segments everywhere, and must split its accesses between the quiet
-//! loop and the checked path exactly as pinned. A run checkpointed
+//! The chunked driver runs its accesses in segments that check faults,
+//! flushes and wakeups once each; the per-access driver
+//! (`run_per_access`) is the semantic reference. A short M5 run with
+//! telemetry on, live fault windows, and the contention model enabled
+//! must produce the same `RunReport` and the same rendered telemetry
+//! snapshot under both, at chunk capacities that cut segments
+//! everywhere, and must end exactly the pinned number of segments at
+//! their horizon. A run checkpointed
 //! mid-chunk and restored into a fresh machine must finish byte-identical
 //! to the run that never stopped.
 
 use m5::core::manager::{M5Config, M5Manager};
 use m5::sim::prelude::*;
-use m5::sim::system::{run_chunked, run_per_access, AccessPaths, DEFAULT_CHUNK_ACCESSES};
+use m5::sim::system::{run_chunked, run_per_access, DEFAULT_CHUNK_ACCESSES};
 use m5::workloads::access::ReplayWorkload;
 use m5::workloads::registry::Benchmark;
 
@@ -23,13 +23,13 @@ const SEED: u64 = 11;
 const BENCH: Benchmark = Benchmark::Redis;
 
 /// Spike, stall, poison, and DDR-pressure windows inside the run's first
-/// few simulated milliseconds, so boundary accesses and quiet segments
-/// alternate throughout. A correctable error and a link degrade early on
-/// leave every later quiet segment adding the RAS penalty to its CXL
-/// fills; a controller reset at an unreachable journal step and a copy
-/// failure stay pending without stopping the quiet loop; and a poisoned
-/// read after a long quiet stretch makes the scheduled-fault horizon cut
-/// a segment.
+/// few simulated milliseconds, so segments open and close on fault
+/// edges throughout. A correctable error and a link degrade early on
+/// leave every later segment adding the RAS penalty to its CXL fills; a
+/// controller reset at an unreachable journal step and a copy failure
+/// stay pending without cutting a segment; and a poisoned read after a
+/// long fault-free stretch makes the scheduled-fault edge cut a
+/// segment.
 fn plan() -> FaultPlan {
     FaultPlan::none()
         .with(
@@ -77,14 +77,11 @@ fn plan() -> FaultPlan {
 /// When [`plan`]'s last fault fires, long after the others.
 const LATE_FAULT: Nanos = Nanos::from_millis(50);
 
-/// The chunked run's exact engine-path split. Every digest and oracle
-/// would still pass if an engine change served quiet accesses on the
-/// checked path; this pin would not. A change that moves the split on
-/// purpose updates it, as it would a golden line.
-const PINNED_PATHS: AccessPaths = AccessPaths {
-    quiet: 199_026,
-    checked: 974,
-};
+/// The chunked run's exact horizon-break count. Every digest and oracle
+/// would still pass if an engine change cut its segments short; this pin
+/// would not. A change that moves the count on purpose updates it, as it
+/// would a golden line.
+const PINNED_BREAKS: u64 = 133;
 
 fn config() -> SystemConfig {
     let pages = BENCH.spec().footprint_pages;
@@ -138,9 +135,9 @@ fn chunked_engine_matches_per_access_oracle() {
             "telemetry diverged at chunk cap {cap}"
         );
         assert_eq!(
-            sys.access_paths(),
-            PINNED_PATHS,
-            "engine-path split moved at chunk cap {cap}"
+            sys.horizon_breaks(),
+            PINNED_BREAKS,
+            "horizon-break count moved at chunk cap {cap}"
         );
     }
 }
