@@ -2,11 +2,12 @@
 //!
 //! The paper's contribution, reproduced on top of the `cxl-sim` substrate:
 //!
-//! * [`hpt::HotPageTracker`] and [`hwt::HotWordTracker`] — near-memory
-//!   devices in the CXL controller that cost-efficiently track the top-K
-//!   hot 4 KiB pages and 64 B words using a CM-Sketch (or Space-Saving)
-//!   top-K tracker. They observe every CXL DRAM access at zero host-CPU
-//!   cost; only *querying* them costs the host an MMIO round trip.
+//! * [`tracker::HotTracker`] — the near-memory HPT and HWT in the CXL
+//!   controller: one device that cost-efficiently tracks the top-K hot
+//!   4 KiB pages or 64 B words (by [`tracker::Granularity`]) using a
+//!   CM-Sketch (or Space-Saving) top-K tracker. It observes every CXL DRAM
+//!   access at zero host-CPU cost; only *querying* it costs the host an
+//!   MMIO round trip.
 //! * [`manager`] — the M5-manager, four user-space components plus a thin
 //!   in-kernel Promoter:
 //!   [`manager::monitor::Monitor`] (Table 1: `nr_pages`/`bw`/`bw_den`),
@@ -38,8 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hpt;
-pub mod hwt;
 pub mod manager;
 pub mod policy;
-pub mod tracker_impl;
+pub mod tracker;

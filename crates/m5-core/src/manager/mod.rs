@@ -13,9 +13,9 @@ pub mod monitor;
 pub mod nominator;
 pub mod promoter;
 
-use crate::hpt::{HotPageTracker, HptConfig};
-use crate::hwt::{HotWordTracker, HwtConfig};
+use crate::tracker::{Granularity, HotTracker, TrackerConfig};
 use cxl_sim::addr::{CacheLineAddr, Pfn, Vpn};
+use cxl_sim::checkpoint::{CodecError, StateReader, StateWriter};
 use cxl_sim::controller::DeviceHandle;
 use cxl_sim::hotlog::HotPageLog;
 use cxl_sim::kernel::CostKind;
@@ -31,6 +31,10 @@ use std::fmt;
 /// Consecutive garbage query results a tracker may return before the
 /// manager declares it failed and falls back to software identification.
 const TRACKER_STRIKE_LIMIT: u8 = 2;
+
+/// Appended to the daemon name once tracker failure forces software-only
+/// identification.
+const FALLBACK_SUFFIX: &str = "+sw-fallback";
 
 /// A rejected [`M5Config`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,10 +88,10 @@ type TrackerOutput = (Vec<(Pfn, u64)>, Vec<(CacheLineAddr, u64)>);
 pub struct M5Config {
     /// HPT device configuration (`None` omits the device; required unless
     /// the nominator is HWT-driven).
-    pub hpt: Option<HptConfig>,
+    pub hpt: Option<TrackerConfig>,
     /// HWT device configuration (`None` omits the device; required for the
     /// HPT-driven and HWT-driven nominators).
-    pub hwt: Option<HwtConfig>,
+    pub hwt: Option<TrackerConfig>,
     /// Nominator mechanism.
     pub mode: NominatorMode,
     /// Elector policy.
@@ -118,7 +122,7 @@ pub struct M5Config {
 impl Default for M5Config {
     fn default() -> M5Config {
         M5Config {
-            hpt: Some(HptConfig::default()),
+            hpt: Some(TrackerConfig::hpt()),
             hwt: None,
             mode: NominatorMode::HptOnly,
             elector: ElectorConfig::default(),
@@ -158,6 +162,72 @@ impl M5Config {
         }
         Ok(())
     }
+
+    /// The configuration of the tracker keyed at `granularity`.
+    fn tracker(&self, granularity: Granularity) -> Option<TrackerConfig> {
+        match granularity {
+            Granularity::Page => self.hpt,
+            Granularity::Word => self.hwt,
+        }
+    }
+}
+
+/// One tracker the manager may drive: its granularity, the attached device
+/// (`None` when the config omits it, or before `on_start`), and the
+/// consecutive garbage batches it has returned.
+#[derive(Clone, Copy, Debug)]
+struct TrackerSlot {
+    granularity: Granularity,
+    handle: Option<DeviceHandle>,
+    strikes: u8,
+}
+
+impl TrackerSlot {
+    fn new(granularity: Granularity) -> TrackerSlot {
+        TrackerSlot {
+            granularity,
+            handle: None,
+            strikes: 0,
+        }
+    }
+
+    /// Writes whether a device is attached, then its state.
+    fn save(&self, sys: &System, w: &mut StateWriter) {
+        match self.handle.and_then(|h| sys.device::<HotTracker>(h)) {
+            Some(d) => {
+                w.put_bool(true);
+                d.save(w);
+            }
+            None => w.put_bool(false),
+        }
+    }
+
+    /// The mirror of [`TrackerSlot::save`]: attaches a device built from
+    /// `config` and loads the saved state into it, if any was saved.
+    fn restore(
+        &mut self,
+        config: Option<TrackerConfig>,
+        sys: &mut System,
+        r: &mut StateReader<'_>,
+    ) -> Result<(), CodecError> {
+        let saved = r.get_bool()?;
+        let Some(config) = config else {
+            return if saved {
+                Err(CodecError::BadValue {
+                    what: "tracker state without a tracker config",
+                    value: self.granularity as u64,
+                })
+            } else {
+                Ok(())
+            };
+        };
+        let mut device = HotTracker::new(config, self.granularity);
+        if saved {
+            device.load(r)?;
+        }
+        self.handle = Some(sys.attach_device(device));
+        Ok(())
+    }
 }
 
 /// The composed M5-manager daemon.
@@ -168,17 +238,17 @@ pub struct M5Manager {
     nominator: Nominator,
     elector: Elector,
     promoter: Promoter,
-    hpt: Option<DeviceHandle>,
-    hwt: Option<DeviceHandle>,
+    /// The HPT, then the HWT.
+    trackers: [TrackerSlot; 2],
     wake: Option<Nanos>,
     log: HotPageLog,
     epochs: u64,
     migrate_epochs: u64,
     ras_drain_epochs: u64,
+    /// Set by the config's mode, plus [`FALLBACK_SUFFIX`] once `fallback`
+    /// is set; derived, so never checkpointed.
     name: String,
     fallback: bool,
-    hpt_strikes: u8,
-    hwt_strikes: u8,
     /// The previous epoch's CXL congestion factor (loaded/unloaded
     /// latency). The RAS evacuation drain runs *before* this epoch's
     /// Monitor sample, so it is shaped by the last sample instead — one
@@ -207,8 +277,10 @@ impl M5Manager {
             nominator: Nominator::new(config.mode),
             elector: Elector::new(config.elector),
             promoter: Promoter::new(config.promoter),
-            hpt: None,
-            hwt: None,
+            trackers: [
+                TrackerSlot::new(Granularity::Page),
+                TrackerSlot::new(Granularity::Word),
+            ],
             wake: None,
             log: HotPageLog::new(config.hot_log_cap),
             epochs: 0,
@@ -216,8 +288,6 @@ impl M5Manager {
             ras_drain_epochs: 0,
             name: name.to_string(),
             fallback: false,
-            hpt_strikes: 0,
-            hwt_strikes: 0,
             last_congestion: 1.0,
             config,
         })
@@ -271,8 +341,10 @@ impl M5Manager {
     /// counters, the hot-page log, and the attached trackers' SRAM
     /// contents. The `System` checkpoint deliberately excludes devices
     /// (they belong to whoever attached them), so the manager section
-    /// carries them. Pair with [`M5Manager::restore`].
-    pub fn save(&self, sys: &System, w: &mut cxl_sim::checkpoint::StateWriter) {
+    /// carries them. The daemon name is not written: restore derives it
+    /// from the config and the fallback flag. Pair with
+    /// [`M5Manager::restore`].
+    pub fn save(&self, sys: &System, w: &mut StateWriter) {
         w.put_str(&format!("{:?}", self.config));
         self.monitor.save(w);
         self.nominator.save(w);
@@ -289,24 +361,13 @@ impl M5Manager {
         w.put_u64(self.epochs);
         w.put_u64(self.migrate_epochs);
         w.put_u64(self.ras_drain_epochs);
-        w.put_str(&self.name);
         w.put_bool(self.fallback);
-        w.put_u8(self.hpt_strikes);
-        w.put_u8(self.hwt_strikes);
-        w.put_f64(self.last_congestion);
-        match self.hpt.and_then(|h| sys.device::<HotPageTracker>(h)) {
-            Some(d) => {
-                w.put_bool(true);
-                d.save(w);
-            }
-            None => w.put_bool(false),
+        for slot in &self.trackers {
+            w.put_u8(slot.strikes);
         }
-        match self.hwt.and_then(|h| sys.device::<HotWordTracker>(h)) {
-            Some(d) => {
-                w.put_bool(true);
-                d.save(w);
-            }
-            None => w.put_bool(false),
+        w.put_f64(self.last_congestion);
+        for slot in &self.trackers {
+            slot.save(sys, w);
         }
     }
 
@@ -320,15 +381,14 @@ impl M5Manager {
     ///
     /// # Errors
     ///
-    /// Returns a [`cxl_sim::checkpoint::CodecError`] when `config` differs
-    /// from the checkpointed one, fails validation, or the payload is
-    /// truncated or internally inconsistent.
+    /// Returns a [`CodecError`] when `config` differs from the checkpointed
+    /// one, fails validation, or the payload is truncated or internally
+    /// inconsistent.
     pub fn restore(
         config: M5Config,
         sys: &mut System,
-        r: &mut cxl_sim::checkpoint::StateReader<'_>,
-    ) -> Result<M5Manager, cxl_sim::checkpoint::CodecError> {
-        use cxl_sim::checkpoint::CodecError;
+        r: &mut StateReader<'_>,
+    ) -> Result<M5Manager, CodecError> {
         let saved = r.get_str()?;
         if saved != format!("{config:?}") {
             return Err(CodecError::BadValue {
@@ -353,119 +413,81 @@ impl M5Manager {
         m.epochs = r.get_u64()?;
         m.migrate_epochs = r.get_u64()?;
         m.ras_drain_epochs = r.get_u64()?;
-        m.name = r.get_str()?;
         m.fallback = r.get_bool()?;
-        m.hpt_strikes = r.get_u8()?;
-        m.hwt_strikes = r.get_u8()?;
+        if m.fallback {
+            m.name.push_str(FALLBACK_SUFFIX);
+        }
+        for slot in &mut m.trackers {
+            slot.strikes = r.get_u8()?;
+        }
         m.last_congestion = r.get_f64()?;
-        if let Some(cfg) = config.hpt {
-            m.hpt = Some(sys.attach_device(HotPageTracker::new(cfg)));
-        }
-        if r.get_bool()? {
-            let h = m.hpt.ok_or(CodecError::BadValue {
-                what: "hpt state without an hpt config",
-                value: 0,
-            })?;
-            sys.device_mut::<HotPageTracker>(h)
-                .ok_or(CodecError::BadValue {
-                    what: "hpt device lookup",
-                    value: 0,
-                })?
-                .load(r)?;
-        }
-        if let Some(cfg) = config.hwt {
-            m.hwt = Some(sys.attach_device(HotWordTracker::new(cfg)));
-        }
-        if r.get_bool()? {
-            let h = m.hwt.ok_or(CodecError::BadValue {
-                what: "hwt state without an hwt config",
-                value: 0,
-            })?;
-            sys.device_mut::<HotWordTracker>(h)
-                .ok_or(CodecError::BadValue {
-                    what: "hwt device lookup",
-                    value: 0,
-                })?
-                .load(r)?;
+        for slot in &mut m.trackers {
+            slot.restore(config.tracker(slot.granularity), sys, r)?;
         }
         Ok(m)
     }
 
     fn query_trackers(&mut self, sys: &mut System) -> TrackerOutput {
-        let query_cost = sys.config().costs.tracker_query;
-        let cxl_frames = sys.config().cxl.capacity_frames;
-        let pfn_ok = |pfn: Pfn| pfn.0 >= CXL_BASE_PFN && pfn.0 < CXL_BASE_PFN + cxl_frames;
         // Report batches are traced as spans so a JSONL consumer can line
         // up tracker output with the epoch that consumed it.
         let span = sys.telemetry().is_enabled().then(|| {
             let now = sys.now().0;
             sys.telemetry_mut().span_start(now, "m5.tracker.report", "")
         });
-
-        let mut hot_pages = match self.hpt {
-            Some(h) => {
-                sys.daemon_bill(CostKind::ManagerQuery, query_cost);
-                let (observed, out) = sys
-                    .device_mut::<HotPageTracker>(h)
-                    .map(|d| (d.observed(), d.query()))
-                    .unwrap_or_default();
-                let t = sys.telemetry_mut();
-                t.counter_add("m5.tracker.queries", "hpt", 1);
-                t.gauge_set("m5.tracker.observed", "hpt", observed as f64);
-                t.gauge_set("m5.tracker.batch", "hpt", out.len() as f64);
-                out
-            }
-            None => Vec::new(),
-        };
-        // Health check: a healthy HPT only ever reports frames inside the
-        // CXL node it snoops, with counts far below saturation. Anything
-        // else is a wedged or corrupted device; discard the batch and
-        // strike the tracker.
-        if hot_pages
-            .iter()
-            .any(|&(pfn, c)| !pfn_ok(pfn) || c == u64::MAX)
-        {
-            hot_pages.clear();
-            self.hpt_strikes = self.hpt_strikes.saturating_add(1);
-            sys.telemetry_mut()
-                .counter_add("m5.tracker.strikes", "hpt", 1);
-            if self.hpt_strikes >= TRACKER_STRIKE_LIMIT {
-                self.engage_fallback(sys, "hpt");
-            }
-        }
-
-        let mut hot_words = match self.hwt {
-            Some(h) => {
-                sys.daemon_bill(CostKind::ManagerQuery, query_cost);
-                let (observed, out) = sys
-                    .device_mut::<HotWordTracker>(h)
-                    .map(|d| (d.observed(), d.query()))
-                    .unwrap_or_default();
-                let t = sys.telemetry_mut();
-                t.counter_add("m5.tracker.queries", "hwt", 1);
-                t.gauge_set("m5.tracker.observed", "hwt", observed as f64);
-                t.gauge_set("m5.tracker.batch", "hwt", out.len() as f64);
-                out
-            }
-            None => Vec::new(),
-        };
-        if hot_words
-            .iter()
-            .any(|&(line, c)| !pfn_ok(line.pfn()) || c == u64::MAX)
-        {
-            hot_words.clear();
-            self.hwt_strikes = self.hwt_strikes.saturating_add(1);
-            sys.telemetry_mut()
-                .counter_add("m5.tracker.strikes", "hwt", 1);
-            if self.hwt_strikes >= TRACKER_STRIKE_LIMIT {
-                self.engage_fallback(sys, "hwt");
-            }
-        }
+        let [pages, words] = [0, 1].map(|i| self.query_tracker(sys, i));
         if let Some(s) = span {
             let now = sys.now().0;
             sys.telemetry_mut().span_end(now, s);
         }
-        (hot_pages, hot_words)
+        (
+            pages.into_iter().map(|(k, c)| (Pfn(k), c)).collect(),
+            words
+                .into_iter()
+                .map(|(k, c)| (CacheLineAddr(k), c))
+                .collect(),
+        )
+    }
+
+    /// Bills and drains tracker slot `i` and publishes its telemetry, then
+    /// health-checks the batch. A healthy tracker only ever reports keys
+    /// inside the CXL node it snoops, with counts far below saturation.
+    /// Anything else is a wedged or corrupted device: the batch is
+    /// discarded, the tracker struck, and [`TRACKER_STRIKE_LIMIT`] strikes
+    /// engage the software fallback.
+    fn query_tracker(&mut self, sys: &mut System, i: usize) -> Vec<(u64, u64)> {
+        let TrackerSlot {
+            granularity,
+            handle: Some(h),
+            ..
+        } = self.trackers[i]
+        else {
+            return Vec::new();
+        };
+        let label = granularity.label();
+        sys.daemon_bill(CostKind::ManagerQuery, sys.config().costs.tracker_query);
+        let (observed, mut out) = sys
+            .device_mut::<HotTracker>(h)
+            .map(|d| (d.observed(), d.query()))
+            .unwrap_or_default();
+        let t = sys.telemetry_mut();
+        t.counter_add("m5.tracker.queries", label, 1);
+        t.gauge_set("m5.tracker.observed", label, observed as f64);
+        t.gauge_set("m5.tracker.batch", label, out.len() as f64);
+        let cxl = CXL_BASE_PFN..CXL_BASE_PFN + sys.config().cxl.capacity_frames;
+        if out
+            .iter()
+            .any(|&(key, c)| !cxl.contains(&granularity.pfn(key).0) || c == u64::MAX)
+        {
+            out.clear();
+            let slot = &mut self.trackers[i];
+            slot.strikes = slot.strikes.saturating_add(1);
+            sys.telemetry_mut()
+                .counter_add("m5.tracker.strikes", label, 1);
+            if self.trackers[i].strikes >= TRACKER_STRIKE_LIMIT {
+                self.engage_fallback(sys, label);
+            }
+        }
+        out
     }
 
     /// Switches to software-only hot-page identification after a tracker
@@ -489,7 +511,7 @@ impl M5Manager {
              falling back to software-only identification",
             self.name
         ));
-        self.name.push_str("+sw-fallback");
+        self.name.push_str(FALLBACK_SUFFIX);
         // Word-granular signals are gone; rank pages like HptOnly.
         self.nominator = Nominator::new(NominatorMode::HptOnly);
     }
@@ -523,11 +545,12 @@ impl MigrationDaemon for M5Manager {
     }
 
     fn on_start(&mut self, sys: &mut System) {
-        if let Some(cfg) = self.config.hpt {
-            self.hpt = Some(sys.attach_device(HotPageTracker::new(cfg)));
-        }
-        if let Some(cfg) = self.config.hwt {
-            self.hwt = Some(sys.attach_device(HotWordTracker::new(cfg)));
+        for slot in &mut self.trackers {
+            let g = slot.granularity;
+            slot.handle = self
+                .config
+                .tracker(g)
+                .map(|c| sys.attach_device(HotTracker::new(c, g)));
         }
         self.wake = Some(sys.now() + self.config.elector.min_period);
     }
@@ -750,7 +773,7 @@ mod tests {
     fn hwt_driven_mode_runs_without_hpt() {
         let config = M5Config {
             hpt: None,
-            hwt: Some(HwtConfig::default()),
+            hwt: Some(TrackerConfig::hwt()),
             mode: NominatorMode::HwtDriven,
             ..M5Config::default()
         };
@@ -766,8 +789,8 @@ mod tests {
     #[test]
     fn hpt_plus_hwt_mode_attaches_both_devices() {
         let config = M5Config {
-            hpt: Some(HptConfig::default()),
-            hwt: Some(HwtConfig::default()),
+            hpt: Some(TrackerConfig::hpt()),
+            hwt: Some(TrackerConfig::hwt()),
             mode: NominatorMode::HptDriven,
             ..M5Config::default()
         };
@@ -1058,7 +1081,19 @@ mod tests {
 
     #[test]
     fn manager_restore_continues_identically() {
-        use cxl_sim::checkpoint::{Checkpoint, StateReader};
+        // The default HPT, an HPT plus an HWT, and a Space-Saving HPT: every
+        // tracker granularity and algorithm checkpoints its SRAM.
+        for m5cfg in [
+            M5Config::default(),
+            crate::policy::simple_hpt_hwt_policy(),
+            crate::policy::space_saving_50_policy(),
+        ] {
+            restore_continues_identically(m5cfg);
+        }
+    }
+
+    fn restore_continues_identically(m5cfg: M5Config) {
+        use cxl_sim::checkpoint::Checkpoint;
         use cxl_sim::faults::FaultPlan;
         use cxl_sim::system::ChunkedRun;
         let make_config = || {
@@ -1073,7 +1108,6 @@ mod tests {
             rng: SmallRng::seed_from_u64(3),
             remaining: 120_000,
         };
-        let m5cfg = M5Config::default();
         let plan = FaultPlan::none();
 
         // A: the uninterrupted reference run.
@@ -1118,12 +1152,15 @@ mod tests {
         let report_a = run_a.finish(&mut sys_a, &m5_a);
         let report_b = run_b2.finish(&mut sys_b2, &m5_b2);
         assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
-        assert!(report_a.migrations.promotions > 0, "the run did real work");
+        assert!(
+            report_a.migrations.promotions > 0,
+            "{}: the run did real work",
+            m5_a.name()
+        );
     }
 
     #[test]
     fn manager_restore_rejects_config_and_mode_skew() {
-        use cxl_sim::checkpoint::{StateReader, StateWriter};
         let (mut sys, _wl, m5) = setup(M5Config::default());
         let mut w = StateWriter::new();
         m5.save(&sys, &mut w);

@@ -5,12 +5,10 @@
 //! effective even without sophistication. These presets reproduce the
 //! Figure 8/9 configurations.
 
-use crate::hpt::HptConfig;
-use crate::hwt::HwtConfig;
 use crate::manager::elector::{ElectorConfig, FScale};
 use crate::manager::nominator::NominatorMode;
 use crate::manager::M5Config;
-use crate::tracker_impl::TrackerAlgo;
+use crate::tracker::{TrackerAlgo, TrackerConfig};
 
 /// The simple Elector policy of §7.2: `fscale(x) = xⁿ` with `n = 4`.
 pub fn simple_elector() -> ElectorConfig {
@@ -24,10 +22,7 @@ pub fn simple_elector() -> ElectorConfig {
 /// paper's headline configuration (`M5(HPT)` in Figure 9).
 pub fn simple_hpt_policy() -> M5Config {
     M5Config {
-        hpt: Some(HptConfig {
-            algo: TrackerAlgo::cm_sketch_32k(),
-            ..HptConfig::default()
-        }),
+        hpt: Some(TrackerConfig::hpt()),
         hwt: None,
         mode: NominatorMode::HptOnly,
         elector: simple_elector(),
@@ -40,7 +35,7 @@ pub fn simple_hpt_policy() -> M5Config {
 pub fn simple_hwt_policy() -> M5Config {
     M5Config {
         hpt: None,
-        hwt: Some(HwtConfig::default()),
+        hwt: Some(TrackerConfig::hwt()),
         mode: NominatorMode::HwtDriven,
         elector: simple_elector(),
         ..M5Config::default()
@@ -52,8 +47,8 @@ pub fn simple_hwt_policy() -> M5Config {
 /// Liblinear.
 pub fn simple_hpt_hwt_policy() -> M5Config {
     M5Config {
-        hpt: Some(HptConfig::default()),
-        hwt: Some(HwtConfig::default()),
+        hpt: Some(TrackerConfig::hpt()),
+        hwt: Some(TrackerConfig::hwt()),
         mode: NominatorMode::HptDriven,
         elector: simple_elector(),
         ..M5Config::default()
@@ -64,9 +59,9 @@ pub fn simple_hpt_hwt_policy() -> M5Config {
 /// Figure 8.
 pub fn space_saving_50_policy() -> M5Config {
     M5Config {
-        hpt: Some(HptConfig {
+        hpt: Some(TrackerConfig {
             algo: TrackerAlgo::space_saving_50(),
-            ..HptConfig::default()
+            ..TrackerConfig::hpt()
         }),
         hwt: None,
         mode: NominatorMode::HptOnly,

@@ -8,6 +8,7 @@ use cxl_sim::prelude::*;
 use cxl_sim::system::{run, AccessStream};
 use cxl_sim::time::Nanos;
 use m5_core::manager::{M5Config, M5Manager};
+use m5_core::policy;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,6 +37,10 @@ impl AccessStream for SkewedStream {
 }
 
 fn setup(plan: &FaultPlan) -> (System, SkewedStream, M5Manager) {
+    setup_with(plan, M5Config::default())
+}
+
+fn setup_with(plan: &FaultPlan, config: M5Config) -> (System, SkewedStream, M5Manager) {
     let mut sys = System::with_fault_plan(
         SystemConfig::small()
             .with_cxl_frames(1024)
@@ -50,37 +55,49 @@ fn setup(plan: &FaultPlan) -> (System, SkewedStream, M5Manager) {
         rng: SmallRng::seed_from_u64(3),
         remaining: 300_000,
     };
-    (sys, wl, M5Manager::new(M5Config::default()))
+    (sys, wl, M5Manager::new(config))
 }
 
 #[test]
 fn tracker_failure_falls_back_to_software_identification() {
-    // Kill every attached device early in the run: the HPT starts
+    // Kill every attached device early in the run: the tracker starts
     // returning garbage, the manager strikes it out and switches to PTE
-    // accessed-bit scanning.
+    // accessed-bit scanning. The HPT-only and the HWT-driven manager each
+    // depend on one tracker.
     let plan = FaultPlan::none().with(Nanos(1_000), FaultKind::Device(DeviceFault::Fail));
-    let (mut sys, mut wl, mut m5) = setup(&plan);
-    let report = run(&mut sys, &mut wl, &mut m5, u64::MAX);
+    for (config, tracker) in [
+        (M5Config::default(), "hpt"),
+        (policy::simple_hwt_policy(), "hwt"),
+    ] {
+        let (mut sys, mut wl, mut m5) = setup_with(&plan, config);
+        let report = run(&mut sys, &mut wl, &mut m5, u64::MAX);
 
-    assert_eq!(
-        report.accesses, 300_000,
-        "run completed despite tracker loss"
-    );
-    assert!(m5.in_software_fallback());
-    assert_eq!(report.daemon, "m5-hpt+sw-fallback");
-    assert_eq!(report.health.degraded.len(), 1);
-    assert!(report.health.degraded[0].contains("software-only"));
-    // Software identification still finds and promotes hot pages — worse,
-    // but working (it bills real PTE-scan time, unlike the trackers).
-    assert!(report.migrations.promotions > 0);
-    assert!(report.kernel.of(cxl_sim::kernel::CostKind::PteScan) > Nanos::ZERO);
-    let hot_on_ddr = (0..16)
-        .filter(|&p| sys.page_table().get(Vpn(p)).unwrap().node() == NodeId::Ddr)
-        .count();
-    assert!(
-        hot_on_ddr > 0,
-        "fallback still promotes some of the hot set"
-    );
+        assert_eq!(
+            report.accesses, 300_000,
+            "run completed despite {tracker} loss"
+        );
+        assert!(m5.in_software_fallback());
+        assert_eq!(report.daemon, format!("m5-{tracker}+sw-fallback"));
+        assert_eq!(report.health.degraded.len(), 1);
+        let degraded = &report.health.degraded[0];
+        assert!(degraded.contains("software-only"), "{degraded}");
+        assert!(
+            degraded.contains(&format!(": {tracker} returned garbage")),
+            "{degraded}"
+        );
+        // Software identification still finds and promotes hot pages —
+        // worse, but working (it bills real PTE-scan time, unlike the
+        // trackers).
+        assert!(report.migrations.promotions > 0);
+        assert!(report.kernel.of(cxl_sim::kernel::CostKind::PteScan) > Nanos::ZERO);
+        let hot_on_ddr = (0..16)
+            .filter(|&p| sys.page_table().get(Vpn(p)).unwrap().node() == NodeId::Ddr)
+            .count();
+        assert!(
+            hot_on_ddr > 0,
+            "fallback still promotes some of the hot set"
+        );
+    }
 }
 
 #[test]

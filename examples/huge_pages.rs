@@ -7,8 +7,8 @@
 //! cargo run --release --example huge_pages
 //! ```
 
-use m5::core::hpt::{HotPageTracker, HptConfig};
 use m5::core::manager::hugepage::{HugePageAggregator, HugePfn, SUBPAGES_PER_HUGE};
+use m5::core::tracker::{Granularity, HotTracker, TrackerConfig};
 use m5::sim::prelude::*;
 use m5::sim::system::NoMigration;
 use m5::workloads::registry::Benchmark;
@@ -26,7 +26,7 @@ fn main() {
     let region = sys
         .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
         .expect("fits");
-    let hpt = sys.attach_device(HotPageTracker::new(HptConfig::default()));
+    let hpt = sys.attach_device(HotTracker::new(TrackerConfig::hpt(), Granularity::Page));
     let mut workload = spec.build(region.base, 6_000_000, 8);
 
     let mut agg = HugePageAggregator::new();
@@ -36,10 +36,13 @@ fn main() {
     while let Some(a) = workload.next_access() {
         sys.access(a.vaddr, a.is_write);
         if sys.now() >= next_query {
-            let epoch = sys
-                .device_mut::<HotPageTracker>(hpt)
+            let epoch: Vec<(Pfn, u64)> = sys
+                .device_mut::<HotTracker>(hpt)
                 .expect("attached")
-                .query();
+                .query()
+                .into_iter()
+                .map(|(pfn, count)| (Pfn(pfn), count))
+                .collect();
             agg.observe(&epoch);
             next_query = sys.now() + Nanos::from_millis(2);
         }
