@@ -147,6 +147,33 @@ impl CacheLineAddr {
     }
 }
 
+/// What a near-memory device keys a snooped access by: the address
+/// converter of the paper's profilers and trackers. The discriminant is the
+/// right shift from a cache-line address to the key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Granularity {
+    /// 4 KiB pages, keyed by PFN (`PA[47:6] >> 6`).
+    Page = 6,
+    /// 64 B words, keyed by cache-line address (`PA[47:6]`).
+    Word = 0,
+}
+
+impl Granularity {
+    /// The key of `line`: its PFN or its own cache-line address.
+    #[inline]
+    pub fn key(self, line: CacheLineAddr) -> u64 {
+        line.0 >> self as u32
+    }
+
+    /// The frame that holds key `key`.
+    pub fn pfn(self, key: u64) -> Pfn {
+        match self {
+            Granularity::Page => Pfn(key),
+            Granularity::Word => CacheLineAddr(key).pfn(),
+        }
+    }
+}
+
 impl From<VirtAddr> for u64 {
     fn from(a: VirtAddr) -> u64 {
         a.0

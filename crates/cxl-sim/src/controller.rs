@@ -40,12 +40,6 @@ pub trait CxlDevice: Any + Send {
     /// simply cannot be corrupted. Trackers and profilers override this to
     /// model bit flips, counter saturation, and permanent failure.
     fn on_fault(&mut self, _fault: DeviceFault) {}
-
-    /// Upcast for downcasting by [`CxlController::device`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// Upcast for downcasting by [`CxlController::device_mut`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A typed handle to a device attached to a controller.
@@ -97,12 +91,16 @@ impl CxlController {
     ///
     /// Returns `None` if the handle is stale or the type does not match.
     pub fn device<D: CxlDevice>(&self, handle: DeviceHandle) -> Option<&D> {
-        self.devices.get(handle.0)?.as_any().downcast_ref()
+        // Upcast the trait object itself: a `&Box<dyn CxlDevice>` would
+        // coerce to `&dyn Any` with the Box's own type id.
+        let device: &dyn Any = &**self.devices.get(handle.0)?;
+        device.downcast_ref()
     }
 
     /// Mutably borrows an attached device, downcast to its concrete type.
     pub fn device_mut<D: CxlDevice>(&mut self, handle: DeviceHandle) -> Option<&mut D> {
-        self.devices.get_mut(handle.0)?.as_any_mut().downcast_mut()
+        let device: &mut dyn Any = &mut **self.devices.get_mut(handle.0)?;
+        device.downcast_mut()
     }
 
     /// Number of attached devices.
@@ -146,12 +144,6 @@ mod tests {
             }
             self.last = Some(line);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn counting() -> CountingDevice {
@@ -194,12 +186,6 @@ mod tests {
                 "other"
             }
             fn on_access(&mut self, _: CacheLineAddr, _: bool, _: Nanos) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut ctl = CxlController::new();
         let h = ctl.attach(counting());

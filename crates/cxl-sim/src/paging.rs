@@ -377,14 +377,20 @@ impl PageTable {
         }
     }
 
-    /// Rebuilds a table from a checkpoint section.
+    /// Rebuilds a table from a checkpoint section, for a machine with
+    /// `ddr_frames` DDR and `cxl_frames` CXL frames.
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// returns [`CodecError::BadValue`](crate::checkpoint::CodecError::BadValue)
+    /// for a PTE whose frame lies outside both nodes or backs an earlier PTE.
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
+        ddr_frames: u64,
+        cxl_frames: u64,
     ) -> Result<PageTable, crate::checkpoint::CodecError> {
+        use crate::checkpoint::CodecError;
         let n = r.get_u64()? as usize;
         let mut pt = PageTable::new();
         pt.entries.reserve(n.min(1 << 24));
@@ -394,10 +400,25 @@ impl PageTable {
             pt.entries.push(Pte { pfn, flags });
         }
         for (i, pte) in pt.entries.iter().enumerate() {
-            if pte.is_mapped() {
-                pt.rmap.insert(pte.pfn, Vpn(i as u64));
-                pt.mapped += 1;
+            if !pte.is_mapped() {
+                continue;
             }
+            let in_node = match NodeId::of_pfn(pte.pfn) {
+                NodeId::Ddr => pte.pfn.0 < ddr_frames,
+                NodeId::Cxl => pte.pfn.0 - CXL_BASE_PFN < cxl_frames,
+            };
+            if !in_node || pt.rmap.get(pte.pfn).is_some() {
+                return Err(CodecError::BadValue {
+                    what: if in_node {
+                        "PTE frame mapped twice"
+                    } else {
+                        "PTE frame outside both nodes"
+                    },
+                    value: pte.pfn.0,
+                });
+            }
+            pt.rmap.insert(pte.pfn, Vpn(i as u64));
+            pt.mapped += 1;
         }
         Ok(pt)
     }

@@ -309,7 +309,9 @@ impl System {
         let memory = read_section(cp, "memory", |r| {
             TieredMemory::restore(config.ddr.clone(), config.cxl.clone(), r)
         })?;
-        let page_table = read_section(cp, "paging", |r| PageTable::restore(r))?;
+        let page_table = read_section(cp, "paging", |r| {
+            PageTable::restore(r, config.ddr.capacity_frames, config.cxl.capacity_frames)
+        })?;
         let tlb = read_section(cp, "tlb", |r| Tlb::restore(config.tlb, r))?;
         let llc = read_section(cp, "llc", |r| Llc::restore(config.llc, r))?;
         let perfmon = read_section(cp, "perfmon", |r| PerfMonitor::restore(r))?;

@@ -15,7 +15,6 @@ use crate::addr::CacheLineAddr;
 use crate::checkpoint::{section_err, Checkpoint, RestoreError, StateReader, StateWriter};
 use crate::controller::CxlDevice;
 use crate::time::Nanos;
-use std::any::Any;
 
 /// Name of the single checkpoint section a trace file holds.
 const SECTION: &str = "trace";
@@ -86,14 +85,6 @@ impl CxlDevice for TraceCapture {
             is_write,
             ts: now,
         });
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

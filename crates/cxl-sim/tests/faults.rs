@@ -14,7 +14,6 @@ use cxl_sim::system::{run, AccessStream, NoMigration};
 use cxl_sim::time::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 const PAGES: u64 = 64;
 const ACCESSES: u64 = 50_000;
@@ -80,14 +79,6 @@ impl CxlDevice for Probe {
         if matches!(fault, DeviceFault::Fail) {
             self.failed = true;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -26,7 +26,6 @@ use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
-use std::any::Any;
 use std::collections::HashMap;
 
 /// The sampling front-end attached to the controller: keeps every
@@ -89,14 +88,6 @@ impl CxlDevice for PebsBuffer {
                 self.overflows += 1;
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

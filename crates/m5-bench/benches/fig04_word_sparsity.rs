@@ -8,7 +8,7 @@
 
 use cxl_sim::system::NoMigration;
 use m5_bench::{access_budget_from_args, banner, standard_system};
-use m5_profilers::wac::{Wac, WacConfig};
+use m5_profilers::counter::{AccessCounter, CounterConfig};
 use m5_workloads::registry::Benchmark;
 
 const THRESHOLDS: [u32; 5] = [4, 8, 16, 32, 48];
@@ -27,10 +27,10 @@ fn main() {
     for bench in Benchmark::FIGURE4 {
         let spec = bench.spec();
         let (mut sys, region) = standard_system(&spec);
-        let handle = sys.attach_device(Wac::new(WacConfig::covering_cxl(&sys)));
+        let handle = sys.attach_device(AccessCounter::new(CounterConfig::wac(&sys)));
         let mut wl = spec.build(region.base, accesses, 4);
         let _ = cxl_sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
-        let wac: &Wac = sys.device(handle).expect("WAC attached");
+        let wac: &AccessCounter = sys.device(handle).expect("WAC attached");
         let uniq = wac.unique_words_per_page();
         let total = uniq.len().max(1) as f64;
         let probs: Vec<f64> = THRESHOLDS

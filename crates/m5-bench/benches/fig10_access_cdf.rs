@@ -8,7 +8,7 @@
 
 use cxl_sim::system::NoMigration;
 use m5_bench::{access_budget_from_args, attach_pac, banner, main_benchmarks, standard_system};
-use m5_profilers::pac::Pac;
+use m5_profilers::counter::AccessCounter;
 
 fn main() {
     banner(
@@ -36,7 +36,7 @@ fn main() {
         let pac_handle = attach_pac(&mut sys);
         let mut wl = spec.build(region.base, accesses, 10);
         let _ = cxl_sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
-        let pac: &Pac = sys.device(pac_handle).expect("PAC attached");
+        let pac: &AccessCounter = sys.device(pac_handle).expect("PAC attached");
         let mut counts: Vec<u64> = pac.iter_counts().map(|(_, c)| c).collect();
         counts.sort_unstable();
         let n = counts.len().max(1);

@@ -19,7 +19,7 @@
 
 use cxl_sim::memory::NodeId;
 use cxl_sim::prelude::*;
-use m5_profilers::pac::{Pac, PacConfig};
+use m5_profilers::counter::{AccessCounter, CounterConfig};
 use m5_trackers::sketch::CmSketch;
 use m5_trackers::spacesaving::SpaceSaving;
 use m5_trackers::topk::{CmSketchTopK, SpaceSavingTopK, TopKAlgorithm};
@@ -114,7 +114,7 @@ fn bench_sim() {
     });
 
     let (mut sys, region) = setup(4096);
-    sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
+    sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
     time_case("system_access/random_with_pac", n, || {
         for &a in &addrs {
             black_box(sys.access(region.base.offset(a), false));

@@ -26,7 +26,7 @@ pub mod soak;
 use cxl_sim::prelude::*;
 use cxl_sim::system::Region;
 use cxl_sim::trace::{TraceCapture, TraceRecord};
-use m5_profilers::pac::Pac;
+use m5_profilers::counter::{AccessCounter, CounterConfig};
 use m5_trackers::topk::TopKAlgorithm;
 use m5_workloads::registry::{Benchmark, WorkloadSpec};
 use std::collections::HashMap;
@@ -89,7 +89,7 @@ pub fn standard_contended_system_with_faults(
 
 /// Attaches a PAC covering the CXL node and returns its handle.
 pub fn attach_pac(sys: &mut System) -> DeviceHandle {
-    let pac = Pac::new(m5_profilers::pac::PacConfig::covering_cxl(sys));
+    let pac = AccessCounter::new(CounterConfig::pac(sys));
     sys.attach_device(pac)
 }
 
@@ -133,7 +133,7 @@ impl AccessCountRatio {
 /// `k_eff` is the number of pages actually collected (S5 compares equal
 /// numbers of pages).
 pub fn ratio_against_pac(
-    pac: &Pac,
+    pac: &AccessCounter,
     identified: impl IntoIterator<Item = cxl_sim::addr::Pfn>,
     k: usize,
 ) -> f64 {
@@ -142,7 +142,7 @@ pub fn ratio_against_pac(
         return 0.0;
     }
     let k_eff = ident.len();
-    let num = pac.sum_counts_of(ident) as f64;
+    let num = pac.sum_counts_of(ident.iter().map(|p| p.0)) as f64;
     let den = pac.top_k_sum(k_eff) as f64;
     if den == 0.0 {
         0.0
@@ -175,7 +175,7 @@ where
     let mut out = Vec::with_capacity(points);
     for _ in 0..points {
         let _ = cxl_sim::system::run(sys, workload, daemon, chunk);
-        let pac: &Pac = sys.device(pac_handle).expect("PAC attached");
+        let pac: &AccessCounter = sys.device(pac_handle).expect("PAC attached");
         out.push(ratio_against_pac(pac, log_pfns(daemon), k));
     }
     AccessCountRatio { points: out }

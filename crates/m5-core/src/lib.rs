@@ -4,7 +4,7 @@
 //!
 //! * [`tracker::HotTracker`] — the near-memory HPT and HWT in the CXL
 //!   controller: one device that cost-efficiently tracks the top-K hot
-//!   4 KiB pages or 64 B words (by [`tracker::Granularity`]) using a
+//!   4 KiB pages or 64 B words (by [`cxl_sim::addr::Granularity`]) using a
 //!   CM-Sketch (or Space-Saving) top-K tracker. It observes every CXL DRAM
 //!   access at zero host-CPU cost; only *querying* it costs the host an
 //!   MMIO round trip.

@@ -15,13 +15,12 @@
 //! Cross-epoch accumulation happens in the manager's `_HWA` structure (see
 //! the Nominator), not in the device, so stale winners cannot pin the CAM.
 
-use cxl_sim::addr::{CacheLineAddr, Pfn};
+use cxl_sim::addr::{CacheLineAddr, Granularity};
 use cxl_sim::checkpoint::{CodecError, StateReader, StateWriter};
 use cxl_sim::controller::CxlDevice;
 use cxl_sim::faults::DeviceFault;
 use cxl_sim::time::Nanos;
 use m5_trackers::topk::{CmSketchTopK, SpaceSavingTopK, TopKAlgorithm};
-use std::any::Any;
 
 /// Which streaming algorithm backs a tracker (the Figure 7/8 design axis).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,31 +203,12 @@ impl TopKAlgorithm for TrackerImpl {
     }
 }
 
-/// What a tracker keys by: the address converter of Fig. 5. The
-/// discriminant is the right shift from a cache-line address to the key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Granularity {
-    /// HPT: 4 KiB pages, keyed by PFN (`PA[47:6] >> 6`).
-    Page = 6,
-    /// HWT: 64 B words, keyed by cache-line address (`PA[47:6]`).
-    Word = 0,
-}
-
-impl Granularity {
-    /// The device name, `hpt` or `hwt`; also the telemetry label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Granularity::Page => "hpt",
-            Granularity::Word => "hwt",
-        }
-    }
-
-    /// The frame that holds tracker key `key`.
-    pub fn pfn(self, key: u64) -> Pfn {
-        match self {
-            Granularity::Page => Pfn(key),
-            Granularity::Word => CacheLineAddr(key).pfn(),
-        }
+/// The device name of the tracker keyed at `granularity`, `hpt` or `hwt`;
+/// also its telemetry label.
+pub fn label(granularity: Granularity) -> &'static str {
+    match granularity {
+        Granularity::Page => "hpt",
+        Granularity::Word => "hwt",
     }
 }
 
@@ -344,7 +324,7 @@ impl HotTracker {
 
 impl CxlDevice for HotTracker {
     fn name(&self) -> &str {
-        self.granularity.label()
+        label(self.granularity)
     }
 
     fn on_access(&mut self, line: CacheLineAddr, _is_write: bool, _now: Nanos) {
@@ -353,7 +333,7 @@ impl CxlDevice for HotTracker {
         }
         self.observed += 1;
         self.tracker
-            .record((line.0 >> self.granularity as u32) ^ self.flip_mask);
+            .record(self.granularity.key(line) ^ self.flip_mask);
     }
 
     fn on_fault(&mut self, fault: DeviceFault) {
@@ -368,20 +348,12 @@ impl CxlDevice for HotTracker {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl_sim::addr::WordIndex;
+    use cxl_sim::addr::{Pfn, WordIndex};
     use cxl_sim::memory::CXL_BASE_PFN;
 
     fn touch(t: &mut HotTracker, page: u64, times: u64) {

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 /// A sparse table of 64-bit accumulated counts, keyed by an index (a PFN
-/// offset for PAC, a word offset for WAC).
+/// for PAC, a cache-line address for WAC).
 #[derive(Clone, Debug, Default)]
 pub struct AccessCountTable {
     counts: HashMap<u64, u64>,

@@ -10,7 +10,6 @@ use crate::count_table::AccessCountTable;
 use cxl_sim::addr::{CacheLineAddr, Pfn};
 use cxl_sim::controller::CxlDevice;
 use cxl_sim::time::Nanos;
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
 /// A bounded cache of per-page counters backed by the access-count table.
@@ -90,7 +89,7 @@ impl CounterCache {
 }
 
 /// A PAC variant whose SRAM is a [`CounterCache`] — attachable to the CXL
-/// controller like the plain [`crate::pac::Pac`].
+/// controller like the plain [`crate::counter::AccessCounter`].
 #[derive(Clone, Debug)]
 pub struct CachedPac {
     base: Pfn,
@@ -136,14 +135,6 @@ impl CxlDevice for CachedPac {
             self.counted += 1;
             self.cache.record(pfn.0);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -7,8 +7,7 @@
 //! cargo run --release --example profile_sparsity
 //! ```
 
-use m5::profilers::pac::{Pac, PacConfig};
-use m5::profilers::wac::{Wac, WacConfig};
+use m5::profilers::counter::{AccessCounter, CounterConfig};
 use m5::sim::prelude::*;
 use m5::sim::system::NoMigration;
 use m5::workloads::registry::Benchmark;
@@ -25,14 +24,14 @@ fn main() {
         let region = sys
             .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
             .expect("fits");
-        let pac = sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
-        let wac = sys.attach_device(Wac::new(WacConfig::covering_cxl(&sys)));
+        let pac = sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
+        let wac = sys.attach_device(AccessCounter::new(CounterConfig::wac(&sys)));
 
         let mut wl = spec.build(region.base, ACCESSES, 3);
         let _ = m5::sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
 
-        let pac: &Pac = sys.device(pac).unwrap();
-        let wac: &Wac = sys.device(wac).unwrap();
+        let pac: &AccessCounter = sys.device(pac).unwrap();
+        let wac: &AccessCounter = sys.device(wac).unwrap();
 
         println!("== {} ==", bench.label());
         println!(
@@ -42,7 +41,7 @@ fn main() {
         );
         println!("hottest pages:");
         for (pfn, count) in pac.hottest(5) {
-            println!("  {pfn:?}: {count} accesses");
+            println!("  {:?}: {count} accesses", Pfn(pfn));
         }
 
         // Word-level sparsity histogram (Figure 4's raw data).

@@ -5,7 +5,7 @@ use m5::baselines::anb::{Anb, AnbConfig};
 use m5::baselines::damon::{Damon, DamonConfig};
 use m5::core::manager::M5Manager;
 use m5::core::policy;
-use m5::profilers::pac::{Pac, PacConfig};
+use m5::profilers::counter::{AccessCounter, CounterConfig};
 use m5::sim::memory::NodeId;
 use m5::sim::prelude::*;
 use m5::sim::system::{run, MigrationDaemon, NoMigration};
@@ -83,10 +83,10 @@ fn every_daemon_completes_on_every_benchmark_class() {
 #[test]
 fn pac_counts_exactly_the_cxl_reads() {
     let (mut sys, region) = system_for(Benchmark::Mcf);
-    let pac_handle = sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
+    let pac_handle = sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
     let mut wl = Benchmark::Mcf.spec().build(region.base, ACCESSES + 64, 3);
     let report = run(&mut sys, &mut wl, &mut NoMigration, ACCESSES);
-    let pac: &Pac = sys.device(pac_handle).unwrap();
+    let pac: &AccessCounter = sys.device(pac_handle).unwrap();
     // Without migration every LLC miss fill goes to CXL; PAC snoops both
     // the fills (reads) and the dirty writebacks, like the real hardware
     // counting every access between the CXL IP and the MCs.

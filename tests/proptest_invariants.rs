@@ -1,9 +1,8 @@
 //! Cross-crate property tests: invariants that must hold under arbitrary
 //! interleavings of accesses, migrations, and daemon actions.
 
-use m5::profilers::pac::{Pac, PacConfig};
-use m5::profilers::wac::{Wac, WacConfig};
-use m5::sim::addr::{Pfn, VirtAddr, Vpn, PAGE_SIZE};
+use m5::profilers::counter::{AccessCounter, CounterConfig};
+use m5::sim::addr::{Granularity, Pfn, VirtAddr, Vpn, PAGE_SIZE};
 use m5::sim::controller::CxlDevice;
 use m5::sim::faults::{DeviceFault, FaultPlan};
 use m5::sim::memory::{NodeId, CXL_BASE_PFN};
@@ -94,10 +93,11 @@ proptest! {
         accesses in prop::collection::vec((0..8u64, 0u8..64), 1..500),
         bits in 2u32..17,
     ) {
-        let mut pac = Pac::new(PacConfig {
+        let mut pac = AccessCounter::new(CounterConfig {
+            granularity: Granularity::Page,
             counter_bits: bits,
-            base: Pfn(CXL_BASE_PFN),
-            pages: 8,
+            base: CXL_BASE_PFN,
+            len: 8,
         });
         let mut truth: HashMap<u64, u64> = HashMap::new();
         for &(page, word) in &accesses {
@@ -110,7 +110,7 @@ proptest! {
         }
         prop_assert_eq!(pac.total_counted(), accesses.len() as u64);
         for (&page, &count) in &truth {
-            prop_assert_eq!(pac.count(Pfn(CXL_BASE_PFN + page)), count);
+            prop_assert_eq!(pac.count(CXL_BASE_PFN + page), count);
         }
     }
 
@@ -220,15 +220,17 @@ proptest! {
         slot in any::<u64>(),
         bit in 0u32..16,
     ) {
-        let mut pac = Pac::new(PacConfig {
+        let mut pac = AccessCounter::new(CounterConfig {
+            granularity: Granularity::Page,
             counter_bits: 4,
-            base: Pfn(CXL_BASE_PFN),
-            pages: 8,
+            base: CXL_BASE_PFN,
+            len: 8,
         });
-        let mut wac = Wac::new(WacConfig {
+        let mut wac = AccessCounter::new(CounterConfig {
+            granularity: Granularity::Word,
             counter_bits: 4,
-            window_base: Pfn(CXL_BASE_PFN).base().cache_line(),
-            window_words: 8 * 64,
+            base: Pfn(CXL_BASE_PFN).base().cache_line().0,
+            len: 8 * 64,
         });
         let half = accesses.len() / 2;
         for (i, &(page, word)) in accesses.iter().enumerate() {
@@ -245,13 +247,13 @@ proptest! {
             wac.on_access(line, false, Nanos::ZERO);
         }
         for (pfn, _) in pac.hottest(1000) {
-            let rel = pfn.0.wrapping_sub(CXL_BASE_PFN);
-            prop_assert!(rel < 8, "PAC invented {pfn:?}");
+            let rel = pfn.wrapping_sub(CXL_BASE_PFN);
+            prop_assert!(rel < 8, "PAC invented {pfn:#x}");
         }
         let base = Pfn(CXL_BASE_PFN).base().cache_line().0;
         for (line, _) in wac.hottest(10_000) {
-            let rel = line.0.wrapping_sub(base);
-            prop_assert!(rel < 8 * 64, "WAC invented {line:?}");
+            let rel = line.wrapping_sub(base);
+            prop_assert!(rel < 8 * 64, "WAC invented {line:#x}");
         }
     }
 }

@@ -7,7 +7,7 @@ use m5::baselines::anb::{Anb, AnbConfig};
 use m5::baselines::damon::{Damon, DamonConfig};
 use m5::core::manager::{M5Config, M5Manager};
 use m5::core::policy;
-use m5::profilers::pac::{Pac, PacConfig};
+use m5::profilers::counter::{AccessCounter, CounterConfig};
 use m5::sim::addr::Pfn;
 use m5::sim::prelude::*;
 use m5::sim::system::{run, MigrationDaemon};
@@ -31,13 +31,14 @@ fn ratio_under<D: MigrationDaemon>(
     let region = sys
         .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
         .unwrap();
-    let pac_handle = sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
+    let pac_handle = sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
     let mut wl = spec.build(region.base, ACCESSES + 64, 12);
     let _ = run(&mut sys, &mut wl, daemon, ACCESSES);
-    let pac: &Pac = sys.device(pac_handle).unwrap();
+    let pac: &AccessCounter = sys.device(pac_handle).unwrap();
     let identified: Vec<_> = log_pfns(daemon).into_iter().take(K).collect();
     let k_eff = identified.len().max(1);
-    pac.sum_counts_of(identified) as f64 / pac.top_k_sum(k_eff).max(1) as f64
+    pac.sum_counts_of(identified.into_iter().map(|p| p.0)) as f64
+        / pac.top_k_sum(k_eff).max(1) as f64
 }
 
 #[test]

@@ -88,3 +88,52 @@ fn a_resealed_fault_log_poll_cannot_build_is_rejected() {
         }
     }
 }
+
+#[test]
+fn a_resealed_page_table_with_a_frame_outside_its_node_or_mapped_twice_is_rejected() {
+    use m5::sim::memory::CXL_BASE_PFN;
+    let config = SystemConfig::small();
+    let mut sys = System::new(config.clone());
+    let region = sys.alloc_region(8, Placement::AllOnCxl).unwrap();
+    for i in 0..400u64 {
+        sys.access(region.base.offset((i * 4160) % (8 * 4096)), i % 3 == 0);
+    }
+    let plan = FaultPlan::none();
+    let cp = sys.checkpoint();
+    System::restore(config.clone(), &plan, &cp).expect("the untouched image restores");
+
+    // The section is the entry count, then one (frame, flags) pair of 9 B
+    // per VPN; the region's first two pages are VPNs 0 and 1.
+    let paging = cp.section("paging").unwrap();
+    let pfn_at = |vpn: usize| 8 + 9 * vpn;
+    assert!(u64_at(paging, pfn_at(0)) >= CXL_BASE_PFN);
+    let with_frame = |vpn: usize, pfn: u64| {
+        let mut p = paging.to_vec();
+        p[pfn_at(vpn)..pfn_at(vpn) + 8].copy_from_slice(&pfn.to_le_bytes());
+        p
+    };
+    // Frames just past each node's end: a parent that grows its reverse
+    // map to the frame number stays small.
+    for (what, payload) in [
+        (
+            "a DDR frame past the node",
+            with_frame(0, config.ddr.capacity_frames),
+        ),
+        (
+            "a CXL frame past the node",
+            with_frame(0, CXL_BASE_PFN + config.cxl.capacity_frames),
+        ),
+        (
+            "a frame mapped twice",
+            with_frame(1, u64_at(paging, pfn_at(0))),
+        ),
+    ] {
+        match System::restore(config.clone(), &plan, &reseal(&cp, "paging", &payload)) {
+            Err(RestoreError::Corrupt {
+                section: "paging",
+                source: CodecError::BadValue { .. },
+            }) => {}
+            other => panic!("{what}: expected a typed paging-section error, got {other:?}"),
+        }
+    }
+}

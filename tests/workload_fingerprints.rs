@@ -4,8 +4,7 @@
 //! role *after cache filtering* (what PAC and the trackers actually see),
 //! not just at trace level. These tests pin those properties down.
 
-use m5::profilers::pac::{Pac, PacConfig};
-use m5::profilers::wac::{Wac, WacConfig};
+use m5::profilers::counter::{AccessCounter, CounterConfig};
 use m5::sim::prelude::*;
 use m5::sim::system::NoMigration;
 use m5::workloads::registry::Benchmark;
@@ -21,10 +20,10 @@ fn pac_counts(bench: Benchmark) -> Vec<u64> {
     let region = sys
         .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
         .unwrap();
-    let pac = sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
+    let pac = sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
     let mut wl = spec.build(region.base, ACCESSES, 31);
     let _ = m5::sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
-    let pac: &Pac = sys.device(pac).unwrap();
+    let pac: &AccessCounter = sys.device(pac).unwrap();
     let mut counts: Vec<u64> = pac.iter_counts().map(|(_, c)| c).collect();
     counts.sort_unstable();
     counts
@@ -86,17 +85,17 @@ fn redis_index_pages_are_the_dram_hot_set() {
     let region = sys
         .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
         .unwrap();
-    let pac = sys.attach_device(Pac::new(PacConfig::covering_cxl(&sys)));
+    let pac = sys.attach_device(AccessCounter::new(CounterConfig::pac(&sys)));
     let mut wl = spec.build(region.base, ACCESSES, 31);
     let _ = m5::sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
-    let pac: &Pac = sys.device(pac).unwrap();
+    let pac: &AccessCounter = sys.device(pac).unwrap();
     let index_vpn_start = spec.footprint_pages - 112; // 112 index pages
     let top: Vec<_> = pac.hottest(50);
     let index_hits = top
         .iter()
         .filter(|(pfn, _)| {
             sys.page_table()
-                .vpn_of(*pfn)
+                .vpn_of(Pfn(*pfn))
                 .is_some_and(|v| v.0 >= index_vpn_start)
         })
         .count();
@@ -116,10 +115,10 @@ fn kv_pages_stay_sparse_under_wac() {
     let region = sys
         .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
         .unwrap();
-    let wac = sys.attach_device(Wac::new(WacConfig::covering_cxl(&sys)));
+    let wac = sys.attach_device(AccessCounter::new(CounterConfig::wac(&sys)));
     let mut wl = spec.build(region.base, ACCESSES, 31);
     let _ = m5::sim::system::run(&mut sys, &mut wl, &mut NoMigration, u64::MAX);
-    let wac: &Wac = sys.device(wac).unwrap();
+    let wac: &AccessCounter = sys.device(wac).unwrap();
     let uniq = wac.unique_words_per_page();
     let sparse = uniq.values().filter(|&&w| w <= 16).count();
     let frac = sparse as f64 / uniq.len().max(1) as f64;
