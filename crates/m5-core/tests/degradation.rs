@@ -129,3 +129,26 @@ fn chaos_manager_runs_are_deterministic() {
     };
     assert_eq!(once(), once());
 }
+
+#[test]
+fn isolated_tracker_faults_never_strike_out_a_healthy_tracker() {
+    // Each SRAM saturation garbles the one query after it: the first
+    // (2 ms) and the third (6.5 ms) of four. The healthy query between
+    // them clears the first strike, so the tracker never collects the
+    // consecutive strikes that engage the fallback.
+    let saturate = FaultKind::Device(DeviceFault::SramSaturate);
+    let plan = FaultPlan::none()
+        .with(Nanos(10_000), saturate)
+        .with(Nanos::from_millis(5), saturate);
+    let (mut sys, mut wl, mut m5) = setup(&plan);
+    sys.install_telemetry(Telemetry::enabled());
+    let report = run(&mut sys, &mut wl, &mut m5, u64::MAX);
+
+    assert_eq!(report.health.faults_injected, 2);
+    let snap = sys.telemetry().snapshot();
+    assert_eq!(snap.counter("m5.tracker.queries", "hpt"), Some(4));
+    assert_eq!(snap.counter("m5.tracker.strikes", "hpt"), Some(2));
+    assert!(!m5.in_software_fallback());
+    assert_eq!(report.daemon, "m5-hpt");
+    assert!(report.health.degraded.is_empty());
+}
