@@ -66,9 +66,9 @@ impl HotPageLog {
     }
 
     /// Serializes the log (identification order preserved) for a
-    /// checkpoint. The dedup set is derived state, rebuilt on restore.
+    /// checkpoint. The dedup set is derived state, rebuilt on restore, and
+    /// the capacity is configuration the restoring side supplies.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_u64(self.cap as u64);
         w.put_u64(self.entries.len() as u64);
         for &(vpn, pfn) in &self.entries {
             w.put_u64(vpn.0);
@@ -76,7 +76,7 @@ impl HotPageLog {
         }
     }
 
-    /// Rebuilds a log from a checkpoint section.
+    /// Rebuilds a log of capacity `cap` from a checkpoint section.
     ///
     /// # Errors
     ///
@@ -87,10 +87,10 @@ impl HotPageLog {
     ///
     /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
+        cap: usize,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<HotPageLog, crate::checkpoint::CodecError> {
         use crate::checkpoint::CodecError;
-        let cap = r.get_u64()? as usize;
         let n = r.get_u64()?;
         if n > cap as u64 {
             return Err(CodecError::BadValue {
@@ -133,14 +133,16 @@ mod tests {
 
     fn restored(cap: u64, entries: &[(u64, u64)]) -> Result<HotPageLog, CodecError> {
         let mut w = crate::checkpoint::StateWriter::new();
-        w.put_u64(cap);
         w.put_u64(entries.len() as u64);
         for &(vpn, pfn) in entries {
             w.put_u64(vpn);
             w.put_u64(pfn);
         }
         let bytes = w.finish();
-        HotPageLog::restore(&mut crate::checkpoint::StateReader::new(&bytes))
+        HotPageLog::restore(
+            cap as usize,
+            &mut crate::checkpoint::StateReader::new(&bytes),
+        )
     }
 
     #[test]

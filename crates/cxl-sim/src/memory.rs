@@ -105,7 +105,6 @@ pub struct MemoryNode {
     /// trending crossed the offline threshold). Unlike quarantine, there is
     /// no way back: scrubbing never touches this set.
     offlined: Vec<u64>,
-    allocated: u64,
 }
 
 impl MemoryNode {
@@ -124,7 +123,6 @@ impl MemoryNode {
             free,
             quarantined: Vec::new(),
             offlined: Vec::new(),
-            allocated: 0,
         }
     }
 
@@ -143,18 +141,19 @@ impl MemoryNode {
         self.config.capacity_frames
     }
 
-    /// Number of frames currently allocated.
+    /// Number of frames currently allocated: the capacity less the free,
+    /// quarantined and offlined frames.
     pub fn allocated_frames(&self) -> u64 {
-        self.allocated
+        self.config.capacity_frames
+            - self.free.len() as u64
+            - self.quarantined.len() as u64
+            - self.offlined.len() as u64
     }
 
     /// Number of frames currently free (quarantined and offlined frames are
     /// *not* free: capacity = free + allocated + quarantined + offlined).
     pub fn free_frames(&self) -> u64 {
-        self.config.capacity_frames
-            - self.allocated
-            - self.quarantined.len() as u64
-            - self.offlined.len() as u64
+        self.free.len() as u64
     }
 
     /// Number of frames currently quarantined.
@@ -193,10 +192,7 @@ impl MemoryNode {
     /// Returns [`OutOfFrames`] if the node is full.
     pub fn alloc(&mut self) -> Result<Pfn, OutOfFrames> {
         match self.free.pop() {
-            Some(idx) => {
-                self.allocated += 1;
-                Ok(Pfn(self.base_pfn + idx))
-            }
+            Some(idx) => Ok(Pfn(self.base_pfn + idx)),
             None => Err(OutOfFrames { node: self.id }),
         }
     }
@@ -220,14 +216,12 @@ impl MemoryNode {
         assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
         // A frame in quarantine (or retired by RAS) is not allocated: a
         // stale free of it must not push a second copy of the index onto
-        // the free stack — that would double-hand-out the frame and corrupt
-        // the allocated count.
+        // the free stack — that would double-hand-out the frame.
         assert!(
             !self.quarantined.contains(&idx),
             "freeing quarantined {pfn:?}"
         );
         assert!(!self.offlined.contains(&idx), "freeing offlined {pfn:?}");
-        self.allocated -= 1;
         self.free.push(idx);
     }
 
@@ -249,13 +243,12 @@ impl MemoryNode {
         assert!(idx < self.config.capacity_frames, "{pfn:?} out of range");
         // Same double-accounting hazard as `free`: a frame already in
         // quarantine or retired is not allocated, so re-quarantining it
-        // would corrupt the allocated count and duplicate the index.
+        // would duplicate the index.
         assert!(!self.quarantined.contains(&idx), "re-quarantining {pfn:?}");
         assert!(
             !self.offlined.contains(&idx),
             "quarantining offlined {pfn:?}"
         );
-        self.allocated -= 1;
         self.quarantined.push(idx);
     }
 
@@ -272,13 +265,14 @@ impl MemoryNode {
     }
 
     /// Serializes the allocator state (free stack, quarantine FIFO,
-    /// offlined set, allocated count) for a checkpoint. Stack/queue order
-    /// is preserved exactly — frame hand-out order is behavior-bearing.
+    /// offlined set) for a checkpoint. Stack/queue order is preserved
+    /// exactly — frame hand-out order is behavior-bearing. The allocated
+    /// count is not written: it is what the three lists leave of the
+    /// capacity.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_u64_slice(&self.free);
         w.put_u64_slice(&self.quarantined);
         w.put_u64_slice(&self.offlined);
-        w.put_u64(self.allocated);
     }
 
     /// Rebuilds a node from a checkpoint section, given its static identity
@@ -287,7 +281,14 @@ impl MemoryNode {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// rejects with [`CodecError::BadValue`] lists the allocator cannot
+    /// build: a frame index past the node's capacity, or one listed twice
+    /// in one list or in two lists. Lists that pass leave a non-negative
+    /// allocated count, so free + quarantined + offlined + allocated is the
+    /// capacity.
+    ///
+    /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
         id: NodeId,
         config: NodeConfig,
@@ -297,15 +298,32 @@ impl MemoryNode {
             NodeId::Ddr => 0,
             NodeId::Cxl => CXL_BASE_PFN,
         };
-        Ok(MemoryNode {
+        let node = MemoryNode {
             id,
             base_pfn,
-            config,
             free: r.get_u64_vec()?,
             quarantined: r.get_u64_vec()?,
             offlined: r.get_u64_vec()?,
-            allocated: r.get_u64()?,
-        })
+            config,
+        };
+        let mut listed = vec![false; node.config.capacity_frames as usize];
+        for &idx in node
+            .free
+            .iter()
+            .chain(&node.quarantined)
+            .chain(&node.offlined)
+        {
+            match listed.get_mut(idx as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => {
+                    return Err(crate::checkpoint::CodecError::BadValue {
+                        what: "memory frame index out of node or listed twice",
+                        value: idx,
+                    })
+                }
+            }
+        }
+        Ok(node)
     }
 
     /// Permanently retires a frame that is currently *free* or

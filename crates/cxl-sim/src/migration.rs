@@ -170,14 +170,6 @@ pub struct MigrationStats {
 }
 
 impl MigrationStats {
-    /// Records a completed migration toward `dst`.
-    pub fn record(&mut self, dst: NodeId) {
-        match dst {
-            NodeId::Ddr => self.promotions += 1,
-            NodeId::Cxl => self.demotions += 1,
-        }
-    }
-
     /// Total pages moved in either direction.
     pub fn total_moved(&self) -> u64 {
         self.promotions + self.demotions
@@ -203,17 +195,6 @@ impl BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_record_by_direction() {
-        let mut s = MigrationStats::default();
-        s.record(NodeId::Ddr);
-        s.record(NodeId::Ddr);
-        s.record(NodeId::Cxl);
-        assert_eq!(s.promotions, 2);
-        assert_eq!(s.demotions, 1);
-        assert_eq!(s.total_moved(), 3);
-    }
 
     #[test]
     fn errors_display_and_chain() {

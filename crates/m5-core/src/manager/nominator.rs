@@ -159,16 +159,11 @@ impl Nominator {
         self.hwa_acc.remove(&pfn);
     }
 
-    /// Serializes the nominator — mode tag, the current `_HPA` contents,
-    /// and the persistent HWT-driven accumulation (sorted by PFN so the
-    /// encoding is deterministic regardless of hash-map iteration order) —
-    /// for a checkpoint.
+    /// Serializes the nominator — the current `_HPA` contents and the
+    /// persistent HWT-driven accumulation (sorted by PFN so the encoding is
+    /// deterministic regardless of hash-map iteration order) — for a
+    /// checkpoint. The mode is not written: the manager derives it.
     pub fn save(&self, w: &mut cxl_sim::checkpoint::StateWriter) {
-        w.put_u8(match self.mode {
-            NominatorMode::HptOnly => 0,
-            NominatorMode::HptDriven => 1,
-            NominatorMode::HwtDriven => 2,
-        });
         w.put_u64(self.hpa.len() as u64);
         for e in &self.hpa {
             w.put_u64(e.pfn.0);
@@ -185,29 +180,18 @@ impl Nominator {
         }
     }
 
-    /// Rebuilds a nominator from a checkpoint section. The saved mode is
-    /// restored as-is: after a tracker failure the live nominator runs in
-    /// `HptOnly` regardless of the configured mode, and a restore must
-    /// continue from exactly that state.
+    /// Rebuilds a nominator running in `mode` from a checkpoint section.
+    /// After a tracker failure the live nominator runs in `HptOnly`
+    /// regardless of the configured mode, so the manager passes the mode
+    /// its restored tracker strikes imply.
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated payload or an unknown mode
-    /// tag.
+    /// Propagates codec errors from a truncated payload.
     pub fn restore(
+        mode: NominatorMode,
         r: &mut cxl_sim::checkpoint::StateReader<'_>,
     ) -> Result<Nominator, cxl_sim::checkpoint::CodecError> {
-        let mode = match r.get_u8()? {
-            0 => NominatorMode::HptOnly,
-            1 => NominatorMode::HptDriven,
-            2 => NominatorMode::HwtDriven,
-            tag => {
-                return Err(cxl_sim::checkpoint::CodecError::BadValue {
-                    what: "nominator mode tag",
-                    value: tag as u64,
-                })
-            }
-        };
         let n = r.get_u64()? as usize;
         let mut hpa = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {

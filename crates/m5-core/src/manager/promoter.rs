@@ -48,10 +48,6 @@ pub struct PromoterStats {
     pub rejected_unsafe: u64,
     /// Candidates rejected for capacity or residency reasons.
     pub rejected_other: u64,
-    /// Transiently rejected pages re-submitted to `migrate_pages()`.
-    pub retried: u64,
-    /// Pages still transiently rejected after the last retry round.
-    pub gave_up: u64,
 }
 
 /// The Promoter component.
@@ -82,8 +78,6 @@ impl Promoter {
         w.put_u64(self.stats.stale);
         w.put_u64(self.stats.rejected_unsafe);
         w.put_u64(self.stats.rejected_other);
-        w.put_u64(self.stats.retried);
-        w.put_u64(self.stats.gave_up);
     }
 
     /// Rebuilds a Promoter from a checkpoint section.
@@ -102,8 +96,6 @@ impl Promoter {
                 stale: r.get_u64()?,
                 rejected_unsafe: r.get_u64()?,
                 rejected_other: r.get_u64()?,
-                retried: r.get_u64()?,
-                gave_up: r.get_u64()?,
             },
         })
     }
@@ -171,8 +163,6 @@ impl Promoter {
             }
         }
         self.stats.promoted += out.migrated.len() as u64;
-        self.stats.retried += retried;
-        self.stats.gave_up += gave_up;
         self.stats.rejected_unsafe += rejected_unsafe;
         self.stats.rejected_other += rejected_other;
         if retried > 0 || gave_up > 0 {
@@ -270,8 +260,12 @@ mod tests {
         let mut p = Promoter::new(PromoterConfig::default());
         let out = p.promote(&mut sys, &[entry(pfns[0]), entry(pfns[1])]);
         assert!(out.migrated.is_empty());
-        assert!(p.stats().retried > 0, "transient rejects were retried");
-        assert_eq!(p.stats().gave_up, 2, "both pages surrendered in the end");
+        let stats = sys.stats();
+        assert!(stats.promoter_retried > 0, "transient rejects were retried");
+        assert_eq!(
+            stats.promoter_gave_up, 2,
+            "both pages surrendered in the end"
+        );
         assert_eq!(p.stats().promoted, 0);
     }
 
@@ -305,8 +299,9 @@ mod tests {
         let mut p = Promoter::new(PromoterConfig::default());
         let out = p.promote(&mut sys, &[entry(pfns[0]), entry(pfns[1])]);
         assert!(out.migrated.is_empty(), "pressure window blocks promotion");
-        assert!(p.stats().retried > 0, "transient rejects were retried");
-        assert_eq!(p.stats().gave_up, 2);
+        let stats = sys.stats();
+        assert!(stats.promoter_retried > 0, "transient rejects were retried");
+        assert_eq!(stats.promoter_gave_up, 2);
         assert_eq!(
             sys.migration_stats().rejected,
             2,
