@@ -56,6 +56,8 @@ pub use metrics::{
 pub use sink::{Event, EventKind, JsonlSink, MemoryBuffer, MemorySink, Sink};
 
 use metrics::Registry;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 /// Handle to an open span, returned by [`Telemetry::span_start`] and
 /// consumed by [`Telemetry::span_end`].
@@ -345,13 +347,21 @@ impl Telemetry {
     }
 
     /// Rebuilds an enabled bus (no sinks attached) from exported state.
-    /// Metric keys are interned by leaking the owned strings: the registry
-    /// addresses metrics by `&'static str`, and a restore happens a bounded
-    /// number of times per process, so the leak is a few hundred bytes —
-    /// never per-access.
+    /// The registry addresses metrics by `&'static str`, so names and
+    /// labels are interned through one process-wide set: each distinct
+    /// string is leaked once, however many restores a process runs.
     pub fn from_state(state: &TelemetryState) -> Telemetry {
         fn intern(s: &str) -> &'static str {
-            Box::leak(s.to_string().into_boxed_str())
+            static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+            let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+            match set.get(s) {
+                Some(&interned) => interned,
+                None => {
+                    let leaked: &'static str = Box::leak(s.into());
+                    set.insert(leaked);
+                    leaked
+                }
+            }
         }
         let mut t = Telemetry::enabled();
         let inner = t.inner.as_mut().expect("freshly enabled bus has state");
@@ -514,6 +524,19 @@ mod tests {
         assert_eq!(s3, SpanId(3));
         // Disabled buses export nothing.
         assert!(Telemetry::disabled().export_state().is_none());
+    }
+
+    #[test]
+    fn restores_intern_each_name_once() {
+        let mut t = Telemetry::enabled();
+        t.counter_add("sim.restored.once", "label", 1);
+        let state = t.export_state().unwrap();
+        let [a, b] = [0, 1].map(|_| Telemetry::from_state(&state).snapshot().counters[0].0);
+        assert!(std::ptr::eq(a.name, b.name), "one leaked copy of the name");
+        assert!(
+            std::ptr::eq(a.label, b.label),
+            "one leaked copy of the label"
+        );
     }
 
     #[test]
