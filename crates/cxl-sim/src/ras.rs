@@ -161,8 +161,6 @@ struct NodeRas {
     pending_offline: Vec<u64>,
     /// Patrol-scrub cursor (frame index of the next walk's first frame).
     patrol_cursor: u64,
-    /// Frames permanently retired so far.
-    offlined: u64,
     evac: Option<EvacProgress>,
     report: Option<EvacuationReport>,
 }
@@ -246,11 +244,6 @@ impl RasState {
     /// Correctable-error count of frame `idx` on `node`.
     pub fn ce_count(&self, node: NodeId, idx: u64) -> u32 {
         self.node(node).ce_counts.get(&idx).copied().unwrap_or(0)
-    }
-
-    /// Frames permanently retired on `node` so far.
-    pub fn offlined_frames(&self, node: NodeId) -> u64 {
-        self.node(node).offlined
     }
 
     /// The completed evacuation's report, once `node` is `Offline`.
@@ -404,11 +397,10 @@ impl RasState {
     }
 
     /// Records that frame `idx` on `node` was permanently retired: its CE
-    /// trail is dropped so patrol walks stop re-nominating it.
+    /// trail is dropped so patrol walks stop re-nominating it. The memory
+    /// node's offlined list is the count of retired frames.
     pub fn note_offlined(&mut self, node: NodeId, idx: u64) {
-        let n = self.node_mut(node);
-        n.ce_counts.remove(&idx);
-        n.offlined += 1;
+        self.node_mut(node).ce_counts.remove(&idx);
     }
 
     /// Records `pages` drained off `node` by the evacuation.
@@ -471,7 +463,6 @@ impl NodeRas {
         w.put_u32(self.link_factor);
         w.put_u64_slice(&self.pending_offline);
         w.put_u64(self.patrol_cursor);
-        w.put_u64(self.offlined);
         match self.evac {
             Some(e) => {
                 w.put_bool(true);
@@ -526,7 +517,6 @@ impl NodeRas {
         let link_factor = r.get_u32()?;
         let pending_offline = r.get_u64_vec()?;
         let patrol_cursor = r.get_u64()?;
-        let offlined = r.get_u64()?;
         let evac = if r.get_bool()? {
             Some(EvacProgress {
                 started: Nanos(r.get_u64()?),
@@ -566,7 +556,6 @@ impl NodeRas {
             link_factor,
             pending_offline,
             patrol_cursor,
-            offlined,
             evac,
             report,
         })
@@ -754,6 +743,5 @@ mod tests {
         ras.note_offlined(NodeId::Cxl, 63);
         let (after, _) = ras.harvest_offline_candidates(NodeId::Cxl, 64, 8);
         assert!(after.is_empty(), "retired frames are not re-nominated");
-        assert_eq!(ras.offlined_frames(NodeId::Cxl), 1);
     }
 }

@@ -91,8 +91,7 @@ impl System {
     /// DDR-pressure windows come and go. Only called with telemetry enabled.
     fn trace_faults(&mut self) {
         let now = self.clock.now();
-        for i in self.fault_events_seen..self.faults.log().len() {
-            let ev = self.faults.log()[i];
+        for ev in self.faults.log().skip(self.fault_events_seen) {
             self.telemetry.event(ev.at.0, "sim.fault", ev.class.label());
         }
         self.fault_events_seen = self.faults.log().len();

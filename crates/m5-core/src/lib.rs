@@ -10,7 +10,7 @@
 //!   MMIO round trip.
 //! * [`manager`] — the M5-manager, four user-space components plus a thin
 //!   in-kernel Promoter:
-//!   [`manager::monitor::Monitor`] (Table 1: `nr_pages`/`bw`/`bw_den`),
+//!   [`manager::monitor::sample`] (Table 1: `nr_pages`/`bw`/`bw_den`),
 //!   [`manager::nominator::Nominator`] (`_HPA`/`_HWA`, HPT-only /
 //!   HPT-driven / HWT-driven modes),
 //!   [`manager::elector::Elector`] (Algorithm 1 with a pluggable
