@@ -4,7 +4,7 @@ use crate::cache::LlcConfig;
 use crate::contention::ContentionConfig;
 use crate::kernel::CostModel;
 use crate::memory::NodeConfig;
-use crate::ras::RasConfig;
+use crate::ras::DEFAULT_EVAC_DEADLINE;
 use crate::time::Nanos;
 use crate::tlb::TlbConfig;
 
@@ -51,14 +51,11 @@ pub struct SystemConfig {
     /// Solution 2). `None` disables them. Default: one scheduler timeslice
     /// (1 ms).
     pub tlb_flush_interval: Option<Nanos>,
-    /// Migration watchdog deadline: a migration whose copy phase would wait
-    /// on a stalled CXL controller for longer than this is rolled back
-    /// instead of waiting (retry/backoff is the promoter's job). Default
-    /// 200 µs, a few page-copy times.
-    pub migration_watchdog: Nanos,
-    /// RAS policy: correctable-error trending thresholds, patrol-scrub
-    /// width, and the live-evacuation deadline.
-    pub ras: RasConfig,
+    /// Deadline for a live evacuation, measured from the node's
+    /// transition into `Evacuating`; when it expires the node goes
+    /// `Offline` with whatever residual pages remain. Default
+    /// [`DEFAULT_EVAC_DEADLINE`].
+    pub evac_deadline: Nanos,
     /// Contention-aware timing: per-node loaded-latency queueing over the
     /// epoch bandwidth window. Disabled by default — the fixed per-access
     /// cost path stays bit-for-bit intact.
@@ -92,8 +89,7 @@ impl SystemConfig {
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),
-            migration_watchdog: Nanos::from_micros(200),
-            ras: RasConfig::default(),
+            evac_deadline: DEFAULT_EVAC_DEADLINE,
             contention: ContentionConfig::disabled(),
         }
     }
@@ -121,8 +117,7 @@ impl SystemConfig {
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),
-            migration_watchdog: Nanos::from_micros(200),
-            ras: RasConfig::default(),
+            evac_deadline: DEFAULT_EVAC_DEADLINE,
             contention: ContentionConfig::disabled(),
         }
     }
@@ -146,9 +141,9 @@ impl SystemConfig {
         self
     }
 
-    /// Returns this config with the RAS policy overridden.
-    pub fn with_ras(mut self, ras: RasConfig) -> SystemConfig {
-        self.ras = ras;
+    /// Returns this config with the live-evacuation deadline overridden.
+    pub fn with_evac_deadline(mut self, deadline: Nanos) -> SystemConfig {
+        self.evac_deadline = deadline;
         self
     }
 

@@ -10,6 +10,10 @@
 use crate::addr::{Pfn, Vpn};
 use std::collections::HashSet;
 
+/// Capacity of every daemon's hot-page log: the paper collects up to 128K
+/// identified pages.
+pub const HOT_LOG_CAP: usize = 128 * 1024;
+
 /// A capped, deduplicated list of identified hot pages, recorded as
 /// `(vpn, pfn-at-identification-time)`.
 #[derive(Clone, Debug)]
@@ -20,8 +24,8 @@ pub struct HotPageLog {
 }
 
 impl HotPageLog {
-    /// A log holding at most `cap` distinct pages (the paper collects up to
-    /// 128K).
+    /// A log holding at most `cap` distinct pages (every daemon uses
+    /// [`HOT_LOG_CAP`]).
     pub fn new(cap: usize) -> HotPageLog {
         HotPageLog {
             entries: Vec::new(),
@@ -67,7 +71,7 @@ impl HotPageLog {
 
     /// Serializes the log (identification order preserved) for a
     /// checkpoint. The dedup set is derived state, rebuilt on restore, and
-    /// the capacity is configuration the restoring side supplies.
+    /// the capacity is [`HOT_LOG_CAP`].
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_u64(self.entries.len() as u64);
         for &(vpn, pfn) in &self.entries {
@@ -76,7 +80,7 @@ impl HotPageLog {
         }
     }
 
-    /// Rebuilds a log of capacity `cap` from a checkpoint section.
+    /// Rebuilds a log of capacity [`HOT_LOG_CAP`] from a checkpoint section.
     ///
     /// # Errors
     ///
@@ -87,18 +91,17 @@ impl HotPageLog {
     ///
     /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
-        cap: usize,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<HotPageLog, crate::checkpoint::CodecError> {
         use crate::checkpoint::CodecError;
         let n = r.get_u64()?;
-        if n > cap as u64 {
+        if n > HOT_LOG_CAP as u64 {
             return Err(CodecError::BadValue {
                 what: "hot-page log length",
                 value: n,
             });
         }
-        let mut log = HotPageLog::new(cap);
+        let mut log = HotPageLog::new(HOT_LOG_CAP);
         for _ in 0..n {
             let vpn = Vpn(r.get_u64()?);
             let pfn = Pfn(r.get_u64()?);
@@ -131,34 +134,34 @@ mod tests {
         assert!(!log.is_empty());
     }
 
-    fn restored(cap: u64, entries: &[(u64, u64)]) -> Result<HotPageLog, CodecError> {
+    /// Restores a payload declaring `len` entries followed by `entries`.
+    fn restored(len: usize, entries: &[(u64, u64)]) -> Result<HotPageLog, CodecError> {
         let mut w = crate::checkpoint::StateWriter::new();
-        w.put_u64(entries.len() as u64);
+        w.put_u64(len as u64);
         for &(vpn, pfn) in entries {
             w.put_u64(vpn);
             w.put_u64(pfn);
         }
         let bytes = w.finish();
-        HotPageLog::restore(
-            cap as usize,
-            &mut crate::checkpoint::StateReader::new(&bytes),
-        )
+        HotPageLog::restore(&mut crate::checkpoint::StateReader::new(&bytes))
     }
 
     #[test]
     fn restore_rejects_states_record_cannot_build() {
-        let mut log = restored(3, &[(1, 10), (2, 20)]).unwrap();
+        let mut log = restored(2, &[(1, 10), (2, 20)]).unwrap();
         assert_eq!(log.entries(), &[(Vpn(1), Pfn(10)), (Vpn(2), Pfn(20))]);
         assert!(!log.record(Vpn(1), Pfn(11)), "the dedup set was rebuilt");
+        assert_eq!(log.capacity(), HOT_LOG_CAP);
+        // The length is checked before any entry is read.
         assert!(matches!(
-            restored(1, &[(1, 10), (2, 20)]),
+            restored(HOT_LOG_CAP + 1, &[]),
             Err(CodecError::BadValue {
                 what: "hot-page log length",
-                value: 2
-            })
+                value
+            }) if value == HOT_LOG_CAP as u64 + 1
         ));
         assert!(matches!(
-            restored(4, &[(1, 10), (2, 20), (1, 30)]),
+            restored(3, &[(1, 10), (2, 20), (1, 30)]),
             Err(CodecError::BadValue {
                 what: "hot-page log vpn",
                 value: 1

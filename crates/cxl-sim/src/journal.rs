@@ -335,12 +335,18 @@ impl MigrationJournal {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// rejects with [`CodecError::BadValue`] an open transaction the
+    /// journal cannot hold: one in a terminal state (terminal transitions
+    /// retire it at once) or one whose id is already open.
+    ///
+    /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<MigrationJournal, crate::checkpoint::CodecError> {
         let n = r.get_u64()? as usize;
         let mut open = Vec::with_capacity(n.min(1 << 16));
+        let mut ids = std::collections::HashSet::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let id = TxnId(r.get_u64()?);
             let vpn = Vpn(r.get_u64()?);
@@ -374,6 +380,18 @@ impl MigrationJournal {
                     })
                 }
             };
+            if state.is_terminal() {
+                return Err(crate::checkpoint::CodecError::BadValue {
+                    what: "open journal txn in a terminal state",
+                    value: id.0,
+                });
+            }
+            if !ids.insert(id.0) {
+                return Err(crate::checkpoint::CodecError::BadValue {
+                    what: "repeated open journal txn id",
+                    value: id.0,
+                });
+            }
             open.push(MigrationTxn {
                 id,
                 vpn,

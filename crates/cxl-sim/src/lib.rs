@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::kernel::{CostKind, KernelCosts};
     pub use crate::memory::NodeId;
     pub use crate::perfmon::BandwidthStats;
-    pub use crate::ras::{EvacuationReport, NodeHealth, RasConfig, RasState};
+    pub use crate::ras::{EvacuationReport, NodeHealth, RasState};
     pub use crate::report::{HealthReport, RunReport};
     pub use crate::system::{
         Access, AccessOutcome, AccessStream, BatchPause, ChunkedRun, MigrationDaemon,

@@ -19,10 +19,10 @@
 //! ```
 //!
 //! * **Healthy → Degraded**: the leaky-bucket error rate crosses
-//!   [`RasConfig::degrade_tokens`] (a burst of correctable errors or link
+//!   [`DEGRADE_TOKENS`] (a burst of correctable errors or link
 //!   events — a steady trickle leaks away harmlessly).
 //! * **Degraded → Evacuating**: the bucket crosses
-//!   [`RasConfig::evacuate_tokens`], or a
+//!   [`EVACUATE_TOKENS`], or a
 //!   [`DeviceFault::HotRemovePrepare`] arrives (which forces the
 //!   transition from *any* earlier state).
 //! * **Evacuating → Offline**: the node's mapped pages have been drained
@@ -36,44 +36,31 @@
 use crate::faults::DeviceFault;
 use crate::memory::NodeId;
 use crate::time::Nanos;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// RAS policy knobs (part of [`crate::config::SystemConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RasConfig {
-    /// Correctable-error count at which a frame is soft-offlined: its page
-    /// is migrated off and the frame permanently retired.
-    pub ce_offline_threshold: u32,
-    /// Leaky-bucket level (tokens; one RAS fault = one token) at which the
-    /// node's health degrades.
-    pub degrade_tokens: u64,
-    /// Bucket level at which the node starts a live evacuation.
-    pub evacuate_tokens: u64,
-    /// Tokens leaked per simulated millisecond — the rate that separates a
-    /// harmless trickle of correctable errors from a failing device.
-    pub leak_per_ms: u64,
-    /// Frames the patrol scrubber walks per service epoch (each billed
-    /// [`crate::kernel::CostKind::RasScrub`] time).
-    pub patrol_frames: u64,
-    /// Deadline for a live evacuation, measured from the transition into
-    /// `Evacuating`; when it expires the node goes `Offline` with whatever
-    /// residual pages remain.
-    pub evac_deadline: Nanos,
-}
+/// Correctable-error count at which a frame is soft-offlined: its page is
+/// migrated off and the frame permanently retired.
+pub const CE_OFFLINE_THRESHOLD: u32 = 2;
 
-impl Default for RasConfig {
-    fn default() -> RasConfig {
-        RasConfig {
-            ce_offline_threshold: 2,
-            degrade_tokens: 3,
-            evacuate_tokens: 8,
-            leak_per_ms: 1,
-            patrol_frames: 64,
-            evac_deadline: Nanos::from_millis(50),
-        }
-    }
-}
+/// Leaky-bucket level (tokens; one RAS fault = one token) at which the
+/// node's health degrades.
+pub const DEGRADE_TOKENS: u64 = 3;
+
+/// Bucket level at which the node starts a live evacuation.
+pub const EVACUATE_TOKENS: u64 = 8;
+
+/// Tokens leaked per simulated millisecond — the rate that separates a
+/// harmless trickle of correctable errors from a failing device.
+pub const LEAK_PER_MS: u64 = 1;
+
+/// Frames the patrol scrubber walks per service epoch (each billed
+/// [`crate::kernel::CostKind::RasScrub`] time).
+pub const PATROL_FRAMES: u64 = 64;
+
+/// The live-evacuation deadline of both [`crate::config::SystemConfig`]
+/// presets ([`crate::config::SystemConfig::evac_deadline`]).
+pub const DEFAULT_EVAC_DEADLINE: Nanos = Nanos::from_millis(50);
 
 /// Node health, in degradation order. Transitions are forward-only: a node
 /// that degraded stays suspect even after its error rate subsides.
@@ -132,7 +119,8 @@ pub struct EvacuationReport {
     /// Mapped pages still on the node at `Offline` (pinned, node-bound, or
     /// stranded by a full survivor).
     pub residual: u64,
-    /// Whether the drain concluded before [`RasConfig::evac_deadline`].
+    /// Whether the drain concluded before the evacuation deadline
+    /// ([`crate::config::SystemConfig::evac_deadline`]).
     pub deadline_met: bool,
 }
 
@@ -185,25 +173,22 @@ pub struct RasDelta {
 /// epoch; the state machine only decides *what* should happen.
 #[derive(Clone, Debug)]
 pub struct RasState {
-    config: RasConfig,
+    /// Live-evacuation deadline, from the machine's configuration.
+    evac_deadline: Nanos,
     nodes: [NodeRas; 2],
     /// Total RAS faults ever delivered; zero ⇔ the layer is quiescent.
     events: u64,
 }
 
 impl RasState {
-    /// A fresh, fully healthy state machine.
-    pub fn new(config: RasConfig) -> RasState {
+    /// A fresh, fully healthy state machine whose evacuations must finish
+    /// within `evac_deadline`.
+    pub fn new(evac_deadline: Nanos) -> RasState {
         RasState {
-            config,
+            evac_deadline,
             nodes: [NodeRas::default(), NodeRas::default()],
             events: 0,
         }
-    }
-
-    /// The active policy knobs.
-    pub fn config(&self) -> &RasConfig {
-        &self.config
     }
 
     fn node(&self, id: NodeId) -> &NodeRas {
@@ -272,10 +257,9 @@ impl RasState {
     /// improves — decay only affects how much *further* abuse is needed to
     /// cross the next threshold.
     pub fn decay(&mut self, node: NodeId, now: Nanos) {
-        let leak_per_ms = self.config.leak_per_ms;
         let n = self.node_mut(node);
         if now > n.bucket_at {
-            let leaked = (now.0 - n.bucket_at.0) * leak_per_ms / 1_000;
+            let leaked = (now.0 - n.bucket_at.0) * LEAK_PER_MS / 1_000;
             n.bucket_milli = n.bucket_milli.saturating_sub(leaked);
             n.bucket_at = now;
         }
@@ -290,13 +274,11 @@ impl RasState {
         floor: NodeHealth,
         now: Nanos,
     ) -> Option<(NodeHealth, NodeHealth)> {
-        let degrade = self.config.degrade_tokens * 1_000;
-        let evacuate = self.config.evacuate_tokens * 1_000;
-        let deadline = self.config.evac_deadline;
+        let deadline = self.evac_deadline;
         let n = self.node_mut(node);
-        let mut target = if n.bucket_milli >= evacuate {
+        let mut target = if n.bucket_milli >= EVACUATE_TOKENS * 1_000 {
             NodeHealth::Evacuating
-        } else if n.bucket_milli >= degrade {
+        } else if n.bucket_milli >= DEGRADE_TOKENS * 1_000 {
             NodeHealth::Degraded
         } else {
             NodeHealth::Healthy
@@ -326,7 +308,6 @@ impl RasState {
         let node = NodeId::Cxl;
         self.events += 1;
         self.decay(node, now);
-        let threshold = self.config.ce_offline_threshold;
         let mut delta = RasDelta::default();
         let mut floor = NodeHealth::Healthy;
         {
@@ -339,7 +320,7 @@ impl RasState {
                     *count += 1;
                     n.total_ce += 1;
                     delta.ce_frame = Some(idx);
-                    if *count == threshold {
+                    if *count == CE_OFFLINE_THRESHOLD {
                         delta.crossed_threshold = true;
                         if !n.pending_offline.contains(&idx) {
                             n.pending_offline.push(idx);
@@ -373,8 +354,7 @@ impl RasState {
         capacity: u64,
         max: u64,
     ) -> (Vec<u64>, u64) {
-        let threshold = self.config.ce_offline_threshold;
-        let patrol = self.config.patrol_frames.min(capacity);
+        let patrol = PATROL_FRAMES.min(capacity);
         let n = self.node_mut(node);
         let take = (max as usize).min(n.pending_offline.len());
         let mut out: Vec<u64> = n.pending_offline.drain(..take).collect();
@@ -384,7 +364,9 @@ impl RasState {
                 let idx = n.patrol_cursor % capacity;
                 n.patrol_cursor = (n.patrol_cursor + 1) % capacity;
                 walked += 1;
-                if n.ce_counts.get(&idx).is_some_and(|&c| c >= threshold)
+                if n.ce_counts
+                    .get(&idx)
+                    .is_some_and(|&c| c >= CE_OFFLINE_THRESHOLD)
                     && !out.contains(&idx)
                     && !n.pending_offline.contains(&idx)
                     && (out.len() as u64) < max
@@ -506,9 +488,17 @@ impl NodeRas {
         };
         let n_ce = r.get_u64()? as usize;
         let mut ce_counts = HashMap::with_capacity(n_ce.min(1 << 16));
+        let mut last = None;
         for _ in 0..n_ce {
             let idx = r.get_u64()?;
             let count = r.get_u32()?;
+            if last.is_some_and(|prev| idx <= prev) {
+                return Err(crate::checkpoint::CodecError::BadValue {
+                    what: "correctable-error frame order",
+                    value: idx,
+                });
+            }
+            last = Some(idx);
             ce_counts.insert(idx, count);
         }
         let total_ce = r.get_u64()?;
@@ -516,6 +506,13 @@ impl NodeRas {
         let bucket_at = Nanos(r.get_u64()?);
         let link_factor = r.get_u32()?;
         let pending_offline = r.get_u64_vec()?;
+        let mut queued = HashSet::with_capacity(pending_offline.len());
+        if let Some(&idx) = pending_offline.iter().find(|&&idx| !queued.insert(idx)) {
+            return Err(crate::checkpoint::CodecError::BadValue {
+                what: "repeated pending-offline frame",
+                value: idx,
+            });
+        }
         let patrol_cursor = r.get_u64()?;
         let evac = if r.get_bool()? {
             Some(EvacProgress {
@@ -572,17 +569,24 @@ impl RasState {
     }
 
     /// Rebuilds the state machine from a checkpoint section, given the
-    /// active policy (not serialized — supplied by the restoring config).
+    /// evacuation deadline (not serialized — supplied by the restoring
+    /// config).
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload.
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// rejects with [`CodecError::BadValue`] a node state
+    /// [`RasState::record`] cannot build: correctable-error frame indices
+    /// that are not strictly increasing (save writes them sorted, one per
+    /// frame), or a frame queued for offlining twice.
+    ///
+    /// [`CodecError::BadValue`]: crate::checkpoint::CodecError::BadValue
     pub fn restore(
-        config: RasConfig,
+        evac_deadline: Nanos,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<RasState, crate::checkpoint::CodecError> {
         Ok(RasState {
-            config,
+            evac_deadline,
             nodes: [NodeRas::restore(r)?, NodeRas::restore(r)?],
             events: r.get_u64()?,
         })
@@ -591,7 +595,7 @@ impl RasState {
 
 impl Default for RasState {
     fn default() -> RasState {
-        RasState::new(RasConfig::default())
+        RasState::new(DEFAULT_EVAC_DEADLINE)
     }
 }
 
@@ -720,7 +724,7 @@ mod tests {
     fn deadline_expiry_marks_report_unmet() {
         let mut ras = RasState::default();
         ras.record(DeviceFault::HotRemovePrepare, Nanos(0), 64);
-        let after = RasConfig::default().evac_deadline + Nanos(1);
+        let after = DEFAULT_EVAC_DEADLINE + Nanos(1);
         assert!(ras.evac_deadline_passed(NodeId::Cxl, after));
         let report = ras.complete_evacuation(NodeId::Cxl, after, 7).unwrap();
         assert!(!report.deadline_met);

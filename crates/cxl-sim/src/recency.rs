@@ -9,9 +9,8 @@
 //! `ways` tags. Nibbles at positions `ways..16` stay zero.
 //!
 //! Checkpoints store each set in recency order instead, with `u64::MAX`
-//! marking empty slots: the layout of the earlier positional arrays, so
-//! images stay byte-identical. Restore puts that array into fixed ways
-//! under [`identity`] words.
+//! marking empty slots. Restore puts that array into fixed ways under
+//! [`identity`] words.
 //!
 //! [`Llc`]: crate::cache::Llc
 //! [`Tlb`]: crate::tlb::Tlb
@@ -72,18 +71,14 @@ pub(crate) fn to_back(word: u64, pos: usize, ways: usize) -> u64 {
 /// Empty-slot sentinel of both the LLC and the TLB entry arrays.
 const EMPTY: u64 = u64::MAX;
 
-/// Writes the set arrays of a cache section: a replacement-policy tag
-/// (0, exact LRU, the only policy), the `entries` of every set in recency
-/// order, and the retired pseudo-LRU tree array, always empty.
+/// Writes the `entries` of every set of a cache section in recency order.
 pub(crate) fn save_ordered(w: &mut StateWriter, entries: &[u64], order: &[u64], ways: usize) {
-    w.put_u8(0);
     w.put_u64(entries.len() as u64);
     for (set, &word) in order.iter().enumerate() {
         for pos in 0..ways {
             w.put_u64(entries[set * ways + way_at(word, pos)]);
         }
     }
-    w.put_u64_slice(&[]);
 }
 
 /// Reads what [`save_ordered`] wrote, as fixed-way entries ordered by
@@ -92,10 +87,10 @@ pub(crate) fn save_ordered(w: &mut StateWriter, entries: &[u64], order: &[u64], 
 ///
 /// # Errors
 ///
-/// Propagates codec errors. [`CodecError::BadValue`] for a policy tag
-/// other than 0, an array whose length is not `len`, a non-empty tree
-/// array, and any set with an empty slot before a valid entry, an entry
-/// `key_set` rejects or places in another set, or a repeated tag.
+/// Propagates codec errors. [`CodecError::BadValue`] for an array whose
+/// length is not `len`, and any set with an empty slot before a valid
+/// entry, an entry `key_set` rejects or places in another set, or a
+/// repeated tag.
 pub(crate) fn restore_ordered(
     r: &mut StateReader<'_>,
     len: usize,
@@ -103,10 +98,6 @@ pub(crate) fn restore_ordered(
     key_set: impl Fn(u64) -> Option<(u64, usize)>,
 ) -> Result<Vec<u64>, CodecError> {
     let bad = |what, value| CodecError::BadValue { what, value };
-    let tag = r.get_u8()?;
-    if tag != 0 {
-        return Err(bad("replacement-policy tag", tag as u64));
-    }
     let entries = r.get_u64_vec()?;
     if entries.len() != len {
         return Err(bad("set entry count", entries.len() as u64));
@@ -127,10 +118,6 @@ pub(crate) fn restore_ordered(
             }
             keys[i] = key;
         }
-    }
-    let trees = r.get_u64_vec()?.len();
-    if trees != 0 {
-        return Err(bad("pseudo-LRU tree count", trees as u64));
     }
     Ok(entries)
 }

@@ -299,7 +299,7 @@ impl System {
             spike_span: None,
             stall_span: None,
             pressure_span: None,
-            ras: RasState::new(config.ras),
+            ras: RasState::new(config.evac_deadline),
             evac_span: None,
             evac_exhaustion_noted: false,
             horizon_breaks: 0,

@@ -143,7 +143,7 @@ impl System {
     /// tick (the M5 manager calls this from its `on_tick` prologue):
     ///
     /// 1. **Predictive soft-offlining** — frames whose correctable-error
-    ///    count crossed [`crate::ras::RasConfig::ce_offline_threshold`] have
+    ///    count crossed [`crate::ras::CE_OFFLINE_THRESHOLD`] have
     ///    their page migrated off through the journaled (crash-consistent)
     ///    migration path, then the frame is permanently retired. The patrol
     ///    walk behind the candidate harvest is billed as

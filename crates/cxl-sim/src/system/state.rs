@@ -316,7 +316,7 @@ impl System {
         let ddr_lru = read_section(cp, "mglru", |r| MgLru::restore(r, page_table.extent()))?;
         let journal = read_section(cp, "journal", |r| MigrationJournal::restore(r))?;
         let faults = read_section(cp, "faults", |r| FaultInjector::restore(plan, r))?;
-        let ras = read_section(cp, "ras", |r| RasState::restore(config.ras, r))?;
+        let ras = read_section(cp, "ras", |r| RasState::restore(config.evac_deadline, r))?;
         let contention = read_section(cp, "contention", |r| {
             Contention::restore(
                 &config.contention,
@@ -593,11 +593,9 @@ mod tests {
         use crate::checkpoint::{StateReader, StateWriter};
         let mut r = StateReader::new(cp.section(section).unwrap());
         let mut w = StateWriter::new();
-        w.put_u8(r.get_u8().unwrap());
         let mut entries = r.get_u64_vec().unwrap();
         entries[set * ways..set * ways + slots.len()].copy_from_slice(slots);
         w.put_u64_slice(&entries);
-        w.put_u64_slice(&r.get_u64_vec().unwrap());
         for _ in 0..3 {
             w.put_u64(r.get_u64().unwrap());
         }

@@ -12,6 +12,11 @@ use crate::time::Nanos;
 
 use super::System;
 
+/// Migration watchdog deadline: a migration whose copy phase would wait on
+/// a stalled CXL controller for longer than this is rolled back instead of
+/// waiting (retry/backoff is the promoter's job). A few page-copy times.
+const MIGRATION_WATCHDOG: Nanos = Nanos::from_micros(200);
+
 impl System {
     /// Migrates `vpn` to `dst`, with the Promoter-style safety checks.
     ///
@@ -182,8 +187,8 @@ impl System {
         // as migration time); roll back rather than wait past the deadline.
         let stall = self.faults.stall_remaining(self.clock.now());
         if stall > Nanos::ZERO {
-            if stall > self.config.migration_watchdog {
-                self.daemon_bill(CostKind::Migration, self.config.migration_watchdog);
+            if stall > MIGRATION_WATCHDOG {
+                self.daemon_bill(CostKind::Migration, MIGRATION_WATCHDOG);
                 self.memory.free(shadow);
                 self.finish_txn(id, TxnState::RolledBack);
                 return Err(MigrateError::Stalled { waited: stall });

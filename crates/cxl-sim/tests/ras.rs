@@ -9,7 +9,7 @@ use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::{NodeId, CXL_BASE_PFN};
 use cxl_sim::migration::MigrateError;
 use cxl_sim::prelude::*;
-use cxl_sim::ras::{NodeHealth, RasConfig};
+use cxl_sim::ras::NodeHealth;
 use cxl_sim::system::Region;
 use m5_telemetry::Telemetry;
 
@@ -157,13 +157,10 @@ fn exhausted_survivor_stalls_gracefully_then_concludes_at_deadline() {
         SystemConfig::small()
             .with_cxl_frames(64)
             .with_ddr_frames(8)
-            .with_ras(RasConfig {
-                // Each drained page bills ~54 µs of migration time, so
-                // filling the 8-frame survivor costs ~430 µs; 1 ms leaves
-                // room to stall on the full survivor before expiring.
-                evac_deadline: Nanos::from_millis(1),
-                ..RasConfig::default()
-            }),
+            // Each drained page bills ~54 µs of migration time, so filling
+            // the 8-frame survivor costs ~430 µs; 1 ms leaves room to stall
+            // on the full survivor before expiring.
+            .with_evac_deadline(Nanos::from_millis(1)),
         &plan,
     );
     let region = sys.alloc_region(PAGES, Placement::AllOnCxl).unwrap();

@@ -19,10 +19,27 @@
 
 use crate::daemon::{AdaptivePeriod, HotPageLog};
 use cxl_sim::addr::Vpn;
+use cxl_sim::hotlog::HOT_LOG_CAP;
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
+
+/// Pages unmapped per scan (`numa_scan_size`-equivalent).
+const SCAN_PAGES: usize = 128;
+
+/// Unmapped pages per batched TLB shootdown IPI.
+const SHOOTDOWN_BATCH: usize = 32;
+
+/// Cold pages demoted per capacity miss.
+const DEMOTE_BATCH: usize = 64;
+
+/// Seed for the scan cursor's starting position. The kernel's scanner
+/// resumes wherever a task's previous scan stopped, which over many tasks
+/// is effectively a random phase — starting at VPN 0 would bias the first
+/// identifications toward whatever a workload happens to place at the
+/// bottom of its address space.
+const CURSOR_SEED: u64 = 0x1537;
 
 /// ANB tuning knobs (defaults scaled to the simulator's time/footprint
 /// scale; the kernel's equivalents are noted).
@@ -32,26 +49,12 @@ pub struct AnbConfig {
     pub scan_period_min: Nanos,
     /// Slowest scan cadence after back-off (`numa_scan_period_max`).
     pub scan_period_max: Nanos,
-    /// Pages unmapped per scan (`numa_scan_size`-equivalent).
-    pub scan_pages: usize,
-    /// Unmapped pages per batched TLB shootdown IPI.
-    pub shootdown_batch: usize,
     /// Whether faults trigger migration (false = §4.1 record-only mode).
     pub migrate: bool,
-    /// Cold pages demoted per capacity miss.
-    pub demote_batch: usize,
-    /// Hot-page log capacity (the paper collects up to 128K pages).
-    pub hot_log_cap: usize,
     /// Migration rate limit as a fraction of elapsed time (the kernel's
     /// NUMA migration ratelimit): faults over budget still *identify*
     /// pages but do not move them.
     pub migration_time_budget: f64,
-    /// Seed for the scan cursor's starting position. The kernel's scanner
-    /// resumes wherever a task's previous scan stopped, which over many
-    /// tasks is effectively a random phase — starting at VPN 0 would bias
-    /// the first identifications toward whatever a workload happens to
-    /// place at the bottom of its address space.
-    pub seed: u64,
 }
 
 impl Default for AnbConfig {
@@ -59,13 +62,8 @@ impl Default for AnbConfig {
         AnbConfig {
             scan_period_min: Nanos::from_millis(4),
             scan_period_max: Nanos::from_millis(64),
-            scan_pages: 128,
-            shootdown_batch: 32,
             migrate: true,
-            demote_batch: 64,
-            hot_log_cap: 128 * 1024,
             migration_time_budget: 0.25,
-            seed: 0x1537,
         }
     }
 }
@@ -101,7 +99,7 @@ impl Anb {
             period: AdaptivePeriod::new(config.scan_period_min, config.scan_period_max),
             wake: None,
             cursor: 0,
-            log: HotPageLog::new(config.hot_log_cap),
+            log: HotPageLog::new(HOT_LOG_CAP),
             promotions_since_scan: 0,
             faults_since_scan: 0,
             faults_taken: 0,
@@ -130,7 +128,7 @@ impl Anb {
         self.period.current()
     }
 
-    /// Unmaps up to `scan_pages` CXL-resident pages, round-robin over the
+    /// Unmaps up to [`SCAN_PAGES`] CXL-resident pages, round-robin over the
     /// virtual address space.
     fn scan(&mut self, sys: &mut System) {
         let extent = sys.page_table().extent();
@@ -140,7 +138,7 @@ impl Anb {
         let costs = sys.config().costs;
         let mut unmapped = 0usize;
         let mut walked = 0u64;
-        while unmapped < self.config.scan_pages && walked < extent {
+        while unmapped < SCAN_PAGES && walked < extent {
             let vpn = Vpn(self.cursor % extent);
             self.cursor = (self.cursor + 1) % extent;
             walked += 1;
@@ -154,12 +152,12 @@ impl Anb {
                 sys.daemon_bill(CostKind::PteScan, costs.pte_scan_per_entry);
                 unmapped += 1;
                 self.pages_unmapped += 1;
-                if unmapped.is_multiple_of(self.config.shootdown_batch) {
+                if unmapped.is_multiple_of(SHOOTDOWN_BATCH) {
                     sys.daemon_bill(CostKind::TlbShootdown, costs.tlb_shootdown);
                 }
             }
         }
-        if unmapped > 0 && !unmapped.is_multiple_of(self.config.shootdown_batch) {
+        if unmapped > 0 && !unmapped.is_multiple_of(SHOOTDOWN_BATCH) {
             sys.daemon_bill(CostKind::TlbShootdown, costs.tlb_shootdown);
         }
     }
@@ -177,7 +175,7 @@ impl MigrationDaemon for Anb {
     fn on_start(&mut self, sys: &mut System) {
         let extent = sys.page_table().extent();
         if extent > 0 {
-            self.cursor = self.config.seed % extent;
+            self.cursor = CURSOR_SEED % extent;
         }
         self.wake = Some(sys.now() + self.period.current());
     }
@@ -193,9 +191,9 @@ impl MigrationDaemon for Anb {
         // at equilibrium. This is why ANB "rarely unmaps pages" once
         // migration settles (§7.2's Redis observation).
         let productive = if self.config.migrate {
-            self.promotions_since_scan > (self.config.scan_pages as u64) / 8
+            self.promotions_since_scan > (SCAN_PAGES as u64) / 8
         } else {
-            self.faults_since_scan > (self.config.scan_pages as u64) / 8
+            self.faults_since_scan > (SCAN_PAGES as u64) / 8
         };
         if productive {
             self.period.productive();
@@ -208,9 +206,9 @@ impl MigrationDaemon for Anb {
         // kswapd watermark trickle: NUMA balancing itself never demotes —
         // reclaim frees a small batch of cold DDR frames when the node
         // runs dry, rate-limited by the scan cadence.
-        if self.config.migrate && sys.free_frames(NodeId::Ddr) < self.config.demote_batch as u64 {
+        if self.config.migrate && sys.free_frames(NodeId::Ddr) < DEMOTE_BATCH as u64 {
             sys.mglru_age();
-            sys.demote_coldest(self.config.demote_batch);
+            sys.demote_coldest(DEMOTE_BATCH);
         }
         self.scan(sys);
         self.wake = Some(sys.now() + self.period.current());

@@ -22,6 +22,7 @@
 
 use crate::daemon::HotPageLog;
 use cxl_sim::addr::Vpn;
+use cxl_sim::hotlog::HOT_LOG_CAP;
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
@@ -29,54 +30,51 @@ use cxl_sim::time::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Samples per aggregation (`aggr_interval / sample_interval`, 20).
+const AGGR_SAMPLES: u32 = 20;
+
+/// Adjacent regions merge when counts differ by at most this.
+const MERGE_THRESHOLD: u32 = 1;
+
+/// A region is hot when `nr_accesses ≥ HOT_FRACTION × AGGR_SAMPLES`.
+const HOT_FRACTION: f64 = 0.4;
+
+/// Cold pages demoted per capacity miss.
+const DEMOTE_BATCH: usize = 64;
+
+/// RNG seed for sampling and split points.
+const SEED: u64 = 0xda40;
+
 /// DAMON tuning knobs (kernel equivalents noted).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DamonConfig {
     /// Sampling interval (`sample_interval`, kernel default 5 ms).
     pub sample_interval: Nanos,
-    /// Samples per aggregation (`aggr_interval / sample_interval`, 20).
-    pub aggr_samples: u32,
     /// Lower bound on regions (`min_nr_regions`).
     pub min_regions: usize,
     /// Upper bound on regions (`max_nr_regions`).
     pub max_regions: usize,
-    /// Adjacent regions merge when counts differ by at most this.
-    pub merge_threshold: u32,
-    /// A region is hot when `nr_accesses ≥ hot_fraction × aggr_samples`.
-    pub hot_fraction: f64,
     /// Max pages promoted per aggregation (DAMOS quota).
     pub quota_pages: usize,
     /// Whether to migrate (false = §4.1 record-only mode).
     pub migrate: bool,
-    /// Cold pages demoted per capacity miss.
-    pub demote_batch: usize,
-    /// Hot-page log capacity.
-    pub hot_log_cap: usize,
     /// DAMOS time quota: skip applying the scheme while cumulative
     /// migration time exceeds this fraction of elapsed time (the kernel's
     /// `quotas.ms` throttle). This is what bounds DAMON's equilibrium
     /// churn on uniform workloads — without it Redis would collapse
     /// instead of losing the paper's ~16 %.
     pub migration_time_budget: f64,
-    /// RNG seed for sampling and split points.
-    pub seed: u64,
 }
 
 impl Default for DamonConfig {
     fn default() -> DamonConfig {
         DamonConfig {
             sample_interval: Nanos::from_micros(250),
-            aggr_samples: 20,
             min_regions: 10,
             max_regions: 100,
-            merge_threshold: 1,
-            hot_fraction: 0.4,
             quota_pages: 128,
             migrate: true,
-            demote_batch: 64,
-            hot_log_cap: 128 * 1024,
             migration_time_budget: 0.25,
-            seed: 0xda40,
         }
     }
 }
@@ -131,8 +129,8 @@ impl Damon {
             regions: Vec::new(),
             wake: None,
             samples_done: 0,
-            rng: SmallRng::seed_from_u64(config.seed),
-            log: HotPageLog::new(config.hot_log_cap),
+            rng: SmallRng::seed_from_u64(SEED),
+            log: HotPageLog::new(HOT_LOG_CAP),
             ptes_sampled: 0,
             aggregations: 0,
             config,
@@ -189,7 +187,7 @@ impl Damon {
             let vpn = Vpn(self.rng.gen_range(r.start..r.end));
             self.ptes_sampled += 1;
             if sys.page_table_mut().test_and_clear_accessed(vpn) {
-                r.nr_accesses = (r.nr_accesses + 1).min(self.config.aggr_samples);
+                r.nr_accesses = (r.nr_accesses + 1).min(AGGR_SAMPLES);
                 sys.tlb_mut().invalidate(vpn);
             }
         }
@@ -198,7 +196,7 @@ impl Damon {
 
     /// The DAMOS action: promote slow-tier pages of hot regions.
     fn apply_scheme(&mut self, sys: &mut System) {
-        let hot_min = (self.config.hot_fraction * self.config.aggr_samples as f64).ceil() as u32;
+        let hot_min = (HOT_FRACTION * AGGR_SAMPLES as f64).ceil() as u32;
         let mut order: Vec<usize> = (0..self.regions.len()).collect();
         order.sort_by(|&a, &b| {
             self.regions[b]
@@ -236,7 +234,7 @@ impl Damon {
             if sys.free_frames(NodeId::Ddr) < batch.len() as u64 {
                 sys.mglru_age();
             }
-            sys.promote_with_demotion(&batch, self.config.demote_batch);
+            sys.promote_with_demotion(&batch, DEMOTE_BATCH);
         }
     }
 
@@ -248,8 +246,7 @@ impl Damon {
             match merged.last_mut() {
                 Some(last)
                     if last.end == r.start
-                        && last.nr_accesses.abs_diff(r.nr_accesses)
-                            <= self.config.merge_threshold =>
+                        && last.nr_accesses.abs_diff(r.nr_accesses) <= MERGE_THRESHOLD =>
                 {
                     last.end = r.end;
                     last.nr_accesses = last.nr_accesses.max(r.nr_accesses);
@@ -316,7 +313,7 @@ impl MigrationDaemon for Damon {
         }
         self.sample(sys);
         self.samples_done += 1;
-        if self.samples_done >= self.config.aggr_samples {
+        if self.samples_done >= AGGR_SAMPLES {
             self.samples_done = 0;
             self.aggregations += 1;
             self.apply_scheme(sys);

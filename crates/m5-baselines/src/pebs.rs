@@ -22,6 +22,7 @@
 use crate::daemon::HotPageLog;
 use cxl_sim::addr::{CacheLineAddr, Pfn};
 use cxl_sim::controller::{CxlDevice, DeviceHandle};
+use cxl_sim::hotlog::HOT_LOG_CAP;
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
@@ -91,26 +92,28 @@ impl CxlDevice for PebsBuffer {
     }
 }
 
+/// PEBS buffer capacity; a full buffer costs an interrupt.
+const BUFFER_CAPACITY: usize = 512;
+
+/// Pages promoted per migration epoch.
+const PROMOTE_BATCH: usize = 32;
+
+/// Cold pages demoted per capacity miss.
+const DEMOTE_BATCH: usize = 64;
+
+/// Kernel time to process one interrupt's worth of samples.
+const INTERRUPT_COST: Nanos = Nanos::from_micros(5);
+
 /// PEBS daemon tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PebsConfig {
     /// Sample one of this many CXL misses (Memtis-style setups use
     /// hundreds to thousands).
     pub sample_period: u64,
-    /// PEBS buffer capacity; a full buffer costs an interrupt.
-    pub buffer_capacity: usize,
     /// Time between daemon ticks (buffer processing + possible migration).
     pub tick_period: Nanos,
-    /// Pages promoted per migration epoch.
-    pub promote_batch: usize,
-    /// Cold pages demoted per capacity miss.
-    pub demote_batch: usize,
     /// Whether to migrate (false = record-only).
     pub migrate: bool,
-    /// Hot-page log capacity.
-    pub hot_log_cap: usize,
-    /// Kernel time to process one interrupt's worth of samples.
-    pub interrupt_cost: Nanos,
     /// Migration rate limit as a fraction of elapsed time.
     pub migration_time_budget: f64,
 }
@@ -119,13 +122,8 @@ impl Default for PebsConfig {
     fn default() -> PebsConfig {
         PebsConfig {
             sample_period: 128,
-            buffer_capacity: 512,
             tick_period: Nanos::from_millis(1),
-            promote_batch: 32,
-            demote_batch: 64,
             migrate: true,
-            hot_log_cap: 128 * 1024,
-            interrupt_cost: Nanos::from_micros(5),
             migration_time_budget: 0.25,
         }
     }
@@ -157,7 +155,7 @@ impl PebsSampler {
     /// Builds a PEBS-style daemon.
     pub fn new(config: PebsConfig) -> PebsSampler {
         PebsSampler {
-            log: HotPageLog::new(config.hot_log_cap),
+            log: HotPageLog::new(HOT_LOG_CAP),
             buffer: None,
             counts: HashMap::new(),
             wake: None,
@@ -193,10 +191,8 @@ impl MigrationDaemon for PebsSampler {
     }
 
     fn on_start(&mut self, sys: &mut System) {
-        self.buffer = Some(sys.attach_device(PebsBuffer::new(
-            self.config.sample_period,
-            self.config.buffer_capacity,
-        )));
+        self.buffer =
+            Some(sys.attach_device(PebsBuffer::new(self.config.sample_period, BUFFER_CAPACITY)));
         self.wake = Some(sys.now() + self.config.tick_period);
     }
 
@@ -215,7 +211,7 @@ impl MigrationDaemon for PebsSampler {
             // describes; higher precision (lower period) = more of these.
             self.interrupts += 1;
             self.samples_processed += samples.len() as u64;
-            sys.daemon_bill(CostKind::DaemonOther, self.config.interrupt_cost);
+            sys.daemon_bill(CostKind::DaemonOther, INTERRUPT_COST);
             for line in samples {
                 *self.counts.entry(line.pfn()).or_default() += 1;
             }
@@ -223,8 +219,8 @@ impl MigrationDaemon for PebsSampler {
         // Migration epoch: promote the hottest sampled slow-tier pages.
         let mut hot: Vec<(Pfn, u64)> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
         hot.sort_unstable_by_key(|&(_, c)| std::cmp::Reverse(c));
-        let mut batch = Vec::with_capacity(self.config.promote_batch);
-        for (pfn, _) in hot.into_iter().take(self.config.promote_batch * 2) {
+        let mut batch = Vec::with_capacity(PROMOTE_BATCH);
+        for (pfn, _) in hot.into_iter().take(PROMOTE_BATCH * 2) {
             if let Some(vpn) = sys.page_table().vpn_of(pfn) {
                 if sys
                     .page_table()
@@ -233,7 +229,7 @@ impl MigrationDaemon for PebsSampler {
                 {
                     self.log.record(vpn, pfn);
                     batch.push(vpn);
-                    if batch.len() >= self.config.promote_batch {
+                    if batch.len() >= PROMOTE_BATCH {
                         break;
                     }
                 }
@@ -241,7 +237,7 @@ impl MigrationDaemon for PebsSampler {
         }
         batch.truncate(sys.migration_allowance(self.config.migration_time_budget));
         if self.config.migrate && !batch.is_empty() {
-            sys.promote_with_demotion(&batch, self.config.demote_batch);
+            sys.promote_with_demotion(&batch, DEMOTE_BATCH);
         }
         // Sampled counts age out so the histogram tracks the current phase.
         self.counts.retain(|_, c| {

@@ -107,7 +107,6 @@ fn main() {
             min_period: Nanos::from_millis(2),
             max_period: Nanos::from_millis(2),
             cold_start_ratio: 1.1,
-            ..ElectorConfig::default()
         };
         let r = run_custom(
             Benchmark::Roms,

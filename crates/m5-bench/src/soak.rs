@@ -28,7 +28,7 @@ use crate::parallel::par_indexed;
 use cxl_sim::faults::{DeviceFault, FaultKind, FaultPlan};
 use cxl_sim::memory::NodeId;
 use cxl_sim::prelude::*;
-use cxl_sim::ras::{EvacuationReport, NodeHealth, RasConfig};
+use cxl_sim::ras::{EvacuationReport, NodeHealth, DEFAULT_EVAC_DEADLINE};
 use cxl_sim::system::{run, DEFAULT_CHUNK_ACCESSES};
 use m5_core::manager::{M5Config, M5Manager};
 use rand::rngs::SmallRng;
@@ -102,7 +102,7 @@ impl SoakSpec {
     fn evac_deadline(&self) -> Nanos {
         match self.scenario {
             SoakScenario::Chaos | SoakScenario::Evacuate => Nanos::from_millis(150),
-            SoakScenario::Squeeze => RasConfig::default().evac_deadline,
+            SoakScenario::Squeeze => DEFAULT_EVAC_DEADLINE,
         }
     }
 
@@ -237,10 +237,7 @@ fn campaign_config(spec: &SoakSpec) -> SystemConfig {
     SystemConfig::small()
         .with_cxl_frames(SOAK_CXL_FRAMES)
         .with_ddr_frames(spec.ddr_frames)
-        .with_ras(RasConfig {
-            evac_deadline: spec.evac_deadline(),
-            ..RasConfig::default()
-        })
+        .with_evac_deadline(spec.evac_deadline())
 }
 
 /// The campaign demand stream bound to `base`.

@@ -36,6 +36,20 @@ impl FScale {
     }
 }
 
+/// CXL congestion factor (the Monitor's loaded/unloaded latency ratio) at
+/// or above which the link counts as congested. A congested sample halves
+/// the manager's promotion batch and RAS drain budget, and
+/// [`CONGESTION_SUSTAIN`] of them in a row stretch the Elector's period.
+/// Inert when the contention model is disabled: loaded == unloaded reads
+/// 1.0.
+pub(crate) const CONGESTION_KNEE: f64 = 2.0;
+
+/// Consecutive congested samples before the decided period starts
+/// stretching toward `max_period`. A short burst of queueing should not
+/// slow identification; a link that stays saturated for this many epochs
+/// will not be helped by more migration traffic.
+const CONGESTION_SUSTAIN: u32 = 3;
+
 /// Elector tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ElectorConfig {
@@ -51,16 +65,6 @@ pub struct ElectorConfig {
     /// Substitute ratio when `bw_den(DDR)` is zero (nothing resident or
     /// nothing hot on DDR yet — treat CXL as maximally denser).
     pub cold_start_ratio: f64,
-    /// Congestion factor (the Monitor's loaded/unloaded CXL latency ratio)
-    /// at or above which a sample counts toward the sustained-congestion
-    /// period stretch. Matches the manager's promotion-backoff knee by
-    /// default.
-    pub congestion_knee: f64,
-    /// Consecutive congested samples before the decided period starts
-    /// stretching toward `max_period`. A short burst of queueing should not
-    /// slow identification; a link that stays saturated for this many
-    /// epochs will not be helped by more migration traffic.
-    pub congestion_sustain: u32,
 }
 
 impl Default for ElectorConfig {
@@ -71,8 +75,6 @@ impl Default for ElectorConfig {
             min_period: Nanos::from_millis(2),
             max_period: Nanos::from_millis(20),
             cold_start_ratio: 4.0,
-            congestion_knee: 2.0,
-            congestion_sustain: 3,
         }
     }
 }
@@ -127,22 +129,21 @@ impl Elector {
         );
 
         // Sustained-congestion stretch: when the CXL link has queued past
-        // the knee for `congestion_sustain` consecutive samples, double the
+        // the knee for `CONGESTION_SUSTAIN` consecutive samples, double the
         // period once per further congested sample, saturating at
         // `max_period`. Page copies ride the same link as demand traffic,
         // so a link that stays saturated is not going to be improved by
         // waking the migration machinery more often — relax the cadence
         // until the congestion clears. A single calm sample resets the
         // curve, and with the contention model disabled the congestion
-        // factor reads 1.0, below any valid knee, so this never fires.
-        if stats.congestion(NodeId::Cxl) >= self.config.congestion_knee {
+        // factor reads 1.0, below the knee, so this never fires.
+        if stats.congestion(NodeId::Cxl) >= CONGESTION_KNEE {
             self.congested_epochs = self.congested_epochs.saturating_add(1);
         } else {
             self.congested_epochs = 0;
         }
-        let sustain = self.config.congestion_sustain.max(1);
-        if self.congested_epochs >= sustain {
-            let excess = (self.congested_epochs - sustain + 1).min(32);
+        if self.congested_epochs >= CONGESTION_SUSTAIN {
+            let excess = (self.congested_epochs - CONGESTION_SUSTAIN + 1).min(32);
             period_ns = (period_ns * 2f64.powi(excess as i32)).min(self.config.max_period.0 as f64);
         }
 

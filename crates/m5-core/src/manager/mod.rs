@@ -17,14 +17,14 @@ use crate::tracker::{self, HotTracker, TrackerConfig};
 use cxl_sim::addr::{CacheLineAddr, Granularity, Pfn, Vpn};
 use cxl_sim::checkpoint::{CodecError, StateReader, StateWriter};
 use cxl_sim::controller::DeviceHandle;
-use cxl_sim::hotlog::HotPageLog;
+use cxl_sim::hotlog::{HotPageLog, HOT_LOG_CAP};
 use cxl_sim::kernel::CostKind;
 use cxl_sim::memory::{NodeId, CXL_BASE_PFN};
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
-use elector::{Elector, ElectorConfig};
+use elector::{Elector, ElectorConfig, CONGESTION_KNEE};
 use nominator::{Nominator, NominatorMode};
-use promoter::{Promoter, PromoterConfig, PromoterStats};
+use promoter::{Promoter, PromoterStats};
 use std::fmt;
 
 /// Consecutive garbage query results a tracker may return before the
@@ -46,10 +46,6 @@ pub enum ConfigError {
     ZeroPromoteBatch,
     /// `migration_time_budget` is not a finite fraction in `(0, 1]`.
     BadMigrationBudget(f64),
-    /// `hot_log_cap` is zero: every identified page would be dropped.
-    ZeroHotLogCap,
-    /// `congestion_knee` is not a finite factor greater than 1.0.
-    BadCongestionKnee(f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -67,10 +63,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "migration_time_budget {b} must be a finite fraction in (0, 1]"
                 )
-            }
-            ConfigError::ZeroHotLogCap => write!(f, "hot_log_cap must be nonzero"),
-            ConfigError::BadCongestionKnee(k) => {
-                write!(f, "congestion_knee {k} must be a finite factor > 1.0")
             }
         }
     }
@@ -95,27 +87,16 @@ pub struct M5Config {
     pub mode: NominatorMode,
     /// Elector policy.
     pub elector: ElectorConfig,
-    /// Promoter settings.
-    pub promoter: PromoterConfig,
     /// Pages nominated (and promoted) per migration epoch.
     pub promote_batch: usize,
     /// §4.1 record-only mode: identify but never migrate.
     pub record_only: bool,
-    /// Hot-page log capacity.
-    pub hot_log_cap: usize,
     /// Migration time quota: skip promotion while cumulative migration
     /// time exceeds this fraction of elapsed time. At the simulator's
     /// compressed time scale, unthrottled `migrate_pages()` (~54 µs/page)
     /// would otherwise dominate short runs; real deployments amortise it
     /// over hours. Matches the DAMON baseline's quota for fairness.
     pub migration_time_budget: f64,
-    /// Congestion backoff threshold: when the Monitor reports CXL's loaded
-    /// latency at or above this multiple of its unloaded latency, the epoch
-    /// halves its promotion batch — page copies share the congested link
-    /// with demand traffic, and a storm of them is exactly what made the
-    /// link slow. Inert when the contention model is disabled (loaded ==
-    /// unloaded, factor 1.0 < any valid knee).
-    pub congestion_knee: f64,
 }
 
 impl Default for M5Config {
@@ -125,12 +106,9 @@ impl Default for M5Config {
             hwt: None,
             mode: NominatorMode::HptOnly,
             elector: ElectorConfig::default(),
-            promoter: PromoterConfig::default(),
             promote_batch: 32,
             record_only: false,
-            hot_log_cap: 128 * 1024,
             migration_time_budget: 0.25,
-            congestion_knee: 2.0,
         }
     }
 }
@@ -152,12 +130,6 @@ impl M5Config {
             || self.migration_time_budget > 1.0
         {
             return Err(ConfigError::BadMigrationBudget(self.migration_time_budget));
-        }
-        if self.hot_log_cap == 0 {
-            return Err(ConfigError::ZeroHotLogCap);
-        }
-        if !self.congestion_knee.is_finite() || self.congestion_knee <= 1.0 {
-            return Err(ConfigError::BadCongestionKnee(self.congestion_knee));
         }
         Ok(())
     }
@@ -273,13 +245,13 @@ impl M5Manager {
         Ok(M5Manager {
             nominator: Nominator::new(config.mode),
             elector: Elector::new(config.elector),
-            promoter: Promoter::new(config.promoter),
+            promoter: Promoter::new(),
             trackers: [
                 TrackerSlot::new(Granularity::Page),
                 TrackerSlot::new(Granularity::Word),
             ],
             wake: None,
-            log: HotPageLog::new(config.hot_log_cap),
+            log: HotPageLog::new(HOT_LOG_CAP),
             epochs: 0,
             migrate_epochs: 0,
             ras_drain_epochs: 0,
@@ -342,8 +314,7 @@ impl M5Manager {
     /// (they belong to whoever attached them), so the manager section
     /// carries them. Restore derives the rest: the daemon name, the
     /// software fallback and the nominator's mode from the config and the
-    /// tracker strikes, and the hot-log capacity from the config. Pair
-    /// with [`M5Manager::restore`].
+    /// tracker strikes. Pair with [`M5Manager::restore`].
     pub fn save(&self, sys: &System, w: &mut StateWriter) {
         w.put_str(&format!("{:?}", self.config));
         for slot in &self.trackers {
@@ -418,13 +389,13 @@ impl M5Manager {
         };
         m.nominator = Nominator::restore(mode, r)?;
         m.elector = Elector::restore(config.elector, r)?;
-        m.promoter = Promoter::restore(config.promoter, r)?;
+        m.promoter = Promoter::restore(r)?;
         m.wake = if r.get_bool()? {
             Some(Nanos(r.get_u64()?))
         } else {
             None
         };
-        m.log = HotPageLog::restore(config.hot_log_cap, r)?;
+        m.log = HotPageLog::restore(r)?;
         m.epochs = r.get_u64()?;
         m.migrate_epochs = r.get_u64()?;
         m.ras_drain_epochs = r.get_u64()?;
@@ -599,7 +570,7 @@ impl MigrationDaemon for M5Manager {
         // epoch's congestion sample halves the drain budget past the knee,
         // exactly as the backoff below halves the promotion batch.
         let mut drain_budget = self.config.promote_batch as u64;
-        if self.last_congestion >= self.config.congestion_knee {
+        if self.last_congestion >= CONGESTION_KNEE {
             drain_budget = (drain_budget / 2).max(1);
             sys.telemetry_mut()
                 .counter_add("m5.congestion", "drain-backoff", 1);
@@ -617,7 +588,7 @@ impl MigrationDaemon for M5Manager {
         // copy traffic onto an already-queueing link. With the contention
         // model disabled loaded == unloaded and this never fires.
         let mut batch = self.config.promote_batch;
-        if stats.congestion(NodeId::Cxl) >= self.config.congestion_knee {
+        if stats.congestion(NodeId::Cxl) >= CONGESTION_KNEE {
             batch = (batch / 2).max(1);
             sys.telemetry_mut()
                 .counter_add("m5.congestion", "backoff", 1);
@@ -966,20 +937,6 @@ mod tests {
             .validate(),
             Err(ConfigError::BadMigrationBudget(-1.0))
         );
-        assert_eq!(
-            M5Config {
-                congestion_knee: 1.0,
-                ..M5Config::default()
-            }
-            .validate(),
-            Err(ConfigError::BadCongestionKnee(1.0))
-        );
-        assert!(M5Config {
-            congestion_knee: f64::NAN,
-            ..M5Config::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -13,28 +13,16 @@ use cxl_sim::migration::{BatchOutcome, MigrateError};
 use cxl_sim::system::System;
 use cxl_sim::time::Nanos;
 
-/// Promoter tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PromoterConfig {
-    /// Cold pages demoted per capacity miss (the paper demotes the same
-    /// number of pages as promoted once DDR fills, §7.2).
-    pub demote_batch: usize,
-    /// Retry rounds for transiently rejected pages (destination full,
-    /// failed copy) before giving up on them for this epoch.
-    pub max_retries: u32,
-    /// Daemon-side wait before the first retry round; doubles each round.
-    pub retry_backoff: Nanos,
-}
+/// Cold pages demoted per capacity miss (the paper demotes the same number
+/// of pages as promoted once DDR fills, §7.2).
+const DEMOTE_BATCH: usize = 32;
 
-impl Default for PromoterConfig {
-    fn default() -> PromoterConfig {
-        PromoterConfig {
-            demote_batch: 32,
-            max_retries: 2,
-            retry_backoff: Nanos(10_000),
-        }
-    }
-}
+/// Retry rounds for transiently rejected pages (destination full, failed
+/// copy) before giving up on them for this epoch.
+const MAX_RETRIES: u32 = 2;
+
+/// Daemon-side wait before the first retry round; doubles each round.
+const RETRY_BACKOFF: Nanos = Nanos::from_micros(10);
 
 /// Cumulative Promoter statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,17 +41,13 @@ pub struct PromoterStats {
 /// The Promoter component.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Promoter {
-    config: PromoterConfig,
     stats: PromoterStats,
 }
 
 impl Promoter {
     /// Builds a Promoter.
-    pub fn new(config: PromoterConfig) -> Promoter {
-        Promoter {
-            config,
-            stats: PromoterStats::default(),
-        }
+    pub fn new() -> Promoter {
+        Promoter::default()
     }
 
     /// Cumulative statistics.
@@ -71,8 +55,7 @@ impl Promoter {
         self.stats
     }
 
-    /// Serializes the cumulative statistics for a checkpoint (the
-    /// configuration is rebuilt by the restoring side).
+    /// Serializes the cumulative statistics for a checkpoint.
     pub fn save(&self, w: &mut cxl_sim::checkpoint::StateWriter) {
         w.put_u64(self.stats.promoted);
         w.put_u64(self.stats.stale);
@@ -86,11 +69,9 @@ impl Promoter {
     ///
     /// Propagates codec errors from a truncated payload.
     pub fn restore(
-        config: PromoterConfig,
         r: &mut cxl_sim::checkpoint::StateReader<'_>,
     ) -> Result<Promoter, cxl_sim::checkpoint::CodecError> {
         Ok(Promoter {
-            config,
             stats: PromoterStats {
                 promoted: r.get_u64()?,
                 stale: r.get_u64()?,
@@ -122,14 +103,14 @@ impl Promoter {
         // must appear at most once in `MigrationStats::rejected` (and hence
         // in the RunReport/HealthReport merge). The final outcomes are
         // settled once, after the retry loop.
-        let mut out = sys.promote_with_demotion_uncounted(&vpns, self.config.demote_batch);
+        let mut out = sys.promote_with_demotion_uncounted(&vpns, DEMOTE_BATCH);
 
         // Bounded retry with exponential backoff: transient rejections
         // (destination full under pressure, a flaky page copy) are worth a
         // second attempt this epoch; permanent ones (pinned, bound) are not.
-        let mut backoff = self.config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut retried = 0u64;
-        for _ in 0..self.config.max_retries {
+        for _ in 0..MAX_RETRIES {
             let (transient, fatal): (Vec<_>, Vec<_>) = out
                 .rejected
                 .into_iter()
@@ -142,7 +123,7 @@ impl Promoter {
             retried += again.len() as u64;
             sys.daemon_bill(CostKind::DaemonOther, backoff);
             backoff = Nanos(backoff.0.saturating_mul(2));
-            let retry = sys.promote_with_demotion_uncounted(&again, self.config.demote_batch);
+            let retry = sys.promote_with_demotion_uncounted(&again, DEMOTE_BATCH);
             out.migrated.extend(retry.migrated);
             out.rejected.extend(retry.rejected);
         }
@@ -210,7 +191,7 @@ mod tests {
             .vpns()
             .map(|v| sys.page_table().get(v).unwrap().pfn)
             .collect();
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let out = p.promote(&mut sys, &[entry(pfns[0]), entry(pfns[1])]);
         assert_eq!(out.migrated.len(), 2);
         assert_eq!(sys.nr_pages(NodeId::DDR), 2);
@@ -227,7 +208,7 @@ mod tests {
         let pfn_b = sys.page_table().get(b).unwrap().pfn;
         sys.page_table_mut().set_pinned(a, true);
         sys.page_table_mut().set_cxl_bound(b, true);
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let out = p.promote(&mut sys, &[entry(pfn_a), entry(pfn_b)]);
         assert!(out.migrated.is_empty());
         assert_eq!(p.stats().rejected_unsafe, 2);
@@ -238,7 +219,7 @@ mod tests {
     fn stale_pfns_are_dropped_not_fatal() {
         let mut sys = System::new(SystemConfig::small());
         let _ = sys.alloc_region(1, Placement::AllOnCxl).unwrap();
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         // A frame nothing maps: e.g. an unallocated CXL frame.
         let out = p.promote(&mut sys, &[entry(Pfn(cxl_sim::memory::CXL_BASE_PFN + 99))]);
         assert!(out.migrated.is_empty());
@@ -257,7 +238,7 @@ mod tests {
             .vpns()
             .map(|v| sys.page_table().get(v).unwrap().pfn)
             .collect();
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let out = p.promote(&mut sys, &[entry(pfns[0]), entry(pfns[1])]);
         assert!(out.migrated.is_empty());
         let stats = sys.stats();
@@ -274,7 +255,7 @@ mod tests {
         // Regression test: when a DDR-pressure fault window overlaps a
         // migration epoch, every promotion attempt inside the window fails
         // with DestinationFull, and the Promoter retries each page
-        // `max_retries` times (each retry round calling the promote+demote
+        // `MAX_RETRIES` times (each retry round calling the promote+demote
         // path, which itself re-attempts after demoting). Before the
         // migrate_page_uncounted/note_rejected_migrations split, every one
         // of those attempts bumped `MigrationStats::rejected`, so a single
@@ -296,7 +277,7 @@ mod tests {
             .collect();
         // Arm the pressure window.
         sys.access(r.base, false);
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let out = p.promote(&mut sys, &[entry(pfns[0]), entry(pfns[1])]);
         assert!(out.migrated.is_empty(), "pressure window blocks promotion");
         let stats = sys.stats();
@@ -328,7 +309,7 @@ mod tests {
             .collect();
         // Arm the pressure window.
         sys.access(r.base, false);
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let entries: Vec<HpaEntry> = pfns.iter().map(|&f| entry(f)).collect();
         let out = p.promote(&mut sys, &entries);
         assert!(out.migrated.is_empty());
@@ -345,7 +326,7 @@ mod tests {
             .vpns()
             .map(|v| sys.page_table().get(v).unwrap().pfn)
             .collect();
-        let mut p = Promoter::new(PromoterConfig::default());
+        let mut p = Promoter::new();
         let entries: Vec<HpaEntry> = pfns.iter().map(|&f| entry(f)).collect();
         let out = p.promote(&mut sys, &entries);
         // All four requested; DDR holds only 2, so demotions made room.

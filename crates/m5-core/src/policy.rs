@@ -2,21 +2,14 @@
 //!
 //! The paper deliberately uses a *simple* policy (fscale `y = xⁿ` with `n`
 //! between 3 and 6, `f_default` around 1) to demonstrate that HPT/HWT are
-//! effective even without sophistication. These presets reproduce the
-//! Figure 8/9 configurations.
+//! effective even without sophistication. Every preset runs the default
+//! Elector, that simple policy with `n = 4`
+//! ([`ElectorConfig::default`](crate::manager::elector::ElectorConfig::default)).
+//! These presets reproduce the Figure 8/9 configurations.
 
-use crate::manager::elector::{ElectorConfig, FScale};
 use crate::manager::nominator::NominatorMode;
 use crate::manager::M5Config;
 use crate::tracker::{TrackerAlgo, TrackerConfig};
-
-/// The simple Elector policy of §7.2: `fscale(x) = xⁿ` with `n = 4`.
-pub fn simple_elector() -> ElectorConfig {
-    ElectorConfig {
-        fscale: FScale::Power { n: 4.0 },
-        ..ElectorConfig::default()
-    }
-}
 
 /// M5 with the HPT-only Nominator and the CM-Sketch(32K) tracker — the
 /// paper's headline configuration (`M5(HPT)` in Figure 9).
@@ -25,7 +18,6 @@ pub fn simple_hpt_policy() -> M5Config {
         hpt: Some(TrackerConfig::hpt()),
         hwt: None,
         mode: NominatorMode::HptOnly,
-        elector: simple_elector(),
         ..M5Config::default()
     }
 }
@@ -37,7 +29,6 @@ pub fn simple_hwt_policy() -> M5Config {
         hpt: None,
         hwt: Some(TrackerConfig::hwt()),
         mode: NominatorMode::HwtDriven,
-        elector: simple_elector(),
         ..M5Config::default()
     }
 }
@@ -50,7 +41,6 @@ pub fn simple_hpt_hwt_policy() -> M5Config {
         hpt: Some(TrackerConfig::hpt()),
         hwt: Some(TrackerConfig::hwt()),
         mode: NominatorMode::HptDriven,
-        elector: simple_elector(),
         ..M5Config::default()
     }
 }
@@ -65,7 +55,6 @@ pub fn space_saving_50_policy() -> M5Config {
         }),
         hwt: None,
         mode: NominatorMode::HptOnly,
-        elector: simple_elector(),
         ..M5Config::default()
     }
 }

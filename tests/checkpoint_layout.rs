@@ -12,15 +12,15 @@ use m5::sim::checkpoint::{StateWriter, VERSION};
 use m5::sim::prelude::*;
 use m5::sim::system::MigrationDaemon;
 
-const PINNED_VERSION: u32 = 6;
+const PINNED_VERSION: u32 = 7;
 
 const SECTION_BYTES: [(&str, usize); 15] = [
-    ("config", 1218),
+    ("config", 1070),
     ("clock", 8),
     ("memory", 4144),
     ("paging", 8),
-    ("tlb", 553),
-    ("llc", 8233),
+    ("tlb", 544),
+    ("llc", 8224),
     ("perfmon", 72),
     ("kernel", 128),
     ("mglru", 40),
@@ -32,7 +32,7 @@ const SECTION_BYTES: [(&str, usize); 15] = [
     ("system", 101),
 ];
 
-const M5_SECTION_BYTES: usize = 131_742;
+const M5_SECTION_BYTES: usize = 131_567;
 
 const FIX: &str = "the checkpoint layout changed: bump checkpoint::VERSION \
                    and re-pin PINNED_VERSION and the section lengths in this file";

@@ -190,3 +190,103 @@ fn a_resealed_memory_section_with_a_frame_out_of_node_or_listed_twice_is_rejecte
     ];
     assert_rejected(&config, &FaultPlan::none(), &cp, "memory", cases);
 }
+
+#[test]
+fn a_resealed_journal_with_a_terminal_or_repeated_open_txn_is_rejected() {
+    use m5::sim::checkpoint::StateWriter;
+    use m5::sim::memory::CXL_BASE_PFN;
+    let (config, cp) = small_image(Placement::AllOnCxl);
+
+    // The section is the open transactions (their count, then each one's
+    // id, page, source frame, destination node, shadow frame and state),
+    // then the step count, the terminal tallies and the fence.
+    let journal = cp.section("journal").unwrap();
+    assert_eq!(u64_at(journal, 0), 0, "no transaction is open");
+    // Each `(id, state)` opens a promotion of page `id` into DDR frame
+    // `id`; state 2 is `Remapped`, 3–5 are the terminal states.
+    let with_open = |open: &[(u64, u8)]| {
+        let mut w = StateWriter::new();
+        w.put_u64(open.len() as u64);
+        for &(id, state) in open {
+            w.put_u64(id);
+            w.put_u64(id);
+            w.put_u64(CXL_BASE_PFN + id);
+            w.put_u8(0);
+            w.put_bool(true);
+            w.put_u64(id);
+            w.put_u8(state);
+        }
+        let mut payload = w.finish();
+        payload.extend_from_slice(&journal[8..]);
+        payload
+    };
+    System::restore(
+        config.clone(),
+        &FaultPlan::none(),
+        &reseal(&cp, "journal", &with_open(&[(0, 2), (1, 2)])),
+    )
+    .expect("two open transactions in flight restore");
+
+    let cases = vec![
+        ("an open committed txn", with_open(&[(0, 3)])),
+        ("an open aborted txn", with_open(&[(0, 4)])),
+        ("an open rolled-back txn", with_open(&[(0, 2), (1, 5)])),
+        ("one id open twice", with_open(&[(0, 2), (0, 2)])),
+    ];
+    assert_rejected(&config, &FaultPlan::none(), &cp, "journal", cases);
+}
+
+#[test]
+fn a_resealed_ras_section_with_unsorted_or_repeated_frames_is_rejected() {
+    use m5::sim::checkpoint::StateWriter;
+    let (config, cp) = small_image(Placement::AllOnCxl);
+
+    // The section is the DDR node, the CXL node, then the fault count. A
+    // fault-free node is 55 B: health (1), the correctable-error entries
+    // (count, then frame and count of each), the total, the bucket level
+    // and time, and the link factor (8 + 8 + 8 + 4), the pending-offline
+    // frames (length, then each), the patrol cursor, and no evacuation
+    // and no report (1 + 1).
+    const NODE: usize = 55;
+    let ras = cp.section("ras").unwrap();
+    assert_eq!(ras.len(), 2 * NODE + 8);
+    let cxl = &ras[NODE..2 * NODE];
+    let with_cxl = |ce: &[(u64, u32)], pending: &[u64]| {
+        let mut w = StateWriter::new();
+        w.put_u64(ce.len() as u64);
+        for &(frame, count) in ce {
+            w.put_u64(frame);
+            w.put_u32(count);
+        }
+        let ce = w.finish();
+        let mut w = StateWriter::new();
+        w.put_u64_slice(pending);
+        let pending = w.finish();
+        [
+            &ras[..NODE + 1],
+            &ce,
+            &cxl[9..37],
+            &pending,
+            &cxl[45..],
+            &ras[2 * NODE..],
+        ]
+        .concat()
+    };
+    assert_eq!(with_cxl(&[], &[]), ras);
+    System::restore(
+        config.clone(),
+        &FaultPlan::none(),
+        &reseal(&cp, "ras", &with_cxl(&[(5, 1), (7, 2)], &[7])),
+    )
+    .expect("sorted frames and one queued frame restore");
+
+    let cases = vec![
+        ("frames out of order", with_cxl(&[(7, 2), (5, 1)], &[7])),
+        ("one frame listed twice", with_cxl(&[(7, 1), (7, 2)], &[7])),
+        (
+            "one frame queued twice",
+            with_cxl(&[(5, 1), (7, 2)], &[7, 7]),
+        ),
+    ];
+    assert_rejected(&config, &FaultPlan::none(), &cp, "ras", cases);
+}
