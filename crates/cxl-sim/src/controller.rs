@@ -72,13 +72,6 @@ impl CxlController {
         }
     }
 
-    /// Whether any device is attached (lets callers skip snoop bookkeeping
-    /// entirely on device-free machines).
-    #[inline]
-    pub fn has_devices(&self) -> bool {
-        !self.devices.is_empty()
-    }
-
     /// Delivers an injected fault to every attached device (the blast
     /// radius of SRAM corruption in the shared near-memory block).
     pub fn inject(&mut self, fault: DeviceFault) {
@@ -101,11 +94,6 @@ impl CxlController {
     pub fn device_mut<D: CxlDevice>(&mut self, handle: DeviceHandle) -> Option<&mut D> {
         let device: &mut dyn Any = &mut **self.devices.get_mut(handle.0)?;
         device.downcast_mut()
-    }
-
-    /// Number of attached devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     /// Names of attached devices, in attach order.
@@ -161,7 +149,6 @@ mod tests {
         let h1 = ctl.attach(counting());
         let h_trace = ctl.attach(TraceCapture::new());
         let h2 = ctl.attach(counting());
-        assert!(ctl.has_devices());
         ctl.snoop(CacheLineAddr(7), false, Nanos(1));
         ctl.snoop(CacheLineAddr(8), true, Nanos(2));
         for h in [h1, h2] {
@@ -198,6 +185,5 @@ mod tests {
         let mut ctl = CxlController::new();
         ctl.attach(counting());
         assert!(format!("{ctl:?}").contains("counter"));
-        assert_eq!(ctl.device_count(), 1);
     }
 }

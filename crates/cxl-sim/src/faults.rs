@@ -35,6 +35,7 @@ use crate::time::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 /// The taxonomy of injectable faults, used for counting and reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -83,7 +84,8 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All classes, in display order. The RAS classes are appended *after*
+    /// All classes, in display order, which is declaration order: entry
+    /// `i`'s discriminant is `i`. The RAS classes are appended *after*
     /// the original nine — and [`FaultClass::TornCheckpoint`] after those —
     /// so [`FaultPlan::chaos`]'s per-class RNG draws for the earlier
     /// classes are unchanged for a given seed.
@@ -103,22 +105,9 @@ impl FaultClass {
         FaultClass::TornCheckpoint,
     ];
 
+    /// The class's position in [`FaultClass::ALL`].
     fn index(self) -> usize {
-        match self {
-            FaultClass::LatencySpike => 0,
-            FaultClass::ControllerStall => 1,
-            FaultClass::PoisonedLine => 2,
-            FaultClass::CounterBitFlip => 3,
-            FaultClass::CounterSaturation => 4,
-            FaultClass::DeviceFailure => 5,
-            FaultClass::MigrationCopyFail => 6,
-            FaultClass::DdrPressure => 7,
-            FaultClass::ControllerReset => 8,
-            FaultClass::CorrectableEcc => 9,
-            FaultClass::LinkDegrade => 10,
-            FaultClass::HotRemove => 11,
-            FaultClass::TornCheckpoint => 12,
-        }
+        self as usize
     }
 
     /// The class's stable kebab-case name (also used as a telemetry label).
@@ -401,21 +390,26 @@ impl FaultPlan {
 
 /// The runtime that arms [`FaultPlan`] entries as simulated time passes and
 /// answers the `System`'s "what is broken right now?" queries.
+///
+/// It keeps cursors into its schedule rather than copies of its entries:
+/// the faults armed so far are the schedule's prefix as long as the log,
+/// and device faults are not queued — the `System` delivers each one in
+/// the pass that arms it.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     schedule: Vec<ScheduledFault>,
-    next: usize,
     spike_extra: Nanos,
     spike_until: Nanos,
     stall_until: Nanos,
     pressure_until: Nanos,
     poison_pending: u32,
     copy_fail_pending: u32,
+    /// Journal steps of the armed controller resets that have not struck.
     reset_steps: Vec<u64>,
-    torn_sections: Vec<u64>,
-    device_queue: Vec<DeviceFault>,
-    ras_queue: Vec<DeviceFault>,
-    /// The arming time of each armed fault: entry `i` is `schedule[i]`'s.
+    /// Armed torn-checkpoint entries consumed so far, in schedule order.
+    torn_taken: u64,
+    /// The arming time of each armed fault: entry `i` is `schedule[i]`'s,
+    /// so the length is the arming cursor.
     log: Vec<Nanos>,
 }
 
@@ -435,7 +429,6 @@ impl FaultInjector {
     pub fn from_plan(plan: &FaultPlan) -> FaultInjector {
         FaultInjector {
             schedule: plan.schedule.clone(),
-            next: 0,
             spike_extra: Nanos::ZERO,
             spike_until: Nanos::ZERO,
             stall_until: Nanos::ZERO,
@@ -443,23 +436,24 @@ impl FaultInjector {
             poison_pending: 0,
             copy_fail_pending: 0,
             reset_steps: Vec::new(),
-            torn_sections: Vec::new(),
-            device_queue: Vec::new(),
-            ras_queue: Vec::new(),
+            torn_taken: 0,
             log: Vec::new(),
         }
     }
 
-    /// Arms every scheduled fault whose trigger time has passed. Called by
-    /// the `System` on each access and migration; cheap when idle.
+    /// Arms every scheduled fault whose trigger time has passed and returns
+    /// the indices into [`schedule`](FaultInjector::schedule) it armed. The
+    /// caller delivers the range's [`FaultKind::Device`] faults; nothing
+    /// holds them afterwards, so the `System`'s fault service is the only
+    /// caller. It runs once per access segment and before each migration;
+    /// cheap when idle.
     #[inline]
-    pub fn poll(&mut self, now: Nanos) {
-        while let Some(f) = self.schedule.get(self.next) {
+    pub(crate) fn poll(&mut self, now: Nanos) -> Range<usize> {
+        let first = self.log.len();
+        while let Some(&f) = self.schedule.get(self.log.len()) {
             if f.at > now {
                 break;
             }
-            let f = *f;
-            self.next += 1;
             self.log.push(now);
             match f.kind {
                 FaultKind::LatencySpike { .. }
@@ -468,19 +462,28 @@ impl FaultInjector {
                 FaultKind::PoisonLine { reads } => {
                     self.poison_pending += reads;
                 }
-                FaultKind::Device(d) if d.is_ras() => self.ras_queue.push(d),
-                FaultKind::Device(d) => self.device_queue.push(d),
                 FaultKind::MigrationCopyFail { attempts } => {
                     self.copy_fail_pending += attempts;
                 }
                 FaultKind::ControllerReset { at_step } => {
                     self.reset_steps.push(at_step);
                 }
-                FaultKind::TornCheckpoint { at_section } => {
-                    self.torn_sections.push(at_section);
-                }
+                // Delivered by the caller, or read from the armed prefix.
+                FaultKind::Device(_) | FaultKind::TornCheckpoint { .. } => {}
             }
         }
+        first..self.log.len()
+    }
+
+    /// The plan's schedule, sorted by trigger time; the first
+    /// `log().len()` entries have armed.
+    pub(crate) fn schedule(&self) -> &[ScheduledFault] {
+        &self.schedule
+    }
+
+    /// The kind of every fault armed so far, in schedule order.
+    fn armed(&self) -> impl Iterator<Item = FaultKind> + '_ {
+        self.schedule[..self.log.len()].iter().map(|f| f.kind)
     }
 
     /// Opens or extends the window a latency spike, controller stall or
@@ -515,9 +518,9 @@ impl FaultInjector {
     /// DDR-pressure window still open at `now`. `None` when the schedule
     /// is exhausted and no window is open.
     ///
-    /// Only [`poll`] opens a window, queues a device or RAS fault, or arms
-    /// a poisoned read, and it arms nothing before the next scheduled
-    /// fault; an open window closes at its end. So between `now` and this
+    /// Only [`poll`] opens a window, arms a device or RAS fault for
+    /// delivery, or arms a poisoned read, and it arms nothing before the
+    /// next scheduled fault; an open window closes at its end. So between `now` and this
     /// edge [`cxl_extra_latency`] and [`controller_stalled`] are constant,
     /// and the batch driver reads them once per segment. Poisoned reads
     /// need no edge: each CXL fill consumes one in order. Neither do the
@@ -532,7 +535,7 @@ impl FaultInjector {
         [self.spike_until, self.stall_until, self.pressure_until]
             .into_iter()
             .filter(|&end| end > now)
-            .chain(self.schedule.get(self.next).map(|f| f.at))
+            .chain(self.schedule.get(self.log.len()).map(|f| f.at))
             .min()
     }
 
@@ -593,16 +596,18 @@ impl FaultInjector {
     /// manifest section index at which the commit must be cut short. Called
     /// by the checkpointing harness immediately before each commit.
     pub fn take_torn_checkpoint(&mut self) -> Option<u64> {
-        if self.torn_sections.is_empty() {
-            None
-        } else {
-            Some(self.torn_sections.remove(0))
-        }
+        let at = self.armed_torn_sections().nth(self.torn_taken as usize)?;
+        self.torn_taken += 1;
+        Some(at)
     }
 
-    /// Whether an armed torn-checkpoint fault has not yet been consumed.
-    pub fn torn_checkpoint_pending(&self) -> bool {
-        !self.torn_sections.is_empty()
+    /// The section index of every armed torn-checkpoint fault, in schedule
+    /// order.
+    fn armed_torn_sections(&self) -> impl Iterator<Item = u64> + '_ {
+        self.armed().filter_map(|k| match k {
+            FaultKind::TornCheckpoint { at_section } => Some(at_section),
+            _ => None,
+        })
     }
 
     /// Whether DDR allocations are artificially failing at `now`.
@@ -632,27 +637,6 @@ impl FaultInjector {
         }
     }
 
-    /// Pops the next queued device fault for controller delivery.
-    #[inline]
-    pub fn pop_device_fault(&mut self) -> Option<DeviceFault> {
-        if self.device_queue.is_empty() {
-            None
-        } else {
-            Some(self.device_queue.remove(0))
-        }
-    }
-
-    /// Pops the next queued RAS fault ([`DeviceFault::is_ras`]) for
-    /// delivery to the memory device's [`crate::ras::RasState`].
-    #[inline]
-    pub fn pop_ras_fault(&mut self) -> Option<DeviceFault> {
-        if self.ras_queue.is_empty() {
-            None
-        } else {
-            Some(self.ras_queue.remove(0))
-        }
-    }
-
     /// Poisoned lines recovered so far: the poisoned reads armed, less
     /// those still pending.
     pub fn poison_repairs(&self) -> u64 {
@@ -661,10 +645,19 @@ impl FaultInjector {
 
     /// Poisoned reads armed by the schedule so far.
     fn poisoned_reads_armed(&self) -> u64 {
-        self.schedule[..self.next]
-            .iter()
-            .map(|f| match f.kind {
+        self.armed()
+            .map(|k| match k {
                 FaultKind::PoisonLine { reads } => u64::from(reads),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Migration copy failures armed by the schedule so far.
+    fn copy_failures_armed(&self) -> u64 {
+        self.armed()
+            .map(|k| match k {
+                FaultKind::MigrationCopyFail { attempts } => u64::from(attempts),
                 _ => 0,
             })
             .sum()
@@ -686,8 +679,8 @@ impl FaultInjector {
     /// the per-class histogram of [`FaultInjector::log`], in one pass.
     pub(crate) fn class_counts(&self) -> [u64; FaultClass::ALL.len()] {
         let mut counts = [0; FaultClass::ALL.len()];
-        for f in &self.schedule[..self.next] {
-            counts[f.kind.class().index()] += 1;
+        for k in self.armed() {
+            counts[k.class().index()] += 1;
         }
         counts
     }
@@ -699,150 +692,106 @@ impl FaultInjector {
 
     /// Serializes the injector's dynamic state for a checkpoint. The
     /// schedule itself is not written — it is pure plan data the restoring
-    /// process supplies again — only the arming cursor and everything armed
-    /// but not yet consumed. The log is arming times only. The spike, stall and
-    /// pressure windows and the poison-repair count are not written:
-    /// restore derives them from the log and the schedule.
+    /// process supplies again — only the log of arming times (its length is
+    /// the arming cursor), the consumables armed but not yet consumed, and
+    /// the count of torn checkpoints taken. The spike, stall and pressure
+    /// windows and the poison-repair count are not written: restore derives
+    /// them from the log and the schedule.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_u64(self.next as u64);
-        w.put_u32(self.poison_pending);
-        w.put_u32(self.copy_fail_pending);
-        w.put_u64_slice(&self.reset_steps);
-        w.put_u64_slice(&self.torn_sections);
-        w.put_u64(self.device_queue.len() as u64);
-        for d in &self.device_queue {
-            save_device_fault(*d, w);
-        }
-        w.put_u64(self.ras_queue.len() as u64);
-        for d in &self.ras_queue {
-            save_device_fault(*d, w);
-        }
         w.put_u64(self.log.len() as u64);
         for at in &self.log {
             w.put_u64(at.0);
         }
+        w.put_u32(self.poison_pending);
+        w.put_u32(self.copy_fail_pending);
+        w.put_u64_slice(&self.reset_steps);
+        w.put_u64(self.torn_taken);
     }
 
     /// Rebuilds an injector executing `plan` from a checkpoint section.
     /// The supplied plan must be the one the checkpointed run used; the
-    /// arming cursor is validated against its length. The fault windows
-    /// are re-armed from the log by the routine `poll` uses.
+    /// log is validated against it. The fault windows are re-armed from
+    /// the log by the routine `poll` uses.
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated or corrupt payload, a
-    /// cursor past the end of `plan`, more pending poisoned reads than the
-    /// schedule armed, or a log `poll` cannot build: one whose length is
-    /// not the cursor, whose times decrease, whose entry `i` armed before
-    /// `schedule[i]` was due, or whose last entry armed when the entry at
-    /// the cursor was already due (that poll would have armed it too).
+    /// Propagates codec errors from a truncated or corrupt payload, and
+    /// rejects a state `poll` and the consumers cannot build:
+    /// - a log longer than `plan`, whose times decrease, whose entry `i`
+    ///   armed before `schedule[i]` was due, or whose last entry armed
+    ///   when the next entry was already due (that poll would have armed
+    ///   it too);
+    /// - more pending poisoned reads or copy failures than the armed
+    ///   entries add up to;
+    /// - a pending reset step that is not the `at_step` of a distinct
+    ///   armed controller reset;
+    /// - more torn checkpoints taken than armed.
     pub fn restore(
         plan: &FaultPlan,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<FaultInjector, crate::checkpoint::CodecError> {
         use crate::checkpoint::CodecError;
+        let bad = |what, value| Err(CodecError::BadValue { what, value });
         let mut inj = FaultInjector::from_plan(plan);
-        let next = r.get_u64()?;
-        if next as usize > inj.schedule.len() {
-            return Err(CodecError::BadValue {
-                what: "fault-injector schedule cursor",
-                value: next,
-            });
-        }
-        inj.next = next as usize;
-        inj.poison_pending = r.get_u32()?;
-        if u64::from(inj.poison_pending) > inj.poisoned_reads_armed() {
-            return Err(CodecError::BadValue {
-                what: "fault-injector pending poisoned reads",
-                value: inj.poison_pending.into(),
-            });
-        }
-        inj.copy_fail_pending = r.get_u32()?;
-        inj.reset_steps = r.get_u64_vec()?;
-        inj.torn_sections = r.get_u64_vec()?;
-        let n_dev = r.get_u64()?;
-        for _ in 0..n_dev {
-            inj.device_queue.push(restore_device_fault(r)?);
-        }
-        let n_ras = r.get_u64()?;
-        for _ in 0..n_ras {
-            inj.ras_queue.push(restore_device_fault(r)?);
-        }
-        let n_log = r.get_u64()?;
-        if n_log != next {
-            return Err(CodecError::BadValue {
-                what: "fault-log length",
-                value: n_log,
-            });
+        let armed = r.get_u64()?;
+        if armed > inj.schedule.len() as u64 {
+            return bad("fault-injector schedule cursor", armed);
         }
         let mut last = Nanos::ZERO;
-        for i in 0..inj.next {
+        for i in 0..armed as usize {
             let f = inj.schedule[i];
             let at = Nanos(r.get_u64()?);
             if at < last || at < f.at {
-                return Err(CodecError::BadValue {
-                    what: "fault-event arming time",
-                    value: at.0,
-                });
+                return bad("fault-event arming time", at.0);
             }
             last = at;
             inj.log.push(at);
             inj.arm_window(f.kind, at);
         }
-        if inj.next > 0 && inj.schedule.get(inj.next).is_some_and(|f| f.at <= last) {
-            return Err(CodecError::BadValue {
-                what: "fault-event arming time",
-                value: last.0,
-            });
+        if armed > 0
+            && inj
+                .schedule
+                .get(armed as usize)
+                .is_some_and(|f| f.at <= last)
+        {
+            return bad("fault-event arming time", last.0);
+        }
+        inj.poison_pending = r.get_u32()?;
+        if u64::from(inj.poison_pending) > inj.poisoned_reads_armed() {
+            return bad(
+                "fault-injector pending poisoned reads",
+                inj.poison_pending.into(),
+            );
+        }
+        inj.copy_fail_pending = r.get_u32()?;
+        if u64::from(inj.copy_fail_pending) > inj.copy_failures_armed() {
+            return bad(
+                "fault-injector pending copy failures",
+                inj.copy_fail_pending.into(),
+            );
+        }
+        inj.reset_steps = r.get_u64_vec()?;
+        let mut unmatched: Vec<u64> = inj
+            .armed()
+            .filter_map(|k| match k {
+                FaultKind::ControllerReset { at_step } => Some(at_step),
+                _ => None,
+            })
+            .collect();
+        for &step in &inj.reset_steps {
+            match unmatched.iter().position(|&s| s == step) {
+                Some(i) => {
+                    unmatched.swap_remove(i);
+                }
+                None => return bad("fault-injector pending reset step", step),
+            }
+        }
+        inj.torn_taken = r.get_u64()?;
+        if inj.torn_taken > inj.armed_torn_sections().count() as u64 {
+            return bad("fault-injector torn checkpoints taken", inj.torn_taken);
         }
         Ok(inj)
     }
-}
-
-fn save_device_fault(d: DeviceFault, w: &mut crate::checkpoint::StateWriter) {
-    match d {
-        DeviceFault::SramBitFlip { slot, bit } => {
-            w.put_u8(0);
-            w.put_u64(slot);
-            w.put_u32(bit);
-        }
-        DeviceFault::SramSaturate => w.put_u8(1),
-        DeviceFault::Fail => w.put_u8(2),
-        DeviceFault::CorrectableEcc { pfn } => {
-            w.put_u8(3);
-            w.put_u64(pfn);
-        }
-        DeviceFault::LinkDegrade { factor } => {
-            w.put_u8(4);
-            w.put_u32(factor);
-        }
-        DeviceFault::HotRemovePrepare => w.put_u8(5),
-    }
-}
-
-fn restore_device_fault(
-    r: &mut crate::checkpoint::StateReader<'_>,
-) -> Result<DeviceFault, crate::checkpoint::CodecError> {
-    let tag = r.get_u8()?;
-    Ok(match tag {
-        0 => DeviceFault::SramBitFlip {
-            slot: r.get_u64()?,
-            bit: r.get_u32()?,
-        },
-        1 => DeviceFault::SramSaturate,
-        2 => DeviceFault::Fail,
-        3 => DeviceFault::CorrectableEcc { pfn: r.get_u64()? },
-        4 => DeviceFault::LinkDegrade {
-            factor: r.get_u32()?,
-        },
-        5 => DeviceFault::HotRemovePrepare,
-        t => {
-            return Err(crate::checkpoint::CodecError::BadValue {
-                what: "device-fault tag",
-                value: t as u64,
-            })
-        }
-    })
 }
 
 /// Unified simulator error taxonomy: things that can go wrong on the hot
@@ -908,14 +857,20 @@ mod tests {
     #[test]
     fn empty_plan_never_arms() {
         let mut inj = FaultInjector::none();
-        inj.poll(Nanos::from_secs(10));
+        assert!(inj.poll(Nanos::from_secs(10)).is_empty());
         assert_eq!(inj.log().len(), 0);
         assert_eq!(inj.cxl_extra_latency(Nanos(5)), Nanos::ZERO);
         assert!(!inj.controller_stalled(Nanos(5)));
         assert!(!inj.ddr_pressure(Nanos(5)));
         assert!(!inj.take_poisoned_read());
         assert!(!inj.take_copy_failure());
-        assert!(inj.pop_device_fault().is_none());
+    }
+
+    #[test]
+    fn all_lists_the_classes_in_discriminant_order() {
+        for (i, class) in FaultClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class}");
+        }
     }
 
     #[test]
@@ -962,14 +917,16 @@ mod tests {
             .with(Nanos::ZERO, FaultKind::MigrationCopyFail { attempts: 1 })
             .with(Nanos::ZERO, FaultKind::Device(DeviceFault::Fail));
         let mut inj = FaultInjector::from_plan(&plan);
-        inj.poll(Nanos::ZERO);
+        // The device fault is returned for delivery once, in the poll that
+        // arms it.
+        assert_eq!(inj.poll(Nanos::ZERO), 0..3);
+        assert_eq!(inj.schedule()[2].kind, FaultKind::Device(DeviceFault::Fail));
+        assert!(inj.poll(Nanos::ZERO).is_empty());
         assert!(inj.take_poisoned_read());
         assert!(inj.take_poisoned_read());
         assert!(!inj.take_poisoned_read());
         assert!(inj.take_copy_failure());
         assert!(!inj.take_copy_failure());
-        assert_eq!(inj.pop_device_fault(), Some(DeviceFault::Fail));
-        assert!(inj.pop_device_fault().is_none());
         assert_eq!(inj.count_of(FaultClass::PoisonedLine), 1);
         assert_eq!(inj.count_of(FaultClass::DeviceFailure), 1);
     }
@@ -1008,12 +965,11 @@ mod tests {
         let mut inj = FaultInjector::from_plan(&plan);
         assert!(inj.take_torn_checkpoint().is_none());
         inj.poll(Nanos(10));
-        assert!(inj.torn_checkpoint_pending());
         assert_eq!(inj.take_torn_checkpoint(), Some(3));
         assert!(inj.take_torn_checkpoint().is_none());
         inj.poll(Nanos(25));
         assert_eq!(inj.take_torn_checkpoint(), Some(0));
-        assert!(!inj.torn_checkpoint_pending());
+        assert!(inj.take_torn_checkpoint().is_none());
         assert_eq!(inj.count_of(FaultClass::TornCheckpoint), 2);
     }
 
@@ -1045,7 +1001,7 @@ mod tests {
             let armed = match kind {
                 FaultKind::MigrationCopyFail { .. } => inj.take_copy_failure(),
                 FaultKind::ControllerReset { .. } => inj.reset_pending(),
-                _ => inj.torn_checkpoint_pending(),
+                _ => inj.take_torn_checkpoint().is_some(),
             };
             assert!(armed, "{kind:?} stays armed for its boundary");
         }
@@ -1075,8 +1031,8 @@ mod tests {
                 "{kind:?} closed: only the schedule remains"
             );
         }
-        // Device and RAS faults are queued by `poll` and drained by the
-        // segment prologue that polled them; they add no later edge.
+        // Device and RAS faults are delivered by the segment prologue whose
+        // poll armed them; they add no later edge.
         for d in [
             DeviceFault::SramSaturate,
             DeviceFault::CorrectableEcc { pfn: 3 },
@@ -1084,14 +1040,8 @@ mod tests {
         ] {
             let plan = FaultPlan::none().with(Nanos(10), FaultKind::Device(d));
             let mut inj = FaultInjector::from_plan(&plan);
-            inj.poll(Nanos(10));
-            assert_eq!(inj.next_edge(Nanos(10)), None, "{d:?} queued");
-            let queued = if d.is_ras() {
-                inj.pop_ras_fault()
-            } else {
-                inj.pop_device_fault()
-            };
-            assert_eq!(queued, Some(d), "{d:?} stays queued for the prologue");
+            assert_eq!(inj.poll(Nanos(10)), 0..1, "{d:?} armed for delivery");
+            assert_eq!(inj.next_edge(Nanos(10)), None, "{d:?} delivered");
         }
     }
 
@@ -1130,14 +1080,10 @@ mod tests {
         r.expect_end().unwrap();
 
         assert_eq!(format!("{inj:?}"), format!("{restored:?}"));
-        // The unfired schedule entry still arms after restore.
+        // Only the unfired schedule entry arms after restore; the device
+        // faults armed before the checkpoint were delivered then.
         let mut restored = restored;
-        restored.poll(Nanos(500));
-        assert_eq!(
-            restored.pop_device_fault(),
-            Some(DeviceFault::SramBitFlip { slot: 12, bit: 5 })
-        );
-        assert_eq!(restored.pop_device_fault(), Some(DeviceFault::Fail));
+        assert_eq!(restored.poll(Nanos(500)), 6..7);
         assert_eq!(restored.take_torn_checkpoint(), Some(2));
         assert!(restored.take_reset(9));
     }
@@ -1150,7 +1096,7 @@ mod tests {
         let mut w = crate::checkpoint::StateWriter::new();
         inj.save(&mut w);
         let bytes = w.finish();
-        // Restoring against the empty plan: cursor 1 > schedule length 0.
+        // Restoring against the empty plan: log length 1 > schedule length 0.
         let mut r = crate::checkpoint::StateReader::new(&bytes);
         let err = FaultInjector::restore(&FaultPlan::none(), &mut r).unwrap_err();
         assert!(matches!(
@@ -1167,7 +1113,8 @@ mod tests {
         use crate::checkpoint::{CodecError, StateReader, StateWriter};
         // `poll` logs one arming time per armed schedule item, in order, no
         // earlier than the item was due, and arms every item due by the
-        // time it logs.
+        // time it logs. A log one entry shorter is a state an earlier poll
+        // reached, so it is not among these.
         let plan = FaultPlan::none()
             .with(Nanos(10), FaultKind::PoisonLine { reads: 1 })
             .with(Nanos(20), FaultKind::Device(DeviceFault::SramSaturate))
@@ -1177,8 +1124,7 @@ mod tests {
         inj.poll(Nanos(25));
         let [a, b] = [inj.log[0], inj.log[1]];
         let bad_logs = [
-            ("shorter than the cursor", vec![a]),
-            ("longer than the cursor", vec![a, b, b]),
+            ("longer than the schedule", vec![a, b, b, b]),
             ("times decrease", vec![b, a]),
             ("armed before due", vec![a, Nanos(19)]),
             ("armed when the cursor's entry was due", vec![a, Nanos(30)]),
@@ -1190,6 +1136,46 @@ mod tests {
             bad.save(&mut w);
             let bytes = w.finish();
             let err = FaultInjector::restore(&plan, &mut StateReader::new(&bytes));
+            assert!(
+                matches!(err, Err(CodecError::BadValue { .. })),
+                "{what}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn injector_restore_rejects_consumables_never_armed() {
+        use crate::checkpoint::{CodecError, StateReader, StateWriter};
+        let plan = FaultPlan::none()
+            .with(Nanos(10), FaultKind::MigrationCopyFail { attempts: 2 })
+            .with(Nanos(10), FaultKind::ControllerReset { at_step: 4 })
+            .with(Nanos(10), FaultKind::TornCheckpoint { at_section: 1 })
+            .with(Nanos(90), FaultKind::ControllerReset { at_step: 7 });
+        let mut inj = FaultInjector::from_plan(&plan);
+        inj.poll(Nanos(10));
+        let restore = |inj: &FaultInjector| {
+            let mut w = StateWriter::new();
+            inj.save(&mut w);
+            let bytes = w.finish();
+            FaultInjector::restore(&plan, &mut StateReader::new(&bytes))
+        };
+        restore(&inj).expect("the armed state restores");
+
+        let mut more_copy_failures = inj.clone();
+        more_copy_failures.copy_fail_pending = 3;
+        let mut unarmed_reset = inj.clone();
+        unarmed_reset.reset_steps = vec![7];
+        let mut repeated_reset = inj.clone();
+        repeated_reset.reset_steps = vec![4, 4];
+        let mut unarmed_torn = inj.clone();
+        unarmed_torn.torn_taken = 2;
+        for (what, bad) in [
+            ("more copy failures than armed", more_copy_failures),
+            ("a reset step no armed entry has", unarmed_reset),
+            ("one armed reset pending twice", repeated_reset),
+            ("more torn checkpoints taken than armed", unarmed_torn),
+        ] {
+            let err = restore(&bad);
             assert!(
                 matches!(err, Err(CodecError::BadValue { .. })),
                 "{what}: {err:?}"

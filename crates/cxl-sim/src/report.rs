@@ -1,7 +1,7 @@
 //! Run reports: everything a figure harness needs from one simulation run.
 
 use crate::faults::FaultClass;
-use crate::kernel::{CostKind, KernelCosts};
+use crate::kernel::KernelCosts;
 use crate::memory::NodeId;
 use crate::migration::MigrationStats;
 use crate::time::Nanos;
@@ -364,21 +364,6 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// Identification-only kernel time (everything except `Migration`) — used by
-/// the §4.2 harness.
-pub fn identification_cost(kernel: &KernelCosts) -> Nanos {
-    kernel.identification_total()
-}
-
-/// A `(kind, time)` breakdown in display order, skipping zero rows.
-pub fn kernel_breakdown(kernel: &KernelCosts) -> Vec<(CostKind, Nanos)> {
-    CostKind::ALL
-        .into_iter()
-        .filter(|&k| kernel.of(k) > Nanos::ZERO)
-        .map(|k| (k, kernel.of(k)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,19 +534,6 @@ mod tests {
             op_latency: LatencyHistogram::new(),
             health: HealthReport::default(),
         }
-    }
-
-    #[test]
-    fn kernel_breakdown_skips_zero_rows() {
-        let mut k = KernelCosts::new();
-        k.bill(CostKind::PteScan, Nanos(30));
-        k.bill(CostKind::Migration, Nanos(54_000));
-        let rows = kernel_breakdown(&k);
-        assert_eq!(rows.len(), 2);
-        assert!(rows
-            .iter()
-            .any(|&(kind, t)| kind == CostKind::PteScan && t == Nanos(30)));
-        assert_eq!(identification_cost(&k), Nanos(30));
     }
 
     #[test]

@@ -249,7 +249,7 @@ impl System {
     }
 
     /// The prologue of every access segment: arms due faults and delivers
-    /// queued ones, runs a due TLB flush, and fixes the fault state the
+    /// the ones it armed, runs a due TLB flush, and fixes the fault state the
     /// segment's accesses share up to its horizon.
     ///
     /// Exactness: until the clock reaches the horizon, repeating this
@@ -257,8 +257,8 @@ impl System {
     /// nothing before the next scheduled fault and every open window's
     /// end is an edge ([`FaultInjector::next_edge`](crate::faults::FaultInjector::next_edge)),
     /// so the spike penalty, the stall and, with telemetry on, the
-    /// fault-window spans stay as they are; the device and RAS queues were
-    /// drained here and only `poll` refills them; the link factor behind
+    /// fault-window spans stay as they are; a device or RAS fault is
+    /// delivered by the prologue whose `poll` armed it; the link factor behind
     /// the RAS penalty moves only when a RAS fault is delivered or a RAS
     /// service epoch runs, both outside a segment; and the next flush is a
     /// horizon term.

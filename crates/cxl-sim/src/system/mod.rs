@@ -243,7 +243,6 @@ pub struct System {
     /// The ledgers as last published to telemetry: each flush publishes
     /// the growth since this point (see [`System::flush_telemetry`]).
     published: SystemStats,
-    fault_events_seen: usize,
     spike_span: Option<SpanId>,
     stall_span: Option<SpanId>,
     pressure_span: Option<SpanId>,
@@ -295,7 +294,6 @@ impl System {
             contention_on: config.contention.enabled,
             batch: TelemetryBatch::default(),
             published: SystemStats::default(),
-            fault_events_seen: 0,
             spike_span: None,
             stall_span: None,
             pressure_span: None,

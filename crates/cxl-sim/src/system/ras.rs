@@ -3,12 +3,13 @@
 
 use crate::addr::{Pfn, Vpn};
 use crate::contention::TrafficClass;
-use crate::faults::{DeviceFault, FaultClass, SimError};
+use crate::faults::{DeviceFault, FaultClass, FaultKind, SimError};
 use crate::kernel::CostKind;
 use crate::memory::{NodeId, CXL_BASE_PFN};
 use crate::migration::MigrateError;
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
 use crate::time::Nanos;
+use std::ops::Range;
 
 use super::System;
 
@@ -31,21 +32,31 @@ pub struct RasServiceReport {
 }
 
 impl System {
-    /// Arms due faults and delivers queued device faults to the controller.
-    /// Runs once per access segment ([`System::access_batch`]) and before
-    /// every migration and RAS epoch; with nothing due, `poll` is one
-    /// compare and the queues are empty.
+    /// Arms due faults and delivers the ones it armed in the same pass:
+    /// device faults to the controller first, then RAS faults to the RAS
+    /// state machine, then (with telemetry on) one `sim.fault` event per
+    /// armed fault. Runs once per access segment ([`System::access_batch`])
+    /// and before every migration and RAS epoch; with nothing due, `poll`
+    /// is one compare and the armed range is empty.
     #[inline]
     pub(super) fn service_faults(&mut self) {
-        self.faults.poll(self.clock.now());
-        while let Some(f) = self.faults.pop_device_fault() {
-            self.controller.inject(f);
+        let armed = self.faults.poll(self.clock.now());
+        for i in armed.clone() {
+            if let FaultKind::Device(d) = self.faults.schedule()[i].kind {
+                if !d.is_ras() {
+                    self.controller.inject(d);
+                }
+            }
         }
-        while let Some(f) = self.faults.pop_ras_fault() {
-            self.ras_record(f);
+        for i in armed.clone() {
+            if let FaultKind::Device(d) = self.faults.schedule()[i].kind {
+                if d.is_ras() {
+                    self.ras_record(d);
+                }
+            }
         }
         if self.telemetry_on {
-            self.trace_faults();
+            self.trace_faults(armed);
         }
     }
 
@@ -86,15 +97,16 @@ impl System {
         }
     }
 
-    /// Emits instant events for newly-armed faults and opens/closes
-    /// `sim.fault.window` spans as the injector's latency-spike, stall, and
-    /// DDR-pressure windows come and go. Only called with telemetry enabled.
-    fn trace_faults(&mut self) {
+    /// Emits an instant event for each fault in `armed` (the schedule
+    /// indices armed at `now`) and opens/closes `sim.fault.window` spans as
+    /// the injector's latency-spike, stall, and DDR-pressure windows come
+    /// and go. Only called with telemetry enabled.
+    fn trace_faults(&mut self, armed: Range<usize>) {
         let now = self.clock.now();
-        for ev in self.faults.log().skip(self.fault_events_seen) {
-            self.telemetry.event(ev.at.0, "sim.fault", ev.class.label());
+        for f in &self.faults.schedule()[armed] {
+            self.telemetry
+                .event(now.0, "sim.fault", f.kind.class().label());
         }
-        self.fault_events_seen = self.faults.log().len();
 
         let windows = [
             (
@@ -161,8 +173,8 @@ impl System {
     /// migration engine is fenced awaiting [`System::recover`].
     pub fn ras_service(&mut self, drain_budget: u64) -> RasServiceReport {
         let mut report = RasServiceReport::default();
-        // Deliver any RAS faults queued since the last access first, so an
-        // epoch that saw no demand traffic still notices the trend.
+        // Arm and deliver any RAS faults due since the last access first, so
+        // an epoch that saw no demand traffic still notices the trend.
         self.service_faults();
         if self.ras.quiescent() || self.journal.is_fenced() {
             return report;

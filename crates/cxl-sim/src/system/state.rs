@@ -238,7 +238,6 @@ impl System {
             }
             w.put_u64(self.promoter_retried);
             w.put_u64(self.promoter_gave_up);
-            w.put_u64(self.fault_events_seen as u64);
             w.put_bool(self.evac_exhaustion_noted);
             // Handles of spans open across the checkpoint; the telemetry
             // section carries the spans themselves.
@@ -341,7 +340,6 @@ impl System {
             degradations: Vec<String>,
             promoter_retried: u64,
             promoter_gave_up: u64,
-            fault_events_seen: u64,
             evac_exhaustion_noted: bool,
             /// `[spike, stall, pressure, evac]` span handles.
             spans: [Option<SpanId>; 4],
@@ -364,7 +362,6 @@ impl System {
             }
             let promoter_retried = r.get_u64()?;
             let promoter_gave_up = r.get_u64()?;
-            let fault_events_seen = r.get_u64()?;
             let evac_exhaustion_noted = r.get_bool()?;
             let mut spans = [None; 4];
             for span in &mut spans {
@@ -380,7 +377,6 @@ impl System {
                 degradations,
                 promoter_retried,
                 promoter_gave_up,
-                fault_events_seen,
                 evac_exhaustion_noted,
                 spans,
             })
@@ -412,7 +408,6 @@ impl System {
             contention_on: config.contention.enabled,
             batch: TelemetryBatch::default(),
             published: SystemStats::default(),
-            fault_events_seen: misc.fault_events_seen as usize,
             spike_span: misc.spans[0],
             stall_span: misc.spans[1],
             pressure_span: misc.spans[2],

@@ -264,9 +264,22 @@ fn disabled_telemetry_does_not_perturb_the_run() {
 /// Replacing the fault plan restarts the injector's counts from zero; the
 /// published `sim.faults` and `sim.poison.repairs` totals must keep what
 /// the old injectors counted, including counts no flush has published yet.
+/// The new plan's faults emit their `sim.fault` events although the old
+/// injector had armed more faults than the new one ever will.
 #[test]
 fn replacing_the_fault_plan_keeps_fault_totals() {
-    let (mut sys, report) = seeded_run(Some(Telemetry::enabled()));
+    let mut t = Telemetry::enabled();
+    let (sink, buf) = MemorySink::new();
+    t.add_sink(Box::new(sink));
+    let (mut sys, report) = seeded_run(Some(t));
+    assert!(report.health.faults_injected > 1);
+    let fault_events = |buf: &std::sync::Mutex<cxl_sim::telemetry::MemoryBuffer>| {
+        let buf = buf.lock().unwrap();
+        let events = buf.events.iter().filter(|e| e.name == "sim.fault");
+        events.map(|e| e.label.clone()).collect::<Vec<_>>()
+    };
+    let before = fault_events(&buf);
+    assert_eq!(before.len() as u64, report.health.faults_injected);
     let cold = sys.alloc_region(1, Placement::AllOnCxl).unwrap();
     let plan = FaultPlan::none().with(sys.now(), FaultKind::PoisonLine { reads: 2 });
     sys.install_fault_plan(&plan);
@@ -276,6 +289,11 @@ fn replacing_the_fault_plan_keeps_fault_totals() {
         sys.access(cold.base.offset(i * 64), false);
     }
     assert_eq!(sys.fault_injector().poison_repairs(), 2);
+    assert_eq!(
+        fault_events(&buf)[before.len()..],
+        ["poisoned-line"],
+        "the new plan's fault emits its event"
+    );
     sys.install_fault_plan(&FaultPlan::none());
 
     let snap = sys.telemetry_mut().snapshot();

@@ -79,12 +79,12 @@ impl TrackerImpl {
     /// Serializes the tracker's SRAM contents — the sketch counter array
     /// plus the sorted CAM, or the Space-Saving monitored set — for a
     /// checkpoint. Construction parameters (geometry, seed, `k`) are not
-    /// written: the restoring side rebuilds the tracker from its own
-    /// [`TrackerAlgo`] and loads only the dynamic state into it.
+    /// written, nor is the variant: the restoring side rebuilds the tracker
+    /// from its own [`TrackerAlgo`], which the manager's config fingerprint
+    /// has already matched, and loads only the dynamic state into it.
     pub fn save(&self, w: &mut StateWriter) {
         match self {
             TrackerImpl::Cm(t) => {
-                w.put_u8(0);
                 w.put_u32_slice(t.sketch().counters());
                 w.put_u64(t.sketch().updates());
                 let cam = t.cam().entries();
@@ -95,7 +95,6 @@ impl TrackerImpl {
                 }
             }
             TrackerImpl::Ss(t) => {
-                w.put_u8(1);
                 let entries = t.inner().entries();
                 w.put_u64(entries.len() as u64);
                 for e in entries {
@@ -113,13 +112,11 @@ impl TrackerImpl {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] when the payload is truncated, describes
-    /// the other algorithm variant, or fails the underlying
-    /// geometry/ordering validation.
+    /// Returns a [`CodecError`] when the payload is truncated or fails the
+    /// underlying geometry/ordering validation.
     pub fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
-        let tag = r.get_u8()?;
-        match (tag, &mut *self) {
-            (0, TrackerImpl::Cm(t)) => {
+        match self {
+            TrackerImpl::Cm(t) => {
                 let counters = r.get_u32_vec()?;
                 let updates = r.get_u64()?;
                 let n = r.get_u64()? as usize;
@@ -137,7 +134,7 @@ impl TrackerImpl {
                     });
                 }
             }
-            (1, TrackerImpl::Ss(t)) => {
+            TrackerImpl::Ss(t) => {
                 let n = r.get_u64()? as usize;
                 let mut entries = Vec::with_capacity(n.min(r.remaining()));
                 for _ in 0..n {
@@ -154,12 +151,6 @@ impl TrackerImpl {
                         value: entries.len() as u64,
                     });
                 }
-            }
-            (tag, _) => {
-                return Err(CodecError::BadValue {
-                    what: "tracker algorithm tag",
-                    value: tag as u64,
-                });
             }
         }
         Ok(())

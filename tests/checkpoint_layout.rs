@@ -12,7 +12,7 @@ use m5::sim::checkpoint::{StateWriter, VERSION};
 use m5::sim::prelude::*;
 use m5::sim::system::MigrationDaemon;
 
-const PINNED_VERSION: u32 = 7;
+const PINNED_VERSION: u32 = 8;
 
 const SECTION_BYTES: [(&str, usize); 15] = [
     ("config", 1070),
@@ -25,14 +25,14 @@ const SECTION_BYTES: [(&str, usize); 15] = [
     ("kernel", 128),
     ("mglru", 40),
     ("journal", 49),
-    ("faults", 56),
+    ("faults", 32),
     ("ras", 118),
     ("contention", 160),
     ("telemetry", 1),
-    ("system", 101),
+    ("system", 93),
 ];
 
-const M5_SECTION_BYTES: usize = 131_567;
+const M5_SECTION_BYTES: usize = 131_566;
 
 const FIX: &str = "the checkpoint layout changed: bump checkpoint::VERSION \
                    and re-pin PINNED_VERSION and the section lengths in this file";

@@ -85,18 +85,13 @@ fn a_resealed_fault_log_poll_cannot_build_is_rejected() {
     let cp = sys.checkpoint();
     System::restore(config.clone(), &plan, &cp).expect("the untouched image restores");
 
-    // The section starts with the arming cursor and ends with the fault log:
-    // its length, then one arming time per armed fault.
+    // The section starts with the fault log: its length (the arming
+    // cursor), then one arming time per armed fault.
     let faults = cp.section("faults").unwrap();
     let armed = u64_at(faults, 0) as usize;
     assert_eq!(armed, 3, "every spike due during the run armed");
-    let log = faults.len() - 8 - 8 * armed;
-    assert_eq!(u64_at(faults, log), armed as u64);
-    let time = |i: usize| log + 8 + 8 * i;
+    let time = |i: usize| 8 + 8 * i;
 
-    let mut shorter = faults[..time(armed - 1)].to_vec();
-    shorter[log..log + 8].copy_from_slice(&(armed as u64 - 1).to_le_bytes());
-    shorter.extend_from_slice(&faults[time(armed)..]);
     let mut decreasing = faults.to_vec();
     decreasing[time(0)..time(1)].copy_from_slice(&faults[time(1)..time(2)]);
     decreasing[time(1)..time(2)].copy_from_slice(&faults[time(0)..time(1)]);
@@ -107,10 +102,76 @@ fn a_resealed_fault_log_poll_cannot_build_is_rejected() {
         .copy_from_slice(&Nanos::from_micros(10_000_000).0.to_le_bytes());
 
     let cases = vec![
-        ("log shorter than the cursor", shorter),
         ("arming times decrease", decreasing),
         ("armed before it was due", early),
         ("armed when the unarmed spike was due", late),
+    ];
+    assert_rejected(&config, &plan, &cp, "faults", cases);
+}
+
+#[test]
+fn a_resealed_fault_section_with_consumables_never_armed_is_rejected() {
+    // Two copy failures, a controller reset at a journal step no run of
+    // plain accesses reaches, and a torn checkpoint arm at once and stay
+    // pending; the second reset never arms.
+    let plan = FaultPlan::none()
+        .with(
+            Nanos::from_micros(2),
+            FaultKind::MigrationCopyFail { attempts: 2 },
+        )
+        .with(
+            Nanos::from_micros(2),
+            FaultKind::ControllerReset { at_step: 1 << 40 },
+        )
+        .with(
+            Nanos::from_micros(2),
+            FaultKind::TornCheckpoint { at_section: 1 },
+        )
+        .with(
+            Nanos::from_micros(10_000_000),
+            FaultKind::ControllerReset { at_step: 7 },
+        );
+    let config = SystemConfig::small();
+    let mut sys = System::with_fault_plan(config.clone(), &plan);
+    let region = sys.alloc_region(64, Placement::AllOnCxl).unwrap();
+    for i in 0..4_000u64 {
+        sys.access(region.base.offset((i * 4160) % (64 * 4096)), i % 3 == 0);
+    }
+    let cp = sys.checkpoint();
+    System::restore(config.clone(), &plan, &cp).expect("the untouched image restores");
+
+    // After the log come the pending poisoned reads and copy failures
+    // (4 B each), the pending reset steps (a length, then 8 B per step)
+    // and the count of torn checkpoints taken.
+    let faults = cp.section("faults").unwrap();
+    let armed = u64_at(faults, 0) as usize;
+    assert_eq!(armed, 3, "the first three faults armed");
+    let copy = 8 + 8 * armed + 4;
+    let resets = copy + 4;
+    assert_eq!(
+        u32::from_le_bytes(faults[copy..resets].try_into().unwrap()),
+        2
+    );
+    assert_eq!(u64_at(faults, resets), 1, "one reset pending");
+    let torn = resets + 16;
+    assert_eq!(faults.len(), torn + 8);
+    assert_eq!(u64_at(faults, torn), 0, "no checkpoint torn yet");
+
+    let mut copy_failures = faults.to_vec();
+    copy_failures[copy..resets].copy_from_slice(&3u32.to_le_bytes());
+    let mut unarmed_reset = faults.to_vec();
+    unarmed_reset[resets + 8..torn].copy_from_slice(&7u64.to_le_bytes());
+    let mut repeated_reset = faults[..torn].to_vec();
+    repeated_reset[resets..resets + 8].copy_from_slice(&2u64.to_le_bytes());
+    repeated_reset.extend_from_slice(&faults[resets + 8..]);
+    let mut torn_taken = faults.to_vec();
+    torn_taken[torn..].copy_from_slice(&2u64.to_le_bytes());
+
+    let cases = vec![
+        ("more copy failures than armed", copy_failures),
+        ("a reset step of an unarmed entry", unarmed_reset),
+        ("one armed reset pending twice", repeated_reset),
+        ("more torn checkpoints taken than armed", torn_taken),
     ];
     assert_rejected(&config, &plan, &cp, "faults", cases);
 }
