@@ -54,12 +54,6 @@ impl VirtAddr {
         Vpn(self.0 >> PAGE_SHIFT)
     }
 
-    /// The byte offset of this address within its page.
-    #[inline]
-    pub fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE as u64 - 1)
-    }
-
     /// The word index of this address within its page.
     #[inline]
     pub fn word_index(self) -> WordIndex {
@@ -221,7 +215,6 @@ mod tests {
     fn virt_addr_decomposition() {
         let a = VirtAddr(0x1234_5678);
         assert_eq!(a.vpn(), Vpn(0x12345));
-        assert_eq!(a.page_offset(), 0x678);
         assert_eq!(a.word_index(), WordIndex((0x678 >> 6) as u8));
     }
 

@@ -2,7 +2,6 @@
 
 use crate::cache::LlcConfig;
 use crate::contention::ContentionConfig;
-use crate::kernel::CostModel;
 use crate::memory::NodeConfig;
 use crate::ras::DEFAULT_EVAC_DEADLINE;
 use crate::time::Nanos;
@@ -38,8 +37,6 @@ pub struct SystemConfig {
     pub llc: LlcConfig,
     /// TLB geometry.
     pub tlb: TlbConfig,
-    /// Unit costs of kernel/hardware operations.
-    pub costs: CostModel,
     /// Whether daemon kernel work runs on the application's core and stalls
     /// it (the paper's measurement methodology). Default `true`.
     pub colocated_daemon: bool,
@@ -85,7 +82,6 @@ impl SystemConfig {
             },
             llc: LlcConfig::scaled_default(),
             tlb: TlbConfig::scaled_default(),
-            costs: CostModel::default(),
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),
@@ -113,7 +109,6 @@ impl SystemConfig {
                 entries: 64,
                 ways: 4,
             },
-            costs: CostModel::default(),
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),

@@ -685,11 +685,6 @@ impl FaultInjector {
         counts
     }
 
-    /// Faults of `class` armed so far.
-    pub fn count_of(&self, class: FaultClass) -> u64 {
-        self.class_counts()[class.index()]
-    }
-
     /// Serializes the injector's dynamic state for a checkpoint. The
     /// schedule itself is not written — it is pure plan data the restoring
     /// process supplies again — only the log of arming times (its length is
@@ -854,6 +849,11 @@ impl From<OutOfFrames> for SimError {
 mod tests {
     use super::*;
 
+    /// Faults of `class` armed so far.
+    fn count_of(inj: &FaultInjector, class: FaultClass) -> u64 {
+        inj.class_counts()[class.index()]
+    }
+
     #[test]
     fn empty_plan_never_arms() {
         let mut inj = FaultInjector::none();
@@ -927,8 +927,8 @@ mod tests {
         assert!(!inj.take_poisoned_read());
         assert!(inj.take_copy_failure());
         assert!(!inj.take_copy_failure());
-        assert_eq!(inj.count_of(FaultClass::PoisonedLine), 1);
-        assert_eq!(inj.count_of(FaultClass::DeviceFailure), 1);
+        assert_eq!(count_of(&inj, FaultClass::PoisonedLine), 1);
+        assert_eq!(count_of(&inj, FaultClass::DeviceFailure), 1);
     }
 
     #[test]
@@ -970,7 +970,7 @@ mod tests {
         inj.poll(Nanos(25));
         assert_eq!(inj.take_torn_checkpoint(), Some(0));
         assert!(inj.take_torn_checkpoint().is_none());
-        assert_eq!(inj.count_of(FaultClass::TornCheckpoint), 2);
+        assert_eq!(count_of(&inj, FaultClass::TornCheckpoint), 2);
     }
 
     #[test]
@@ -1190,7 +1190,7 @@ mod tests {
             .with(Nanos::ZERO, FaultKind::ControllerReset { at_step: 7 });
         let mut inj = FaultInjector::from_plan(&plan);
         inj.poll(Nanos::ZERO);
-        assert_eq!(inj.count_of(FaultClass::ControllerReset), 2);
+        assert_eq!(count_of(&inj, FaultClass::ControllerReset), 2);
         assert!(inj.reset_pending());
         assert!(!inj.take_reset(2), "step 2 is before both resets");
         assert!(inj.take_reset(5), "step 5 consumes the step-3 reset");
@@ -1249,7 +1249,7 @@ mod tests {
         let mut inj = FaultInjector::from_plan(&plan);
         inj.poll(Nanos(10));
         assert_eq!(inj.cxl_extra_latency(Nanos(15)), Nanos(900));
-        assert_eq!(inj.count_of(FaultClass::LatencySpike), 2);
+        assert_eq!(count_of(&inj, FaultClass::LatencySpike), 2);
     }
 
     #[test]

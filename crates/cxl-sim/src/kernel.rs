@@ -86,69 +86,46 @@ impl fmt::Display for CostKind {
     }
 }
 
-/// Unit costs of kernel and hardware operations.
-///
-/// Defaults are drawn from the paper where it reports numbers (migration
-/// ≈54 µs/page; DDR 100 ns vs CXL 270 ns loads) and from published
-/// micro-architectural measurements elsewhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostModel {
-    /// LLC hit service time.
-    pub llc_hit: Nanos,
-    /// Hardware page-table walk on a TLB miss (added to the access latency).
-    pub page_walk: Nanos,
-    /// Handling one soft/hinting page fault.
-    pub hinting_fault: Nanos,
-    /// One TLB shootdown (IPI + invalidation across cores).
-    pub tlb_shootdown: Nanos,
-    /// Scanning one PTE in a bulk linear walk (test/clear accessed bit).
-    pub pte_scan_per_entry: Nanos,
-    /// One *sampled* PTE check (DAMON-style): includes the software VMA
-    /// lookup and page-table walk to reach an arbitrary address, far more
-    /// expensive than the next entry of a linear scan.
-    pub pte_sample_walk: Nanos,
-    /// Migrating one 4 KiB page (copy + remap + flush).
-    pub migrate_per_page: Nanos,
-    /// One MMIO register read/write over CXL.io.
-    pub mmio_reg_access: Nanos,
-    /// Reading one top-K result batch from a tracker over MMIO.
-    pub tracker_query: Nanos,
-    /// Recovering one poisoned cache line via the kernel's memory-failure
-    /// path (isolate the line, re-fetch/zero, resume). Billed only when the
-    /// fault injector poisons a CXL read.
-    pub poison_repair: Nanos,
-    /// Appending one record to the migration write-ahead journal: a
-    /// cacheline store plus the ordering barrier that makes it durable
-    /// before the next migration step.
-    pub journal_write: Nanos,
-    /// Scrubbing (zero-fill + verify) one quarantined 4 KiB frame before it
-    /// returns to the allocator.
-    pub scrub_per_frame: Nanos,
-    /// RAS patrol scrub of one 4 KiB frame: a streaming read that harvests
-    /// latent correctable errors (much cheaper than the quarantine
-    /// zero-fill — no write pass, no verify).
-    pub ras_patrol_per_frame: Nanos,
-}
+// Unit costs of kernel and hardware operations: one calibrated table,
+// drawn from the paper where it reports numbers (migration ≈54 µs/page;
+// DDR 100 ns vs CXL 270 ns loads) and from published micro-architectural
+// measurements elsewhere.
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            llc_hit: Nanos(20),
-            page_walk: Nanos(60),
-            hinting_fault: Nanos(1_500),
-            tlb_shootdown: Nanos(4_000),
-            pte_scan_per_entry: Nanos(15),
-            pte_sample_walk: Nanos(70),
-            migrate_per_page: Nanos::from_micros(54),
-            mmio_reg_access: Nanos(400),
-            tracker_query: Nanos(2_000),
-            poison_repair: Nanos::from_micros(50),
-            journal_write: Nanos(250),
-            scrub_per_frame: Nanos::from_micros(5),
-            ras_patrol_per_frame: Nanos(150),
-        }
-    }
-}
+/// LLC hit service time.
+pub const LLC_HIT: Nanos = Nanos(20);
+/// Hardware page-table walk on a TLB miss (added to the access latency).
+pub const PAGE_WALK: Nanos = Nanos(60);
+/// Handling one soft/hinting page fault.
+pub const HINTING_FAULT: Nanos = Nanos(1_500);
+/// One TLB shootdown (IPI + invalidation across cores).
+pub const TLB_SHOOTDOWN: Nanos = Nanos(4_000);
+/// Scanning one PTE in a bulk linear walk (test/clear accessed bit).
+pub const PTE_SCAN_PER_ENTRY: Nanos = Nanos(15);
+/// One *sampled* PTE check (DAMON-style): includes the software VMA lookup
+/// and page-table walk to reach an arbitrary address, far more expensive
+/// than the next entry of a linear scan.
+pub const PTE_SAMPLE_WALK: Nanos = Nanos(70);
+/// Migrating one 4 KiB page (copy + remap + flush), §7.2.
+pub const MIGRATE_PER_PAGE: Nanos = Nanos::from_micros(54);
+/// One MMIO register read/write over CXL.io.
+pub const MMIO_REG_ACCESS: Nanos = Nanos(400);
+/// Reading one top-K result batch from a tracker over MMIO.
+pub const TRACKER_QUERY: Nanos = Nanos(2_000);
+/// Recovering one poisoned cache line via the kernel's memory-failure path
+/// (isolate the line, re-fetch/zero, resume). Billed only when the fault
+/// injector poisons a CXL read.
+pub const POISON_REPAIR: Nanos = Nanos::from_micros(50);
+/// Appending one record to the migration write-ahead journal: a cacheline
+/// store plus the ordering barrier that makes it durable before the next
+/// migration step.
+pub const JOURNAL_WRITE: Nanos = Nanos(250);
+/// Scrubbing (zero-fill + verify) one quarantined 4 KiB frame before it
+/// returns to the allocator.
+pub const SCRUB_PER_FRAME: Nanos = Nanos::from_micros(5);
+/// RAS patrol scrub of one 4 KiB frame: a streaming read that harvests
+/// latent correctable errors (much cheaper than the quarantine zero-fill —
+/// no write pass, no verify).
+pub const RAS_PATROL_PER_FRAME: Nanos = Nanos(150);
 
 /// The kernel-time ledger.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -268,12 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn default_cost_model_matches_paper_anchors() {
-        let m = CostModel::default();
+    fn cost_table_matches_paper_anchors() {
         // 54 µs per migrated page, §7.2.
-        assert_eq!(m.migrate_per_page, Nanos(54_000));
+        assert_eq!(MIGRATE_PER_PAGE, Nanos(54_000));
         // Migration amortization: cost / (CXL - DDR latency) ≈ 318 accesses.
-        let amortize = m.migrate_per_page.0 / (270 - 100);
+        let amortize = MIGRATE_PER_PAGE.0 / (270 - 100);
         assert!((315..=320).contains(&amortize));
     }
 

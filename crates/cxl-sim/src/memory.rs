@@ -411,11 +411,6 @@ impl TieredMemory {
         self.node_mut(NodeId::of_pfn(pfn)).quarantine(pfn);
     }
 
-    /// Read latency of an access to `pfn`'s node.
-    pub fn latency_of(&self, pfn: Pfn) -> Nanos {
-        self.node(NodeId::of_pfn(pfn)).access_latency()
-    }
-
     /// Serializes both nodes for a checkpoint.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         self.ddr.save(w);
@@ -493,8 +488,8 @@ mod tests {
         let mut mem = TieredMemory::new(cfg(4, 100), cfg(4, 270));
         let d = mem.alloc_on(NodeId::Ddr).unwrap();
         let c = mem.alloc_on(NodeId::Cxl).unwrap();
-        assert_eq!(mem.latency_of(d), Nanos(100));
-        assert_eq!(mem.latency_of(c), Nanos(270));
+        assert_eq!(mem.node(NodeId::of_pfn(d)).access_latency(), Nanos(100));
+        assert_eq!(mem.node(NodeId::of_pfn(c)).access_latency(), Nanos(270));
         mem.free(d);
         mem.free(c);
         assert_eq!(mem.node(NodeId::Ddr).allocated_frames(), 0);

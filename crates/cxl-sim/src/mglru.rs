@@ -70,11 +70,6 @@ impl MgLru {
         self.tracked -= 1;
     }
 
-    /// Number of pages in generation `g` (0 = youngest).
-    pub fn gen_len(&self, g: usize) -> usize {
-        self.gens[g].len()
-    }
-
     /// Number of aging passes performed.
     pub fn aging_passes(&self) -> u64 {
         self.aging_passes
@@ -246,7 +241,7 @@ mod tests {
             let scanned = lru.age(&mut pt);
             assert_eq!(scanned, 2);
             let expect = pass.min(NR_GENS - 1);
-            assert_eq!(lru.gen_len(expect), 2, "after pass {pass}");
+            assert_eq!(lru.gens[expect].len(), 2, "after pass {pass}");
         }
         assert_eq!(lru.aging_passes(), NR_GENS as u64);
     }
@@ -260,9 +255,9 @@ mod tests {
         lru.age(&mut pt); // both now gen 1
         pt.set_accessed(Vpn(0));
         lru.age(&mut pt);
-        assert_eq!(lru.gen_len(0), 1); // page 0 refreshed
-        assert_eq!(lru.gen_len(2), 1); // page 1 aged further
-                                       // The accessed bit was consumed by the aging pass.
+        assert_eq!(lru.gens[0].len(), 1); // page 0 refreshed
+        assert_eq!(lru.gens[2].len(), 1); // page 1 aged further
+                                          // The accessed bit was consumed by the aging pass.
         assert!(!pt.test_and_clear_accessed(Vpn(0)));
     }
 

@@ -185,13 +185,6 @@ pub struct BatchOutcome {
     pub rejected: Vec<(Vpn, MigrateError)>,
 }
 
-impl BatchOutcome {
-    /// Whether every requested page moved.
-    pub fn all_migrated(&self) -> bool {
-        self.rejected.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,13 +255,5 @@ mod tests {
         ];
         let unique: std::collections::HashSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len());
-    }
-
-    #[test]
-    fn batch_outcome_reports_success() {
-        let mut b = BatchOutcome::default();
-        assert!(b.all_migrated());
-        b.rejected.push((Vpn(1), MigrateError::Pinned));
-        assert!(!b.all_migrated());
     }
 }

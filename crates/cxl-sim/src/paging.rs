@@ -306,13 +306,6 @@ impl PageTable {
         }
     }
 
-    /// Sets the present bit back (fault handled).
-    pub fn set_present(&mut self, vpn: Vpn) {
-        if let Some(pte) = self.get_mut(vpn) {
-            pte.flags.set(PteFlags::PRESENT, true);
-        }
-    }
-
     /// Sets the accessed bit (hardware page walk on TLB miss).
     pub fn set_accessed(&mut self, vpn: Vpn) {
         if let Some(pte) = self.get_mut(vpn) {
@@ -342,13 +335,6 @@ impl PageTable {
     pub fn store_flags(&mut self, vpn: Vpn, flags: PteFlags) {
         if let Some(pte) = self.get_mut(vpn) {
             pte.flags = flags;
-        }
-    }
-
-    /// Sets the dirty bit (write access).
-    pub fn set_dirty(&mut self, vpn: Vpn) {
-        if let Some(pte) = self.get_mut(vpn) {
-            pte.flags.set(PteFlags::DIRTY, true);
         }
     }
 
@@ -475,8 +461,6 @@ mod tests {
         assert!(!pt.get(Vpn(1)).unwrap().flags.present());
         // Clearing again reports false: the page is already unmapped.
         assert!(!pt.clear_present(Vpn(1)));
-        pt.set_present(Vpn(1));
-        assert!(pt.get(Vpn(1)).unwrap().flags.present());
     }
 
     #[test]
@@ -493,7 +477,7 @@ mod tests {
     fn remap_clears_dirty_and_returns_old_frame() {
         let mut pt = PageTable::new();
         pt.map(Vpn(0), Pfn(CXL_BASE_PFN));
-        pt.set_dirty(Vpn(0));
+        pt.get_mut(Vpn(0)).unwrap().flags.set(PteFlags::DIRTY, true);
         pt.set_pinned(Vpn(0), true);
         let old = pt.remap(Vpn(0), Pfn(4));
         assert_eq!(old, Pfn(CXL_BASE_PFN));

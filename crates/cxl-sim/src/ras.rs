@@ -226,19 +226,9 @@ impl RasState {
         self.node(node).total_ce
     }
 
-    /// Correctable-error count of frame `idx` on `node`.
-    pub fn ce_count(&self, node: NodeId, idx: u64) -> u32 {
-        self.node(node).ce_counts.get(&idx).copied().unwrap_or(0)
-    }
-
     /// The completed evacuation's report, once `node` is `Offline`.
     pub fn evacuation_report(&self, node: NodeId) -> Option<&EvacuationReport> {
         self.node(node).report.as_ref()
-    }
-
-    /// Pages drained so far by an in-progress evacuation.
-    pub fn evacuated_pages(&self, node: NodeId) -> u64 {
-        self.node(node).evac.map_or(0, |e| e.moved)
     }
 
     /// Extra latency a degraded link adds to an access to `node` whose
@@ -628,7 +618,7 @@ mod tests {
         let d3 = ras.record(ce(5), Nanos(30), 64);
         assert!(!d3.crossed_threshold, "crossing is edge-triggered");
         assert_eq!(ras.total_ce(NodeId::Cxl), 3);
-        assert_eq!(ras.ce_count(NodeId::Cxl, 5), 3);
+        assert_eq!(ras.node(NodeId::Cxl).ce_counts[&5], 3);
         let (cands, walked) = ras.harvest_offline_candidates(NodeId::Cxl, 64, 8);
         assert_eq!(cands, vec![5]);
         assert_eq!(walked, 64);
@@ -703,7 +693,7 @@ mod tests {
         );
         ras.note_evacuated(NodeId::Cxl, 30);
         ras.note_evacuated(NodeId::Cxl, 2);
-        assert_eq!(ras.evacuated_pages(NodeId::Cxl), 32);
+        assert_eq!(ras.node(NodeId::Cxl).evac.map(|e| e.moved), Some(32));
         assert!(!ras.evac_deadline_passed(NodeId::Cxl, Nanos(2_000)));
         let report = ras
             .complete_evacuation(NodeId::Cxl, Nanos(5_000), 0)

@@ -4,7 +4,7 @@
 use crate::addr::{Pfn, VirtAddr, Vpn, WordIndex};
 use crate::chunk::{AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT, CHUNK_WRITE_BIT};
 use crate::faults::{FaultClass, SimError};
-use crate::kernel::CostKind;
+use crate::kernel::{CostKind, HINTING_FAULT, LLC_HIT, PAGE_WALK, POISON_REPAIR};
 use crate::memory::NodeId;
 use crate::paging::Pte;
 use crate::report::LatencyHistogram;
@@ -302,7 +302,6 @@ impl System {
         is_write: bool,
     ) -> Result<(Pte, Nanos, bool), SimError> {
         let vpn = vaddr.vpn();
-        let costs = self.config.costs;
         let mut latency = Nanos::ZERO;
         let mut hinting_fault = false;
 
@@ -319,14 +318,13 @@ impl System {
         if !flags.present() {
             // Soft (hinting) page fault: kernel re-establishes the mapping.
             hinting_fault = true;
-            self.kernel
-                .bill(CostKind::HintingFault, costs.hinting_fault);
-            latency += costs.hinting_fault;
+            self.kernel.bill(CostKind::HintingFault, HINTING_FAULT);
+            latency += HINTING_FAULT;
             flags = flags.with_present();
         }
 
         if !self.tlb.lookup(vpn) {
-            latency += costs.page_walk;
+            latency += PAGE_WALK;
             flags = flags.with_accessed();
             self.tlb.insert(vpn);
         }
@@ -361,10 +359,9 @@ impl System {
         hinting_fault: bool,
         seg: &Segment,
     ) -> AccessOutcome {
-        let costs = self.config.costs;
         let word = WordIndex(vaddr.word_index().0);
         let line = pfn.word(word).cache_line();
-        latency += costs.llc_hit;
+        latency += LLC_HIT;
 
         let res = self.llc.access(line, is_write);
         let mut dram_node = None;
@@ -389,8 +386,8 @@ impl System {
                     // memory-failure path isolates the line, re-fetches,
                     // and resumes the load — slow but never fatal.
                     poisoned = true;
-                    self.kernel.bill(CostKind::DaemonOther, costs.poison_repair);
-                    latency += costs.poison_repair;
+                    self.kernel.bill(CostKind::DaemonOther, POISON_REPAIR);
+                    latency += POISON_REPAIR;
                 }
                 if !stalled {
                     self.controller.snoop(line, false, now);

@@ -19,8 +19,9 @@
 //!
 //! Copy-engine traffic of page migration is *not* visible to the
 //! performance monitor or the CXL snoop devices: we model it as a DCOH/DMA
-//! transfer whose cost is folded into `CostModel::migrate_per_page`. This
-//! keeps `bw()` an application-demand signal, which is what the
+//! transfer whose cost is folded into
+//! [`MIGRATE_PER_PAGE`](crate::kernel::MIGRATE_PER_PAGE). This keeps
+//! `bw()` an application-demand signal, which is what the
 //! M5-manager's Monitor needs (§5.2), and keeps the profiled access counts
 //! attributable to the application.
 
@@ -337,6 +338,8 @@ impl System {
     /// close, pending one-shot faults are dropped). The old injector's
     /// fault and poison-repair counts are published first; telemetry keeps
     /// them while the new injector counts from zero.
+    /// Oracle hook: the journal and RAS property tests inject faults mid-run
+    /// through it (`crates/cxl-sim/tests/{journal,ras}_properties.rs`).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         self.flush_telemetry();
         self.faults = FaultInjector::from_plan(plan);
@@ -358,6 +361,8 @@ impl System {
     }
 
     /// Every fault armed so far, in arming order.
+    /// Oracle hook: the chunk-size and engine≡`run_per_access` oracles
+    /// check that both drivers armed the same faults.
     pub fn fault_log(&self) -> Vec<FaultEvent> {
         self.faults.log().collect()
     }

@@ -4,7 +4,7 @@
 use crate::addr::{Pfn, Vpn};
 use crate::contention::TrafficClass;
 use crate::faults::{DeviceFault, FaultClass, FaultKind, SimError};
-use crate::kernel::CostKind;
+use crate::kernel::{CostKind, RAS_PATROL_PER_FRAME};
 use crate::memory::{NodeId, CXL_BASE_PFN};
 use crate::migration::MigrateError;
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
@@ -188,8 +188,7 @@ impl System {
             self.ras
                 .harvest_offline_candidates(NodeId::Cxl, capacity, RAS_OFFLINE_BATCH);
         if walked > 0 {
-            let per = self.config.costs.ras_patrol_per_frame;
-            self.daemon_bill(CostKind::RasScrub, per * walked);
+            self.daemon_bill(CostKind::RasScrub, RAS_PATROL_PER_FRAME * walked);
             if self.contention_on {
                 // Patrol reads one line's worth of CE state per walked
                 // frame over the same link demand traffic uses.

@@ -4,7 +4,9 @@
 use crate::addr::{Pfn, Vpn, WordIndex, WORDS_PER_PAGE};
 use crate::contention::TrafficClass;
 use crate::journal::{MigrationJournal, RecoveryReport, TxnId, TxnState};
-use crate::kernel::CostKind;
+use crate::kernel::{
+    CostKind, JOURNAL_WRITE, MIGRATE_PER_PAGE, PTE_SCAN_PER_ENTRY, SCRUB_PER_FRAME, TLB_SHOOTDOWN,
+};
 use crate::memory::{NodeId, OutOfFrames};
 use crate::migration::{BatchOutcome, MigrateError};
 use crate::ras::NodeHealth;
@@ -62,8 +64,7 @@ impl System {
     /// `true` if a reset struck at this append (the append itself is
     /// durable; everything sequenced after it is lost).
     fn post_append(&mut self) -> bool {
-        let cost = self.config.costs.journal_write;
-        self.daemon_bill(CostKind::JournalWrite, cost);
+        self.daemon_bill(CostKind::JournalWrite, JOURNAL_WRITE);
         if self.contention_on {
             // The journal lives on the CXL device: each append is a 64 B
             // write on the shared link, contending with demand traffic.
@@ -132,7 +133,6 @@ impl System {
             return Err(e);
         }
         let src = pte.pfn;
-        let costs = self.config.costs;
 
         // Phase 1 — Intent: the write-ahead promise.
         let id = self.journal.begin(vpn, src, dst);
@@ -211,8 +211,8 @@ impl System {
         // Phase 3 — atomic remap: shootdown, PTE switch, stale-line
         // eviction, optional pollution of the shadow frame's lines.
         self.tlb.invalidate(vpn);
-        self.daemon_bill(CostKind::TlbShootdown, costs.tlb_shootdown);
-        self.daemon_bill(CostKind::Migration, costs.migrate_per_page);
+        self.daemon_bill(CostKind::TlbShootdown, TLB_SHOOTDOWN);
+        self.daemon_bill(CostKind::Migration, MIGRATE_PER_PAGE);
         if self.contention_on {
             // The copy DMA reads one page off the source link and writes
             // it to the destination link; both bursts wait out their
@@ -324,7 +324,6 @@ impl System {
             scanned: open.len() as u64,
             ..RecoveryReport::default()
         };
-        let journal_cost = self.config.costs.journal_write;
         for txn in open {
             let terminal = match txn.state {
                 TxnState::Intent => {
@@ -355,7 +354,7 @@ impl System {
                 terminal => unreachable!("terminal txn {terminal} left open in journal"),
             };
             let retired = self.journal.append_terminal(txn, terminal);
-            self.daemon_bill(CostKind::JournalWrite, journal_cost);
+            self.daemon_bill(CostKind::JournalWrite, JOURNAL_WRITE);
             if self.telemetry.is_enabled() {
                 self.telemetry.counter_add("sim.txn", terminal.label(), 1);
                 if let Some(span) = retired.span {
@@ -382,8 +381,7 @@ impl System {
             total += n;
         }
         if total > 0 {
-            let per = self.config.costs.scrub_per_frame;
-            self.daemon_bill(CostKind::DaemonOther, per * total);
+            self.daemon_bill(CostKind::DaemonOther, SCRUB_PER_FRAME * total);
             self.telemetry
                 .counter_add("sim.quarantine", "scrubbed", total);
         }
@@ -520,13 +518,13 @@ impl System {
     }
 
     /// How many pages a daemon may still migrate under a time quota: the
-    /// number of `migrate_per_page` slots left before cumulative migration
+    /// number of [`MIGRATE_PER_PAGE`] slots left before cumulative migration
     /// time reaches `budget × elapsed`. Each promotion implies a matching
     /// demotion once the fast tier is full, so a factor of two is reserved.
     pub fn migration_allowance(&self, budget: f64) -> usize {
         let spent = self.kernel.of(CostKind::Migration).0 as f64;
         let allowed = budget * self.clock.now().0.max(1) as f64 - spent;
-        let per_page = self.config.costs.migrate_per_page.0.max(1) as f64 * 2.0;
+        let per_page = MIGRATE_PER_PAGE.0 as f64 * 2.0;
         (allowed / per_page).max(0.0) as usize
     }
 
@@ -542,8 +540,7 @@ impl System {
     /// PTE scans, and returns the number of PTEs scanned.
     pub fn mglru_age(&mut self) -> u64 {
         let scanned = self.ddr_lru.age(&mut self.page_table);
-        let per = self.config.costs.pte_scan_per_entry;
-        self.daemon_bill(CostKind::PteScan, per * scanned);
+        self.daemon_bill(CostKind::PteScan, PTE_SCAN_PER_ENTRY * scanned);
         scanned
     }
 
@@ -642,10 +639,7 @@ mod tests {
         assert_eq!(sys.nr_pages(NodeId::Cxl), 1);
         assert_eq!(sys.page_table().get(vpn).unwrap().node(), NodeId::Ddr);
         assert_eq!(sys.migration_stats().promotions, 1);
-        assert_eq!(
-            sys.kernel_costs().of(CostKind::Migration),
-            sys.config().costs.migrate_per_page
-        );
+        assert_eq!(sys.kernel_costs().of(CostKind::Migration), MIGRATE_PER_PAGE);
         // The access now goes to DDR (and misses: old lines were invalidated,
         // pollution filled the *new* frame's lines, so actually it hits).
         let out = sys.access(r.base, false);

@@ -20,7 +20,7 @@
 use crate::daemon::{AdaptivePeriod, HotPageLog};
 use cxl_sim::addr::Vpn;
 use cxl_sim::hotlog::HOT_LOG_CAP;
-use cxl_sim::kernel::CostKind;
+use cxl_sim::kernel::{CostKind, PTE_SCAN_PER_ENTRY, TLB_SHOOTDOWN};
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
@@ -123,11 +123,6 @@ impl Anb {
         self.pages_unmapped
     }
 
-    /// The current (adaptive) scan period.
-    pub fn scan_period(&self) -> Nanos {
-        self.period.current()
-    }
-
     /// Unmaps up to [`SCAN_PAGES`] CXL-resident pages, round-robin over the
     /// virtual address space.
     fn scan(&mut self, sys: &mut System) {
@@ -135,7 +130,6 @@ impl Anb {
         if extent == 0 {
             return;
         }
-        let costs = sys.config().costs;
         let mut unmapped = 0usize;
         let mut walked = 0u64;
         while unmapped < SCAN_PAGES && walked < extent {
@@ -149,16 +143,16 @@ impl Anb {
             if on_cxl {
                 sys.page_table_mut().clear_present(vpn);
                 sys.tlb_mut().invalidate(vpn);
-                sys.daemon_bill(CostKind::PteScan, costs.pte_scan_per_entry);
+                sys.daemon_bill(CostKind::PteScan, PTE_SCAN_PER_ENTRY);
                 unmapped += 1;
                 self.pages_unmapped += 1;
                 if unmapped.is_multiple_of(SHOOTDOWN_BATCH) {
-                    sys.daemon_bill(CostKind::TlbShootdown, costs.tlb_shootdown);
+                    sys.daemon_bill(CostKind::TlbShootdown, TLB_SHOOTDOWN);
                 }
             }
         }
         if unmapped > 0 && !unmapped.is_multiple_of(SHOOTDOWN_BATCH) {
-            sys.daemon_bill(CostKind::TlbShootdown, costs.tlb_shootdown);
+            sys.daemon_bill(CostKind::TlbShootdown, TLB_SHOOTDOWN);
         }
     }
 }
@@ -318,9 +312,9 @@ mod tests {
         // After the hot set is promoted, scans stop producing migrations and
         // the period must have backed off beyond the minimum.
         assert!(
-            anb.scan_period() > Nanos::from_micros(100),
+            anb.period.current() > Nanos::from_micros(100),
             "period stayed at min: {}",
-            anb.scan_period()
+            anb.period.current()
         );
     }
 

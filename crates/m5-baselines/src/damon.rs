@@ -23,7 +23,7 @@
 use crate::daemon::HotPageLog;
 use cxl_sim::addr::Vpn;
 use cxl_sim::hotlog::HOT_LOG_CAP;
-use cxl_sim::kernel::CostKind;
+use cxl_sim::kernel::{CostKind, PTE_SAMPLE_WALK, PTE_SCAN_PER_ENTRY};
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
@@ -182,7 +182,6 @@ impl Damon {
     /// hot page would never re-set its bit and the sampler would score
     /// hot regions *below* cold ones.
     fn sample(&mut self, sys: &mut System) {
-        let per_pte = sys.config().costs.pte_sample_walk;
         for r in &mut self.regions {
             let vpn = Vpn(self.rng.gen_range(r.start..r.end));
             self.ptes_sampled += 1;
@@ -191,7 +190,10 @@ impl Damon {
                 sys.tlb_mut().invalidate(vpn);
             }
         }
-        sys.daemon_bill(CostKind::PteScan, per_pte * self.regions.len() as u64);
+        sys.daemon_bill(
+            CostKind::PteScan,
+            PTE_SAMPLE_WALK * self.regions.len() as u64,
+        );
     }
 
     /// The DAMOS action: promote slow-tier pages of hot regions.
@@ -205,7 +207,6 @@ impl Damon {
         });
 
         let mut batch: Vec<Vpn> = Vec::with_capacity(self.config.quota_pages);
-        let per_pte = sys.config().costs.pte_scan_per_entry;
         let mut walked = 0u64;
         'outer: for &i in &order {
             let r = self.regions[i];
@@ -227,7 +228,7 @@ impl Damon {
             }
         }
         // The scheme walks region PTEs to find movable pages.
-        sys.daemon_bill(CostKind::PteScan, per_pte * walked);
+        sys.daemon_bill(CostKind::PteScan, PTE_SCAN_PER_ENTRY * walked);
         let allowed = sys.migration_allowance(self.config.migration_time_budget);
         batch.truncate(allowed);
         if self.config.migrate && !batch.is_empty() {

@@ -117,7 +117,9 @@ pub fn compare(trace: &[TraceRecord], ddr_pages: usize) -> IfmmComparison {
         *page_counts.entry(r.line.pfn()).or_default() += 1;
     }
     let mut pages: Vec<(Pfn, u64)> = page_counts.into_iter().collect();
-    pages.sort_unstable_by_key(|&(_, c)| std::cmp::Reverse(c));
+    // Hottest first; equal counts in PFN order, so the pinned half does not
+    // depend on hash-map iteration order.
+    pages.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let paging_hits: u64 = pages.iter().take(ddr_pages).map(|&(_, c)| c).sum();
     let total: u64 = pages.iter().map(|&(_, c)| c).sum();

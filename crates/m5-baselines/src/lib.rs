@@ -30,4 +30,3 @@ pub mod anb;
 pub mod daemon;
 pub mod damon;
 pub mod ifmm;
-pub mod pebs;

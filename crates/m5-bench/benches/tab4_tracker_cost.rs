@@ -5,14 +5,15 @@
 //! calibrated analytic model, plus the FPGA/ASIC maximum-N timing limits.
 
 use m5_bench::banner;
-use m5_trackers::cost::{CostModel, Technology, TrackerKind, TABLE4_PUBLISHED};
+use m5_trackers::cost::{
+    area_um2, max_entries_at_400mhz, power_mw, Technology, TrackerKind, TABLE4_PUBLISHED,
+};
 
 fn main() {
     banner(
         "Table 4",
         "size and power of top-5 trackers (published vs model)",
     );
-    let model = CostModel::default();
     println!(
         "{:>8} | {:>12} {:>12} | {:>12} {:>12} | {:>10} {:>10} | {:>10} {:>10}",
         "N",
@@ -31,21 +32,21 @@ fn main() {
         let fmt_opt1 = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
         let ss_model = row
             .ss_area_um2
-            .map(|_| model.area_um2(TrackerKind::SpaceSaving, row.n));
+            .map(|_| area_um2(TrackerKind::SpaceSaving, row.n));
         let ss_pow_model = row
             .ss_power_mw
-            .map(|_| model.power_mw(TrackerKind::SpaceSaving, row.n));
+            .map(|_| power_mw(TrackerKind::SpaceSaving, row.n));
         println!(
             "{:>8} | {:>12} {:>12} | {:>12.0} {:>12.0} | {:>10} {:>10} | {:>10.1} {:>10.1}",
             row.n,
             fmt_opt(row.ss_area_um2),
             fmt_opt(ss_model),
             row.cm_area_um2,
-            model.area_um2(TrackerKind::CmSketch, row.n),
+            area_um2(TrackerKind::CmSketch, row.n),
             fmt_opt1(row.ss_power_mw),
             fmt_opt1(ss_pow_model),
             row.cm_power_mw,
-            model.power_mw(TrackerKind::CmSketch, row.n),
+            power_mw(TrackerKind::CmSketch, row.n),
         );
     }
     println!("{:-<112}", "");
@@ -63,8 +64,8 @@ fn main() {
         println!(
             "  {:>12}: FPGA {:>7}, 7nm ASIC {:>7}",
             name,
-            CostModel::max_entries_at_400mhz(kind, Technology::Fpga),
-            CostModel::max_entries_at_400mhz(kind, Technology::Asic7nm)
+            max_entries_at_400mhz(kind, Technology::Fpga),
+            max_entries_at_400mhz(kind, Technology::Asic7nm)
         );
     }
     println!(

@@ -231,6 +231,7 @@ pub fn golden_parts(g: &GoldenSpec) -> (System, ReplayWorkload, M5Manager) {
 /// [`golden_parts`] on a machine executing `plan`, optionally with the
 /// contention model enabled at `background` offered load — the hostile
 /// variant of the restore≡continue differential.
+/// Oracle hook: only `tests/checkpoint.rs` (restore≡continue) calls it.
 pub fn golden_parts_faulted(
     g: &GoldenSpec,
     plan: &FaultPlan,

@@ -150,6 +150,7 @@ pub struct SweepSeed {
 
 /// Runs `s` fault-free to `at_accesses` with [`ChunkedRun::drive_to`]
 /// and captures the seed snapshot.
+/// Oracle hook: the seeded crash sweep in `tests/checkpoint.rs` starts from it.
 pub fn seed_checkpoint(s: &SweepSpec, at_accesses: u64) -> SweepSeed {
     use crate::checkpoint as ck;
     let spec = s.benchmark.spec();

@@ -81,6 +81,8 @@ pub fn crash_sweep_parallel(s: &SweepSpec) -> SweepOutcome {
 
 /// Runs one workload's crash sweep strictly sequentially — the reference
 /// the determinism tests compare [`crash_sweep_parallel`] against.
+/// Oracle hook: the crash-sweep and contention tests require the parallel
+/// sweep to match it.
 pub fn crash_sweep_sequential(s: &SweepSpec) -> SweepOutcome {
     let base = baseline(s);
     let points = (1..=base.steps).map(|k| run_with_reset(s, k)).collect();
@@ -159,20 +161,6 @@ where
     })
 }
 
-/// Sequential reference for [`grid_parallel`].
-pub fn grid_sequential<F>(rows: &[String], cols: &[String], eval: F) -> Vec<GridCell>
-where
-    F: Fn(&str, &str) -> f64,
-{
-    rows.iter()
-        .flat_map(|r| cols.iter().map(|c| (r.clone(), c.clone())))
-        .map(|(row, col)| {
-            let value = eval(&row, &col);
-            GridCell { row, col, value }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,9 +192,15 @@ mod tests {
         let rows: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
         let cols: Vec<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
         let eval = |r: &str, c: &str| (r.len() * 7 + c.len() * 3) as f64;
-        assert_eq!(
-            grid_parallel(&rows, &cols, eval),
-            grid_sequential(&rows, &cols, eval)
-        );
+        let sequential: Vec<GridCell> = rows
+            .iter()
+            .flat_map(|r| cols.iter().map(move |c| (r, c)))
+            .map(|(r, c)| GridCell {
+                row: r.clone(),
+                col: c.clone(),
+                value: eval(r, c),
+            })
+            .collect();
+        assert_eq!(grid_parallel(&rows, &cols, eval), sequential);
     }
 }

@@ -27,6 +27,7 @@ use cxl_sim::prelude::*;
 use cxl_sim::report::RunReport;
 use cxl_sim::system::{run_chunked, run_per_access, ChunkedRun};
 use m5_baselines::anb::{Anb, AnbConfig};
+use m5_baselines::damon::{Damon, DamonConfig};
 use m5_bench::golden::{self, GOLDENS};
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::access::ReplayWorkload;
@@ -235,6 +236,37 @@ fn anb_hinting_fault_path_matches_per_access() {
         ACCESSES,
         None,
         &|| Box::new(Anb::new(AnbConfig::default())),
+    );
+}
+
+/// DAMON samples PTEs with its own seeded RNG and promotes whole regions
+/// under a time quota. On every golden, and on the spec golden under a
+/// chaos plan on a contended machine, every driver must match the
+/// per-access reference.
+#[test]
+fn damon_matches_per_access_at_every_chunk_size() {
+    let damon = || -> BoxedDaemon { Box::new(Damon::new(DamonConfig::default())) };
+    for g in &GOLDENS {
+        let spec = g.benchmark.spec();
+        assert_all_drivers_match(
+            g.name,
+            &spec,
+            &FaultPlan::none(),
+            g.seed,
+            ACCESSES,
+            None,
+            &damon,
+        );
+    }
+    let g = &GOLDENS[2];
+    assert_all_drivers_match(
+        "damon-chaos-spec",
+        &g.benchmark.spec(),
+        &FaultPlan::chaos(7, Nanos::from_millis(5)),
+        g.seed,
+        ACCESSES,
+        Some(0.6),
+        &damon,
     );
 }
 

@@ -17,6 +17,7 @@ use cxl_sim::faults::{DeviceFault, FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::system::{run_chunked, run_per_access, Region, DEFAULT_CHUNK_ACCESSES};
 use m5_baselines::anb::{Anb, AnbConfig};
+use m5_baselines::damon::{Damon, DamonConfig};
 use m5_bench::checkpoint::{capture, resume};
 use m5_bench::golden;
 use m5_core::manager::{M5Config, M5Manager};
@@ -93,6 +94,23 @@ fn m5_config(fast_epochs: bool) -> M5Config {
     c
 }
 
+/// The daemon under test: the M5 manager of [`m5_config`], the
+/// hinting-fault heavy ANB, or the PTE-sampling DAMON. With `fast_epochs`
+/// DAMON samples every 5 µs (an aggregation every 100 µs) with its
+/// migration time quota lifted, so it promotes inside a generated stream.
+fn daemon(which: usize, fast_epochs: bool) -> Box<dyn MigrationDaemon> {
+    match which {
+        0 => Box::new(M5Manager::new(m5_config(fast_epochs))),
+        1 => Box::new(Anb::new(AnbConfig::default())),
+        _ if fast_epochs => Box::new(Damon::new(DamonConfig {
+            sample_interval: Nanos::from_micros(5),
+            migration_time_budget: 1.0,
+            ..DamonConfig::default()
+        })),
+        _ => Box::new(Damon::new(DamonConfig::default())),
+    }
+}
+
 /// A contended machine executing `plan`, with the workload's pages on
 /// CXL (so snoops, contention billing, and migration all have traffic).
 fn contended_system(pages: u64, plan: &FaultPlan) -> (System, Region) {
@@ -129,11 +147,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Chunked ≡ per-access oracle on random streams, faults and
-    /// contention live, under both the M5 manager and the hinting-fault
-    /// heavy ANB daemon, at chunk capacities that slice segments at
-    /// awkward points, and with `fast_epochs` with M5 ticks, promotions,
-    /// and epoch and bandwidth-window rollovers landing between
-    /// segments.
+    /// contention live, under the M5 manager, the hinting-fault heavy ANB
+    /// daemon and DAMON, at chunk capacities that slice segments at
+    /// awkward points, and with `fast_epochs` with M5 and DAMON ticks,
+    /// promotions, and epoch and bandwidth-window rollovers landing
+    /// between segments.
     #[test]
     fn chunked_matches_per_access_oracle(
         ops in prop::collection::vec(
@@ -142,7 +160,7 @@ proptest! {
         ),
         pages in 8u64..48,
         cap_idx in 0usize..6,
-        use_anb in any::<bool>(),
+        which in 0usize..3,
         fast_epochs in any::<bool>(),
     ) {
         let cap = [3usize, 7, 17, 64, 509, 4096][cap_idx];
@@ -153,13 +171,8 @@ proptest! {
             let (mut sys, region) = contended_system(pages, &plan);
             sys.install_telemetry(Telemetry::enabled());
             let mut wl = replay(&ops, pages, &region);
-            let report = if use_anb {
-                let mut d = Anb::new(AnbConfig::default());
-                run_per_access(&mut sys, &mut wl, &mut d, accesses)
-            } else {
-                let mut d = M5Manager::new(m5_config(fast_epochs));
-                run_per_access(&mut sys, &mut wl, &mut d, accesses)
-            };
+            let mut d = daemon(which, fast_epochs);
+            let report = run_per_access(&mut sys, &mut wl, d.as_mut(), accesses);
             snapshot(&mut sys, &report)
         };
 
@@ -167,13 +180,8 @@ proptest! {
             let (mut sys, region) = contended_system(pages, &plan);
             sys.install_telemetry(Telemetry::enabled());
             let mut wl = replay(&ops, pages, &region);
-            let report = if use_anb {
-                let mut d = Anb::new(AnbConfig::default());
-                run_chunked(&mut sys, &mut wl, &mut d, accesses, cap)
-            } else {
-                let mut d = M5Manager::new(m5_config(fast_epochs));
-                run_chunked(&mut sys, &mut wl, &mut d, accesses, cap)
-            };
+            let mut d = daemon(which, fast_epochs);
+            let report = run_chunked(&mut sys, &mut wl, d.as_mut(), accesses, cap);
             snapshot(&mut sys, &report)
         };
 

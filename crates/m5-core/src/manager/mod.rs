@@ -18,7 +18,7 @@ use cxl_sim::addr::{CacheLineAddr, Granularity, Pfn, Vpn};
 use cxl_sim::checkpoint::{CodecError, StateReader, StateWriter};
 use cxl_sim::controller::DeviceHandle;
 use cxl_sim::hotlog::{HotPageLog, HOT_LOG_CAP};
-use cxl_sim::kernel::CostKind;
+use cxl_sim::kernel::{CostKind, PTE_SCAN_PER_ENTRY, TRACKER_QUERY};
 use cxl_sim::memory::{NodeId, CXL_BASE_PFN};
 use cxl_sim::system::{MigrationDaemon, System};
 use cxl_sim::time::Nanos;
@@ -444,7 +444,7 @@ impl M5Manager {
             return Vec::new();
         };
         let label = tracker::label(granularity);
-        sys.daemon_bill(CostKind::ManagerQuery, sys.config().costs.tracker_query);
+        sys.daemon_bill(CostKind::ManagerQuery, TRACKER_QUERY);
         let (observed, mut out) = sys
             .device_mut::<HotTracker>(h)
             .map(|d| (d.observed(), d.query()))
@@ -504,10 +504,9 @@ impl M5Manager {
             .pages_on(NodeId::Cxl)
             .map(|(vpn, pte)| (vpn, pte.pfn))
             .collect();
-        let per_entry = sys.config().costs.pte_scan_per_entry;
         sys.daemon_bill(
             CostKind::PteScan,
-            Nanos(per_entry.0.saturating_mul(scanned.len() as u64)),
+            Nanos(PTE_SCAN_PER_ENTRY.0.saturating_mul(scanned.len() as u64)),
         );
         scanned
             .into_iter()
@@ -1046,11 +1045,14 @@ mod tests {
     #[test]
     fn manager_restore_continues_identically() {
         // The default HPT, an HPT plus an HWT, and a Space-Saving HPT: every
-        // tracker granularity and algorithm checkpoints its SRAM.
+        // tracker granularity and algorithm checkpoints its SRAM. The
+        // HWT-only policy runs the HWT-driven Nominator, whose persistent
+        // accumulation must encode in the same order on both runs.
         for m5cfg in [
             M5Config::default(),
             crate::policy::simple_hpt_hwt_policy(),
             crate::policy::space_saving_50_policy(),
+            crate::policy::simple_hwt_policy(),
         ] {
             restore_continues_identically(m5cfg);
         }

@@ -6,7 +6,7 @@
 //! `bw_den(node) = bw(node) / nr_pages(node)` measures how densely hot a
 //! node's resident pages are.
 
-use cxl_sim::kernel::CostKind;
+use cxl_sim::kernel::{CostKind, MMIO_REG_ACCESS};
 use cxl_sim::memory::NodeId;
 use cxl_sim::system::System;
 
@@ -113,8 +113,7 @@ impl TierStats {
 /// in the system.
 pub fn sample(sys: &mut System) -> TierStats {
     // Reading pcm counters + /proc/zoneinfo.
-    let cost = sys.config().costs.mmio_reg_access;
-    sys.daemon_bill(CostKind::ManagerQuery, cost * 2);
+    sys.daemon_bill(CostKind::ManagerQuery, MMIO_REG_ACCESS * 2);
     // `rollover_bandwidth` also publishes the per-node bandwidth and
     // occupancy gauges on the system's telemetry bus.
     let [ddr, cxl] = sys.rollover_bandwidth();

@@ -15,7 +15,7 @@
 //!   like Redis and CacheLib).
 
 use cxl_sim::addr::{CacheLineAddr, Pfn};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which nomination mechanism to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,7 +74,8 @@ pub struct Nominator {
     mode: NominatorMode,
     hpa: Vec<HpaEntry>,
     /// Persistent HWT-driven accumulation: pfn → (decaying count, mask).
-    hwa_acc: HashMap<Pfn, (u64, u64)>,
+    /// Ordered, so `_HPA` and the checkpoint list pages in PFN order.
+    hwa_acc: BTreeMap<Pfn, (u64, u64)>,
 }
 
 impl Nominator {
@@ -83,7 +84,7 @@ impl Nominator {
         Nominator {
             mode,
             hpa: Vec::new(),
-            hwa_acc: HashMap::new(),
+            hwa_acc: BTreeMap::new(),
         }
     }
 
@@ -160,9 +161,8 @@ impl Nominator {
     }
 
     /// Serializes the nominator — the current `_HPA` contents and the
-    /// persistent HWT-driven accumulation (sorted by PFN so the encoding is
-    /// deterministic regardless of hash-map iteration order) — for a
-    /// checkpoint. The mode is not written: the manager derives it.
+    /// persistent HWT-driven accumulation, in PFN order — for a checkpoint.
+    /// The mode is not written: the manager derives it.
     pub fn save(&self, w: &mut cxl_sim::checkpoint::StateWriter) {
         w.put_u64(self.hpa.len() as u64);
         for e in &self.hpa {
@@ -170,10 +170,8 @@ impl Nominator {
             w.put_u64(e.count);
             w.put_u64(e.mask);
         }
-        let mut acc: Vec<(Pfn, (u64, u64))> = self.hwa_acc.iter().map(|(&p, &v)| (p, v)).collect();
-        acc.sort_unstable_by_key(|&(p, _)| p);
-        w.put_u64(acc.len() as u64);
-        for (pfn, (count, mask)) in acc {
+        w.put_u64(self.hwa_acc.len() as u64);
+        for (&pfn, &(count, mask)) in &self.hwa_acc {
             w.put_u64(pfn.0);
             w.put_u64(count);
             w.put_u64(mask);
@@ -202,7 +200,7 @@ impl Nominator {
             });
         }
         let n = r.get_u64()? as usize;
-        let mut hwa_acc = HashMap::with_capacity(n.min(r.remaining()));
+        let mut hwa_acc = BTreeMap::new();
         for _ in 0..n {
             let pfn = Pfn(r.get_u64()?);
             let count = r.get_u64()?;

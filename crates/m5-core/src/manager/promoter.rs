@@ -8,7 +8,7 @@
 
 use super::nominator::HpaEntry;
 use cxl_sim::addr::Vpn;
-use cxl_sim::kernel::CostKind;
+use cxl_sim::kernel::{CostKind, MMIO_REG_ACCESS};
 use cxl_sim::migration::{BatchOutcome, MigrateError};
 use cxl_sim::system::System;
 use cxl_sim::time::Nanos;
@@ -85,8 +85,7 @@ impl Promoter {
     /// write that hands the addresses into the kernel is billed as manager
     /// work.
     pub fn promote(&mut self, sys: &mut System, nominated: &[HpaEntry]) -> BatchOutcome {
-        let cost = sys.config().costs.mmio_reg_access;
-        sys.daemon_bill(CostKind::ManagerQuery, cost);
+        sys.daemon_bill(CostKind::ManagerQuery, MMIO_REG_ACCESS);
 
         // PFN → VPN translation; trackers may report frames whose mapping
         // changed since the epoch started.

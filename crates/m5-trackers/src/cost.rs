@@ -105,77 +105,58 @@ pub const TABLE4_PUBLISHED: [Table4Row; 8] = [
     },
 ];
 
-/// Analytic area/power model fitted to [`TABLE4_PUBLISHED`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
-    /// Fixed CAM overhead (µm²).
-    pub cam_area_fixed: f64,
-    /// CAM area slope per `n·log₂n` (µm²).
-    pub cam_area_nlogn: f64,
-    /// Fixed CAM power (mW).
-    pub cam_power_fixed: f64,
-    /// CAM power slope per `n·log₂n` (mW).
-    pub cam_power_nlogn: f64,
-    /// Fixed SRAM-tracker overhead — the K-entry CAM and control (µm²).
-    pub sram_area_fixed: f64,
-    /// SRAM area per counter (µm²).
-    pub sram_area_per_entry: f64,
-    /// Fixed SRAM-tracker power (mW).
-    pub sram_power_fixed: f64,
-    /// SRAM power per counter (mW).
-    pub sram_power_per_entry: f64,
-}
+// The analytic area/power model, fitted to [`TABLE4_PUBLISHED`]: two-point
+// fits through the published extremes; mid-table rows land within ~15 %
+// (asserted in tests).
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        // Two-point fits through the published extremes; mid-table rows land
-        // within ~15 % (asserted in tests).
-        CostModel {
-            cam_area_fixed: 1_418.0,
-            cam_area_nlogn: 7.91,
-            cam_power_fixed: 0.33,
-            cam_power_nlogn: 0.001_313,
-            sram_area_fixed: 1_831.0,
-            sram_area_per_entry: 1.363,
-            sram_power_fixed: 1.97,
-            sram_power_per_entry: 0.000_624,
-        }
-    }
-}
+/// Fixed CAM overhead (µm²).
+const CAM_AREA_FIXED: f64 = 1_418.0;
+/// CAM area slope per `n·log₂n` (µm²).
+const CAM_AREA_NLOGN: f64 = 7.91;
+/// Fixed CAM power (mW).
+const CAM_POWER_FIXED: f64 = 0.33;
+/// CAM power slope per `n·log₂n` (mW).
+const CAM_POWER_NLOGN: f64 = 0.001_313;
+/// Fixed SRAM-tracker overhead — the K-entry CAM and control (µm²).
+const SRAM_AREA_FIXED: f64 = 1_831.0;
+/// SRAM area per counter (µm²).
+const SRAM_AREA_PER_ENTRY: f64 = 1.363;
+/// Fixed SRAM-tracker power (mW).
+const SRAM_POWER_FIXED: f64 = 1.97;
+/// SRAM power per counter (mW).
+const SRAM_POWER_PER_ENTRY: f64 = 0.000_624;
 
 fn nlog2n(n: usize) -> f64 {
     let n = n as f64;
     n * n.log2()
 }
 
-impl CostModel {
-    /// Estimated area in µm² of a tracker with `n` entries.
-    pub fn area_um2(&self, kind: TrackerKind, n: usize) -> f64 {
-        match kind {
-            TrackerKind::SpaceSaving => self.cam_area_fixed + self.cam_area_nlogn * nlog2n(n),
-            TrackerKind::CmSketch => self.sram_area_fixed + self.sram_area_per_entry * n as f64,
-        }
+/// Estimated area in µm² of a tracker with `n` entries.
+pub fn area_um2(kind: TrackerKind, n: usize) -> f64 {
+    match kind {
+        TrackerKind::SpaceSaving => CAM_AREA_FIXED + CAM_AREA_NLOGN * nlog2n(n),
+        TrackerKind::CmSketch => SRAM_AREA_FIXED + SRAM_AREA_PER_ENTRY * n as f64,
     }
+}
 
-    /// Estimated power in mW of a tracker with `n` entries.
-    pub fn power_mw(&self, kind: TrackerKind, n: usize) -> f64 {
-        match kind {
-            TrackerKind::SpaceSaving => self.cam_power_fixed + self.cam_power_nlogn * nlog2n(n),
-            TrackerKind::CmSketch => self.sram_power_fixed + self.sram_power_per_entry * n as f64,
-        }
+/// Estimated power in mW of a tracker with `n` entries.
+pub fn power_mw(kind: TrackerKind, n: usize) -> f64 {
+    match kind {
+        TrackerKind::SpaceSaving => CAM_POWER_FIXED + CAM_POWER_NLOGN * nlog2n(n),
+        TrackerKind::CmSketch => SRAM_POWER_FIXED + SRAM_POWER_PER_ENTRY * n as f64,
     }
+}
 
-    /// The largest `N` that meets the 400 MHz timing constraint (tCCD of
-    /// DDR4-3200), per the paper's synthesis results: FPGA caps
-    /// Space-Saving at 50 CAM entries and CM-Sketch at 128K SRAM entries;
-    /// the 7 nm ASIC extends Space-Saving to 2K.
-    pub fn max_entries_at_400mhz(kind: TrackerKind, tech: Technology) -> usize {
-        match (kind, tech) {
-            (TrackerKind::SpaceSaving, Technology::Fpga) => 50,
-            (TrackerKind::SpaceSaving, Technology::Asic7nm) => 2_048,
-            (TrackerKind::CmSketch, Technology::Fpga) => 131_072,
-            (TrackerKind::CmSketch, Technology::Asic7nm) => 131_072,
-        }
+/// The largest `N` that meets the 400 MHz timing constraint (tCCD of
+/// DDR4-3200), per the paper's synthesis results: FPGA caps Space-Saving at
+/// 50 CAM entries and CM-Sketch at 128K SRAM entries; the 7 nm ASIC extends
+/// Space-Saving to 2K.
+pub fn max_entries_at_400mhz(kind: TrackerKind, tech: Technology) -> usize {
+    match (kind, tech) {
+        (TrackerKind::SpaceSaving, Technology::Fpga) => 50,
+        (TrackerKind::SpaceSaving, Technology::Asic7nm) => 2_048,
+        (TrackerKind::CmSketch, Technology::Fpga) => 131_072,
+        (TrackerKind::CmSketch, Technology::Asic7nm) => 131_072,
     }
 }
 
@@ -185,16 +166,15 @@ mod tests {
 
     #[test]
     fn model_tracks_published_table_within_tolerance() {
-        let m = CostModel::default();
         for row in TABLE4_PUBLISHED {
-            let cm_area = m.area_um2(TrackerKind::CmSketch, row.n);
+            let cm_area = area_um2(TrackerKind::CmSketch, row.n);
             assert!(
                 (cm_area - row.cm_area_um2).abs() / row.cm_area_um2 < 0.15,
                 "CM area off at N={}: model {cm_area:.0} vs {}",
                 row.n,
                 row.cm_area_um2
             );
-            let cm_pow = m.power_mw(TrackerKind::CmSketch, row.n);
+            let cm_pow = power_mw(TrackerKind::CmSketch, row.n);
             assert!(
                 (cm_pow - row.cm_power_mw).abs() / row.cm_power_mw < 0.20,
                 "CM power off at N={}: model {cm_pow:.2} vs {}",
@@ -202,13 +182,13 @@ mod tests {
                 row.cm_power_mw
             );
             if let (Some(area), Some(pow)) = (row.ss_area_um2, row.ss_power_mw) {
-                let ss_area = m.area_um2(TrackerKind::SpaceSaving, row.n);
+                let ss_area = area_um2(TrackerKind::SpaceSaving, row.n);
                 assert!(
                     (ss_area - area).abs() / area < 0.15,
                     "SS area off at N={}: model {ss_area:.0} vs {area}",
                     row.n
                 );
-                let ss_pow = m.power_mw(TrackerKind::SpaceSaving, row.n);
+                let ss_pow = power_mw(TrackerKind::SpaceSaving, row.n);
                 assert!(
                     (ss_pow - pow).abs() / pow < 0.20,
                     "SS power off at N={}: model {ss_pow:.2} vs {pow}",
@@ -239,18 +219,17 @@ mod tests {
     fn timing_limits_match_the_paper() {
         use Technology::*;
         use TrackerKind::*;
-        assert_eq!(CostModel::max_entries_at_400mhz(SpaceSaving, Fpga), 50);
-        assert_eq!(CostModel::max_entries_at_400mhz(SpaceSaving, Asic7nm), 2048);
-        assert_eq!(CostModel::max_entries_at_400mhz(CmSketch, Fpga), 131_072);
+        assert_eq!(max_entries_at_400mhz(SpaceSaving, Fpga), 50);
+        assert_eq!(max_entries_at_400mhz(SpaceSaving, Asic7nm), 2048);
+        assert_eq!(max_entries_at_400mhz(CmSketch, Fpga), 131_072);
     }
 
     #[test]
     fn cam_grows_much_faster_than_sram() {
-        let m = CostModel::default();
         let ratio_small =
-            m.area_um2(TrackerKind::SpaceSaving, 50) / m.area_um2(TrackerKind::CmSketch, 50);
+            area_um2(TrackerKind::SpaceSaving, 50) / area_um2(TrackerKind::CmSketch, 50);
         let ratio_large =
-            m.area_um2(TrackerKind::SpaceSaving, 2048) / m.area_um2(TrackerKind::CmSketch, 2048);
+            area_um2(TrackerKind::SpaceSaving, 2048) / area_um2(TrackerKind::CmSketch, 2048);
         assert!(ratio_large > ratio_small * 5.0);
     }
 }

@@ -14,9 +14,9 @@
 //! * [`mithril::MithrilTopK`] — the grouped (Mithril-style) Space-Saving
 //!   variant cited in §5.1,
 //! * [`sticky::StickySampling`] — the sampling-based representative,
-//! * [`cost::CostModel`] — an analytic area/power model calibrated against
-//!   the paper's Table 4 (7 nm ASIC synthesis) plus the FPGA/ASIC timing
-//!   limits on the number of entries `N`.
+//! * [`cost::area_um2`] and [`cost::power_mw`] — an analytic area/power
+//!   model calibrated against the paper's Table 4 (7 nm ASIC synthesis),
+//!   plus the FPGA/ASIC timing limits on the number of entries `N`.
 //!
 //! All trackers implement the common [`topk::TopKAlgorithm`] trait, so the
 //! design-space harness (`m5-bench/benches/fig07_tracker_dse.rs`) sweeps

@@ -76,18 +76,24 @@ impl StickySampling {
     }
 
     /// Window boundary: double the rate and geometrically diminish counts.
+    /// Addresses are visited in ascending order, so each one draws the same
+    /// coin flips on every run with the same seed.
     fn advance_window(&mut self) {
         self.rate *= 2;
         self.window_left = self.window_base * self.rate;
-        let rng = &mut self.rng;
-        self.counts.retain(|_, c| {
+        let mut addrs: Vec<u64> = self.counts.keys().copied().collect();
+        addrs.sort_unstable();
+        for addr in addrs {
+            let c = self.counts.get_mut(&addr).expect("listed above");
             // Toss an unbiased coin until heads; diminish by the number of
             // tails.
-            while *c > 0 && rng.gen::<bool>() {
+            while *c > 0 && self.rng.gen::<bool>() {
                 *c -= 1;
             }
-            *c > 0
-        });
+            if *c == 0 {
+                self.counts.remove(&addr);
+            }
+        }
     }
 
     /// Estimated count for `addr` (an *under*-estimate; `0` if unmonitored).

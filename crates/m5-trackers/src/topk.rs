@@ -311,6 +311,31 @@ mod tests {
     }
 
     #[test]
+    fn every_tracker_reports_the_same_top_k_when_run_twice() {
+        // Two trackers built alike in one process get hash maps with
+        // different iteration orders; nothing they report may depend on it.
+        let mut rng = SmallRng::seed_from_u64(17);
+        let stream: Vec<u64> = (0..200_000)
+            .map(|_| rng.gen_range(0..4096u64).min(rng.gen_range(0..4096)))
+            .collect();
+        let build = || -> Vec<Box<dyn TopKAlgorithm>> {
+            vec![
+                Box::new(CmSketchTopK::with_total_entries(4, 2048, 64, 1)),
+                Box::new(SpaceSavingTopK::new(2048, 64)),
+                Box::new(StickySamplingTopK::new(2048, 64, 2048, 1)),
+                Box::new(crate::mithril::MithrilTopK::new(2048, 64, 64, 1)),
+            ]
+        };
+        for (mut a, mut b) in build().into_iter().zip(build()) {
+            for &addr in &stream {
+                a.record(addr);
+                b.record(addr);
+            }
+            assert_eq!(a.top_k(), b.top_k(), "{}", a.name());
+        }
+    }
+
+    #[test]
     fn trait_objects_are_usable() {
         let mut trackers: Vec<Box<dyn TopKAlgorithm>> = vec![
             Box::new(CmSketchTopK::new(4, 128, 5, 0)),

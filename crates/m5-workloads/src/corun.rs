@@ -42,16 +42,6 @@ impl<S: AccessStream> CoRunner<S> {
         }
     }
 
-    /// Number of streams still producing accesses.
-    pub fn live_streams(&self) -> usize {
-        self.live
-    }
-
-    /// Total number of streams (live or finished).
-    pub fn total_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     fn advance(&mut self) {
         self.current = (self.current + 1) % self.streams.len();
         self.issued_in_quantum = 0;
@@ -177,7 +167,7 @@ mod tests {
             .map(|a| a.vaddr.0 >> 20)
             .collect();
         assert_eq!(order, vec![0, 0, 1, 1, 0, 0, 1, 1]);
-        assert_eq!(co.live_streams(), 0);
+        assert_eq!(co.live, 0);
     }
 
     #[test]
@@ -211,7 +201,6 @@ mod tests {
             }],
             1,
         );
-        assert_eq!(co.total_streams(), 1);
         let total = std::iter::from_fn(|| co.next_access()).count();
         assert_eq!(total, 3);
     }

@@ -35,6 +35,12 @@ pub enum KeyDist {
     Zipf(f64),
 }
 
+/// Maximum 64 B words per object (sizes vary 1..=max per key, like a real
+/// object store's mixed value sizes).
+const OBJ_WORDS: u64 = 3;
+/// Fraction of reads (YCSB-A: 0.5 read / 0.5 update).
+const READ_FRACTION: f64 = 0.5;
+
 /// KV store + client configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KvConfig {
@@ -42,11 +48,6 @@ pub struct KvConfig {
     pub n_keys: u64,
     /// Objects resident per slab page (lower = sparser pages).
     pub objs_per_page: u64,
-    /// Maximum 64 B words per object (sizes vary 1..=max per key, like a
-    /// real object store's mixed value sizes).
-    pub obj_words: u64,
-    /// Fraction of reads (YCSB-A: 0.5 read / 0.5 update).
-    pub read_fraction: f64,
     /// Key popularity.
     pub key_dist: KeyDist,
     /// RNG seed.
@@ -65,8 +66,6 @@ impl KvConfig {
         KvConfig {
             n_keys,
             objs_per_page: 7,
-            obj_words: 3,
-            read_fraction: 0.5,
             key_dist: KeyDist::Uniform,
             seed: 0x4ed1,
         }
@@ -77,8 +76,6 @@ impl KvConfig {
         KvConfig {
             n_keys,
             objs_per_page: 8,
-            obj_words: 3,
-            read_fraction: 0.5,
             key_dist: KeyDist::Uniform,
             seed: 0x4ed2,
         }
@@ -89,8 +86,6 @@ impl KvConfig {
         KvConfig {
             n_keys,
             objs_per_page: 9,
-            obj_words: 3,
-            read_fraction: 0.5,
             key_dist: KeyDist::Zipf(0.6),
             seed: 0x4ed3,
         }
@@ -130,19 +125,19 @@ pub fn generate(config: &KvConfig, base: VirtAddr, target_accesses: u64) -> Repl
             None => rng.gen_range(0..config.n_keys),
         };
         let key = scatter.map(rank);
-        let is_read = rng.gen::<f64>() < config.read_fraction;
+        let is_read = rng.gen::<f64>() < READ_FRACTION;
 
         // 1. Hash-index probe: one bucket read.
         rec.read(index_base + key * 8);
 
         // 2. Object access: this object's words at its slab slot. Object
-        // sizes vary per key (1..=obj_words), like mixed value sizes.
+        // sizes vary per key (1..=OBJ_WORDS), like mixed value sizes.
         let page = key / config.objs_per_page;
         let slot = key % config.objs_per_page;
         let this_obj_words =
-            1 + crate::dist::hash_slot(page, slot, config.seed ^ 0x0b1) % config.obj_words;
+            1 + crate::dist::hash_slot(page, slot, config.seed ^ 0x0b1) % OBJ_WORDS;
         // Deterministic scattered word offset for this slot within the page.
-        let word0 = crate::dist::hash_slot(page, slot, config.seed) % (64 - config.obj_words + 1);
+        let word0 = crate::dist::hash_slot(page, slot, config.seed) % (64 - OBJ_WORDS + 1);
         for w in 0..this_obj_words {
             let rel = page * PAGE_SIZE as u64 + (word0 + w) * WORD_SIZE as u64;
             if is_read {
@@ -207,7 +202,7 @@ mod tests {
             }
         }
         assert!(ops > 9_000, "one op per ~3 accesses, got {ops}");
-        // YCSB-A: half the ops write their obj_words words.
+        // YCSB-A: half the ops write their 1..=OBJ_WORDS words.
         let wf = writes as f64 / total as f64;
         assert!((0.25..0.45).contains(&wf), "write fraction {wf}");
     }

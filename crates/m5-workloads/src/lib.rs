@@ -51,4 +51,5 @@ pub mod kv;
 pub mod liblinear;
 pub mod registry;
 pub mod spec;
-pub mod stats;
+#[cfg(test)]
+mod stats;

@@ -23,19 +23,20 @@ use rand::{Rng, SeedableRng};
 
 const PAGE: u64 = PAGE_SIZE as u64;
 
+/// Nonzero features per sample.
+const NNZ_PER_SAMPLE: usize = 24;
+/// Samples per mini-batch (weights written once per batch).
+const BATCH: usize = 16;
+/// Feature-popularity skew.
+const ZIPF_THETA: f64 = 0.9;
+/// Bytes of sample data per nonzero (index + value).
+const BYTES_PER_NNZ: u64 = 8;
+
 /// Liblinear workload configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LiblinearConfig {
     /// Feature-space size (weight vector length).
     pub n_features: u64,
-    /// Nonzero features per sample.
-    pub nnz_per_sample: usize,
-    /// Samples per mini-batch (weights written once per batch).
-    pub batch: usize,
-    /// Feature-popularity skew.
-    pub zipf_theta: f64,
-    /// Bytes of sample data per nonzero (index + value).
-    pub bytes_per_nnz: u64,
     /// Sample-data region pages.
     pub data_pages: u64,
     /// RNG seed.
@@ -48,10 +49,6 @@ impl LiblinearConfig {
     pub fn kdd(weight_pages: u64, data_pages: u64) -> LiblinearConfig {
         LiblinearConfig {
             n_features: weight_pages * PAGE / 8,
-            nnz_per_sample: 24,
-            batch: 16,
-            zipf_theta: 0.9,
-            bytes_per_nnz: 8,
             data_pages,
             seed: 0x11b1,
         }
@@ -80,7 +77,7 @@ impl LiblinearConfig {
 pub fn generate(config: &LiblinearConfig, base: VirtAddr, target_accesses: u64) -> ReplayWorkload {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let weight_pages = config.weight_pages();
-    let page_zipf = ZipfSampler::new(weight_pages, config.zipf_theta);
+    let page_zipf = ZipfSampler::new(weight_pages, ZIPF_THETA);
     let weights_bytes = weight_pages * PAGE;
     let data_bytes = config.data_pages * PAGE;
     // Words per page that ever hold an active feature: 12..=63.
@@ -90,12 +87,12 @@ pub fn generate(config: &LiblinearConfig, base: VirtAddr, target_accesses: u64) 
     let mut data_cursor = 0u64;
     'outer: while (rec.len() as u64) < target_accesses {
         // One mini-batch.
-        let mut touched: Vec<u64> = Vec::with_capacity(config.batch * config.nnz_per_sample);
-        for _ in 0..config.batch {
-            for _ in 0..config.nnz_per_sample {
+        let mut touched: Vec<u64> = Vec::with_capacity(BATCH * NNZ_PER_SAMPLE);
+        for _ in 0..BATCH {
+            for _ in 0..NNZ_PER_SAMPLE {
                 // Stream the sample's (index, value) pair.
                 rec.read(weights_bytes + data_cursor);
-                data_cursor = (data_cursor + config.bytes_per_nnz) % data_bytes;
+                data_cursor = (data_cursor + BYTES_PER_NNZ) % data_bytes;
                 // Gather the weight: hot pages are the low-id ones.
                 let page = page_zipf.sample(&mut rng);
                 let n_words = active_words(page);

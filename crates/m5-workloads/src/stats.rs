@@ -1,8 +1,9 @@
 //! Trace fingerprinting: the statistics that define each benchmark's
 //! paper role (Figures 4 and 10), computable from any replayable trace.
 //!
-//! Used by tests to pin workload properties and by users to characterise
-//! their own workloads before choosing a Nominator mode (Guidelines 3/4).
+//! Test-only: the unit tests below pin trace-level properties (write
+//! fraction, op marks, word sparsity) that `tests/workload_fingerprints.rs`
+//! does not check, since it measures behind the LLC.
 
 use crate::access::ReplayWorkload;
 use cxl_sim::addr::{PAGE_SIZE, WORD_SIZE};

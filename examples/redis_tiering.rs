@@ -10,7 +10,6 @@
 
 use m5::baselines::anb::{Anb, AnbConfig};
 use m5::baselines::damon::{Damon, DamonConfig};
-use m5::baselines::pebs::{PebsConfig, PebsSampler};
 use m5::core::manager::M5Manager;
 use m5::core::policy;
 use m5::sim::report::RunReport;
@@ -33,7 +32,7 @@ fn run_once(daemon: &mut dyn MigrationDaemon) -> RunReport {
 }
 
 fn main() {
-    println!("Redis + YCSB-A on tiered memory: p99 under four migration policies\n");
+    println!("Redis + YCSB-A on tiered memory: p99 under three migration policies\n");
     let baseline = run_once(&mut NoMigration);
     let show = |name: &str, r: &RunReport| {
         let p99 = r.p99().expect("kv workloads mark ops");
@@ -49,17 +48,12 @@ fn main() {
     show("anb", &run_once(&mut Anb::new(AnbConfig::default())));
     show("damon", &run_once(&mut Damon::new(DamonConfig::default())));
     show(
-        "pebs (memtis-like)",
-        &run_once(&mut PebsSampler::new(PebsConfig::default())),
-    );
-    show(
         "m5 (hwt)",
         &run_once(&mut M5Manager::new(policy::simple_hwt_policy())),
     );
     println!(
         "\nExpected: ANB's hinting faults hammer p99 over this short horizon; DAMON's\n\
-         scanning+migrating is p99-neutral-to-harmful; PEBS pays hundreds of ms of\n\
-         kernel time for its samples; M5(HWT) matches the best p99 at a tenth of the\n\
-         kernel cost by promoting the dense hot index pages."
+         scanning+migrating is p99-neutral-to-harmful; M5(HWT) matches the best p99\n\
+         at a tenth of the kernel cost by promoting the dense hot index pages."
     );
 }

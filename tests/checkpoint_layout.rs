@@ -12,10 +12,10 @@ use m5::sim::checkpoint::{StateWriter, VERSION};
 use m5::sim::prelude::*;
 use m5::sim::system::MigrationDaemon;
 
-const PINNED_VERSION: u32 = 8;
+const PINNED_VERSION: u32 = 9;
 
 const SECTION_BYTES: [(&str, usize); 15] = [
-    ("config", 1070),
+    ("config", 748),
     ("clock", 8),
     ("memory", 4144),
     ("paging", 8),
