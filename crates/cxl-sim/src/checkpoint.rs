@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"M5CKPT01";
 
 /// Current manifest version. Bump on any incompatible layout change.
-pub const VERSION: u32 = 9;
+pub const VERSION: u32 = 10;
 
 /// Terminator written after the last section; catches truncation at an
 /// exact section boundary (which no per-section checksum would see).

@@ -9,10 +9,11 @@
 //! and [`ChunkedRun::drive_to`](crate::system::ChunkedRun::drive_to)
 //! alternates the two, one chunk at a time.
 //!
-//! The word layout matches the recorded-trace format in `m5-workloads`
-//! (flags in the top bits, address in the low 48), so a replayed trace
-//! fills a chunk with a single rebase-and-copy pass instead of a decode/
-//! re-encode per access.
+//! Streams with a compact storage format of their own append words
+//! directly with [`AccessChunk::extend_words`]: the recorded trace in
+//! `m5-workloads` keeps a 4-byte line word per access and widens it into
+//! this layout in one pass per chunk, with no per-access [`Access`]
+//! round trip.
 
 use crate::addr::VirtAddr;
 use crate::system::Access;
@@ -145,29 +146,15 @@ impl AccessChunk {
         self.words.iter().map(|&w| decode(w))
     }
 
-    /// Appends up to [`AccessChunk::remaining`] packed accesses from
-    /// `packed` — *region-relative* words in the same bit layout — rebasing
-    /// each address onto `base`. Returns how many were appended.
-    ///
-    /// This is the SoA fast path for recorded traces: one mask-free
-    /// add per access (the flags live above bit 48, so adding a 48-bit
-    /// base cannot carry into them), no per-access decode/encode.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if a rebased address overflows 48 bits.
-    pub fn extend_rebased(&mut self, packed: &[u64], base: VirtAddr) -> usize {
-        let n = packed.len().min(self.remaining());
-        let b = base.0;
-        debug_assert!(b <= CHUNK_ADDR_MASK, "region base overflows 48 bits");
-        self.words.extend(packed[..n].iter().map(|&w| {
-            debug_assert!(
-                (w & CHUNK_ADDR_MASK) + b <= CHUNK_ADDR_MASK,
-                "rebased address overflows 48 bits"
-            );
-            w + b
-        }));
-        n
+    /// Appends packed words from `words` until the fill limit, returning
+    /// how many were appended. This is the bulk path for streams that
+    /// store accesses in a compact form of their own and widen them into
+    /// this layout in one pass.
+    #[inline]
+    pub fn extend_words(&mut self, words: impl IntoIterator<Item = u64>) -> usize {
+        let before = self.words.len();
+        self.words.extend(words.into_iter().take(self.remaining()));
+        self.words.len() - before
     }
 }
 
@@ -221,17 +208,18 @@ mod tests {
     }
 
     #[test]
-    fn extend_rebased_applies_base_and_keeps_flags() {
+    fn extend_words_stops_at_the_limit() {
         let packed = [
-            64u64,
-            4096 | CHUNK_WRITE_BIT,
-            8192 | CHUNK_OP_END_BIT | CHUNK_WRITE_BIT,
+            (1 << 20) + 64,
+            ((1 << 20) + 4096) | CHUNK_WRITE_BIT,
+            8192 | CHUNK_OP_END_BIT,
         ];
-        let mut c = AccessChunk::with_capacity(2);
-        let n = c.extend_rebased(&packed, VirtAddr(1 << 20));
-        assert_eq!(n, 2, "fill stops at the limit");
+        let mut c = AccessChunk::with_capacity(4);
+        c.set_limit(2);
+        assert_eq!(c.extend_words(packed), 2, "fill stops at the limit");
         assert_eq!(c.get(0), Access::read(VirtAddr((1 << 20) + 64)));
         assert_eq!(c.get(1), Access::write(VirtAddr((1 << 20) + 4096)));
+        assert_eq!(c.extend_words(packed), 0, "a full chunk takes nothing");
     }
 
     #[test]

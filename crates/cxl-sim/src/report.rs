@@ -102,10 +102,16 @@ impl LatencyHistogram {
         Log2Histogram::from_parts(&counts, self.sum, self.max.0).expect("LOG2_BUCKETS counts")
     }
 
-    /// Serializes the histogram for a checkpoint.
+    /// Serializes the histogram for a checkpoint: the non-empty buckets
+    /// as (index, count) pairs in increasing index order, then the sum
+    /// and the max. The total is their counts' sum, so it is not stored.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
-        w.put_u64_slice(&self.counts);
-        w.put_u64(self.total);
+        let filled = || self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        w.put_usize(filled().count());
+        for (b, &c) in filled() {
+            w.put_u32(b as u32);
+            w.put_u64(c);
+        }
         w.put_u128(self.sum);
         w.put_u64(self.max.0);
     }
@@ -114,27 +120,38 @@ impl LatencyHistogram {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects a bucket array of the wrong width,
-    /// a total that is not the sum of the buckets, a max outside the
-    /// highest non-empty bucket (or nonzero when empty), and a sum outside
-    /// the range the bucket bounds allow.
+    /// Propagates codec errors; rejects a bucket index past the last
+    /// bucket or not above the previous one, a zero count, counts whose
+    /// total overflows a `u64`, a max outside the highest non-empty bucket
+    /// (or nonzero when empty), and a sum outside the range the bucket
+    /// bounds allow.
     pub fn restore(
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<LatencyHistogram, crate::checkpoint::CodecError> {
         use crate::checkpoint::CodecError;
-        let counts = r.get_u64_vec()?;
-        if counts.len() != BUCKETS {
-            return Err(CodecError::BadValue {
-                what: "latency-histogram bucket count",
-                value: counts.len() as u64,
-            });
-        }
-        let total = r.get_u64()?;
-        if counts.iter().map(|&c| c as u128).sum::<u128>() != total as u128 {
-            return Err(CodecError::BadValue {
-                what: "latency-histogram total",
-                value: total,
-            });
+        let bad = |what, value| Err(CodecError::BadValue { what, value });
+        let n = r.get_usize()?;
+        let mut counts = vec![0; BUCKETS];
+        let mut total = 0u64;
+        let mut next = 0;
+        for _ in 0..n {
+            let b = r.get_u32()? as usize;
+            let c = r.get_u64()?;
+            if b >= BUCKETS {
+                return bad("latency-histogram bucket index", b as u64);
+            }
+            if b < next {
+                return bad("latency-histogram bucket order", b as u64);
+            }
+            if c == 0 {
+                return bad("latency-histogram empty bucket", b as u64);
+            }
+            let Some(t) = total.checked_add(c) else {
+                return bad("latency-histogram total", c);
+            };
+            counts[b] = c;
+            total = t;
+            next = b + 1;
         }
         let sum = r.get_u128()?;
         let max = r.get_u64()?;
@@ -143,10 +160,7 @@ impl LatencyHistogram {
             None => max == 0,
         };
         if !max_fits {
-            return Err(CodecError::BadValue {
-                what: "latency-histogram max",
-                value: max,
-            });
+            return bad("latency-histogram max", max);
         }
         // Cannot overflow: the counts sum to a u64, so each bound is at
         // most u64::MAX squared.
@@ -161,10 +175,10 @@ impl LatencyHistogram {
                 )
             });
         if !(lo..=hi).contains(&sum) {
-            return Err(CodecError::BadValue {
-                what: "latency-histogram sum",
-                value: u64::try_from(sum).unwrap_or(u64::MAX),
-            });
+            return bad(
+                "latency-histogram sum",
+                u64::try_from(sum).unwrap_or(u64::MAX),
+            );
         }
         Ok(LatencyHistogram {
             counts,
@@ -417,77 +431,113 @@ mod tests {
         assert_eq!(h.mean(), None);
     }
 
+    /// A histogram image in the checkpoint layout: `pairs` as written,
+    /// then `sum` and `max`.
+    fn image(pairs: &[(u32, u64)], sum: u128, max: u64) -> Vec<u8> {
+        let mut w = crate::checkpoint::StateWriter::new();
+        w.put_usize(pairs.len());
+        for &(b, c) in pairs {
+            w.put_u32(b);
+            w.put_u64(c);
+        }
+        w.put_u128(sum);
+        w.put_u64(max);
+        w.finish()
+    }
+
+    /// `h`'s non-empty buckets as (index, count) pairs.
+    fn pairs(h: &LatencyHistogram) -> Vec<(u32, u64)> {
+        let filled = h.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        filled.map(|(b, &c)| (b as u32, c)).collect()
+    }
+
+    fn restore(b: &[u8]) -> Result<LatencyHistogram, crate::checkpoint::CodecError> {
+        LatencyHistogram::restore(&mut crate::checkpoint::StateReader::new(b))
+    }
+
+    fn bad(
+        what: &'static str,
+        value: u64,
+    ) -> Result<LatencyHistogram, crate::checkpoint::CodecError> {
+        Err(crate::checkpoint::CodecError::BadValue { what, value })
+    }
+
     #[test]
-    fn restore_rejects_a_wrong_width_or_a_total_off_the_buckets() {
-        use crate::checkpoint::{CodecError, StateReader, StateWriter};
+    fn save_writes_only_the_non_empty_buckets() {
         let mut h = LatencyHistogram::new();
-        for ns in [0, 70, 5_000, u64::MAX] {
+        for ns in [0, 70, 70, 5_000, u64::MAX] {
             h.record(Nanos(ns));
         }
-        let image = |counts: &[u64], total: u64| {
-            let mut w = StateWriter::new();
-            w.put_u64_slice(counts);
-            w.put_u64(total);
-            w.put_u128(h.sum);
-            w.put_u64(h.max.0);
-            w.finish()
-        };
-        let restore = |b: &[u8]| LatencyHistogram::restore(&mut StateReader::new(b));
+        let mut w = crate::checkpoint::StateWriter::new();
+        h.save(&mut w);
+        let bytes = w.finish();
+        assert_eq!(bytes, image(&pairs(&h), h.sum, h.max.0));
+        assert_eq!(bytes.len(), 8 + 4 * (4 + 8) + 16 + 8);
+        assert_eq!(restore(&bytes), Ok(h));
 
-        assert_eq!(restore(&image(&h.counts, 4)), Ok(h.clone()));
-        assert!(matches!(
-            restore(&image(&h.counts[1..], 4)),
-            Err(CodecError::BadValue {
-                what: "latency-histogram bucket count",
-                ..
-            })
-        ));
-        for total in [3, 5, u64::MAX] {
-            assert_eq!(
-                restore(&image(&h.counts, total)),
-                Err(CodecError::BadValue {
-                    what: "latency-histogram total",
-                    value: total
-                })
-            );
+        let empty = LatencyHistogram::new();
+        let mut w = crate::checkpoint::StateWriter::new();
+        empty.save(&mut w);
+        assert_eq!(w.finish().len(), 8 + 16 + 8);
+    }
+
+    #[test]
+    fn restore_rejects_a_bucket_list_the_histogram_cannot_hold() {
+        let mut h = LatencyHistogram::new();
+        for ns in [0, 70, 5_000] {
+            h.record(Nanos(ns));
         }
+        let p = pairs(&h);
+        let (sum, max) = (h.sum, h.max.0);
+        assert_eq!(restore(&image(&p, sum, max)), Ok(h));
+
+        let last = BUCKETS as u32;
+        assert_eq!(
+            restore(&image(&[(last, 1)], 0, 0)),
+            bad("latency-histogram bucket index", last as u64)
+        );
+        let repeated = [p[0], p[1], p[1]];
+        assert_eq!(
+            restore(&image(&repeated, sum, max)),
+            bad("latency-histogram bucket order", p[1].0 as u64)
+        );
+        let swapped = [p[1], p[0], p[2]];
+        assert_eq!(
+            restore(&image(&swapped, sum, max)),
+            bad("latency-histogram bucket order", p[0].0 as u64)
+        );
+        let zero = [p[0], (p[1].0, 0), p[2]];
+        assert_eq!(
+            restore(&image(&zero, sum, max)),
+            bad("latency-histogram empty bucket", p[1].0 as u64)
+        );
+        let overflow = [(1, u64::MAX), (2, 1)];
+        assert_eq!(
+            restore(&image(&overflow, 0, 2)),
+            bad("latency-histogram total", 1)
+        );
     }
 
     #[test]
     fn restore_rejects_a_max_or_sum_off_the_bucket_bounds() {
-        use crate::checkpoint::{CodecError, StateReader, StateWriter};
-        let image = |h: &LatencyHistogram, sum: u128, max: u64| {
-            let mut w = StateWriter::new();
-            w.put_u64_slice(&h.counts);
-            w.put_u64(h.total);
-            w.put_u128(sum);
-            w.put_u64(max);
-            w.finish()
-        };
-        let restore = |b: &[u8]| LatencyHistogram::restore(&mut StateReader::new(b));
-        let bad = |what, value| Err(CodecError::BadValue { what, value });
-
-        let empty = LatencyHistogram::new();
-        assert_eq!(restore(&image(&empty, 0, 0)), Ok(empty.clone()));
-        assert_eq!(
-            restore(&image(&empty, 0, 7)),
-            bad("latency-histogram max", 7)
-        );
+        assert_eq!(restore(&image(&[], 0, 0)), Ok(LatencyHistogram::new()));
+        assert_eq!(restore(&image(&[], 0, 7)), bad("latency-histogram max", 7));
 
         let samples = [3u64, 70, 5_000];
         let mut h = LatencyHistogram::new();
         for ns in samples {
             h.record(Nanos(ns));
         }
+        let p = pairs(&h);
         // Any max inside the top bucket restores; one outside does not.
         let top = bucket_of(5_000);
         let (top_lo, top_hi) = (bucket_lower_bound(top), bucket_upper_bound(top));
         for max in [top_lo, top_hi] {
-            assert!(restore(&image(&h, h.sum, max)).is_ok(), "max {max}");
+            assert!(restore(&image(&p, h.sum, max)).is_ok(), "max {max}");
         }
         for max in [0, 70, top_lo - 1, top_hi + 1, u64::MAX] {
             assert_eq!(
-                restore(&image(&h, h.sum, max)),
+                restore(&image(&p, h.sum, max)),
                 bad("latency-histogram max", max)
             );
         }
@@ -498,12 +548,12 @@ mod tests {
         };
         let (lo, hi) = (sum_of(bucket_lower_bound), sum_of(bucket_upper_bound));
         for sum in [lo, hi] {
-            assert!(restore(&image(&h, sum, 5_000)).is_ok(), "sum {sum}");
+            assert!(restore(&image(&p, sum, 5_000)).is_ok(), "sum {sum}");
         }
         for sum in [0, lo - 1, hi + 1, u128::MAX] {
             let value = u64::try_from(sum).unwrap_or(u64::MAX);
             assert_eq!(
-                restore(&image(&h, sum, 5_000)),
+                restore(&image(&p, sum, 5_000)),
                 bad("latency-histogram sum", value)
             );
         }

@@ -15,6 +15,7 @@
 //!   like Redis and CacheLib).
 
 use cxl_sim::addr::{CacheLineAddr, Pfn};
+use cxl_sim::checkpoint::CodecError;
 use std::collections::{BTreeMap, HashMap};
 
 /// Which nomination mechanism to use.
@@ -185,11 +186,13 @@ impl Nominator {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors from a truncated payload.
+    /// Propagates codec errors from a truncated payload; rejects an
+    /// accumulation list whose PFNs do not strictly increase or that holds
+    /// an entry with an empty mask.
     pub fn restore(
         mode: NominatorMode,
         r: &mut cxl_sim::checkpoint::StateReader<'_>,
-    ) -> Result<Nominator, cxl_sim::checkpoint::CodecError> {
+    ) -> Result<Nominator, CodecError> {
         let n = r.get_u64()? as usize;
         let mut hpa = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
@@ -199,12 +202,31 @@ impl Nominator {
                 mask: r.get_u64()?,
             });
         }
+        // `save` lists the accumulation in strictly increasing PFN order,
+        // and every entry `refresh` creates has a mask bit set. A count
+        // of 0 is not rejected: a live tracker reports counts of at least
+        // 1, but one whose SRAM was restored from an image may report 0,
+        // and `refresh` folds it in as is.
         let n = r.get_u64()? as usize;
         let mut hwa_acc = BTreeMap::new();
+        let mut prev = None;
         for _ in 0..n {
             let pfn = Pfn(r.get_u64()?);
             let count = r.get_u64()?;
             let mask = r.get_u64()?;
+            if prev.is_some_and(|p| pfn <= p) {
+                return Err(CodecError::BadValue {
+                    what: "nominator accumulation pfn not increasing",
+                    value: pfn.0,
+                });
+            }
+            if mask == 0 {
+                return Err(CodecError::BadValue {
+                    what: "nominator accumulation mask empty",
+                    value: pfn.0,
+                });
+            }
+            prev = Some(pfn);
             hwa_acc.insert(pfn, (count, mask));
         }
         Ok(Nominator { mode, hpa, hwa_acc })

@@ -2,27 +2,54 @@
 //!
 //! Generators record *region-relative* accesses once; a [`ReplayWorkload`]
 //! binds the trace to a concrete region base at run time. Because the trace
-//! is immutable and cheaply cloneable (`Arc`), the same byte-identical
-//! access stream can be replayed under every migration daemon — removing
-//! workload noise from cross-daemon comparisons, exactly like replaying a
-//! recorded trace on real hardware.
+//! is immutable and cheaply cloneable (`Arc`), the same access stream can
+//! be replayed under every migration daemon — removing workload noise from
+//! cross-daemon comparisons, exactly like replaying a recorded trace on
+//! real hardware.
+//!
+//! The trace keeps what the engine consumes and no more: one 4-byte word
+//! per access holding the region-relative 64-B line index and the two
+//! flags. The engine reads an address only through its page and its word
+//! within the page, so the bytes below the line are dropped at recording
+//! time. Replay widens each word into the 8-byte [`AccessChunk`] layout
+//! (absolute, line-aligned address; flags in bits 63/62) in one pass per
+//! chunk.
 
-use cxl_sim::addr::VirtAddr;
-use cxl_sim::chunk::AccessChunk;
+use cxl_sim::addr::{VirtAddr, WORD_SHIFT};
+use cxl_sim::chunk::{self, AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT, CHUNK_WRITE_BIT};
 use cxl_sim::system::{Access, AccessStream};
 use std::sync::Arc;
 
-// The recorded-trace word layout *is* the chunk word layout (addresses are
-// region-relative here, absolute there), so replay fills chunks with a
-// single rebase pass.
-const WRITE_BIT: u64 = cxl_sim::chunk::CHUNK_WRITE_BIT;
-const OP_END_BIT: u64 = cxl_sim::chunk::CHUNK_OP_END_BIT;
-const ADDR_MASK: u64 = cxl_sim::chunk::CHUNK_ADDR_MASK;
+/// Bit 31 of a trace word: the access is a store.
+const WRITE_BIT: u32 = 1 << 31;
+/// Bit 30 of a trace word: the access completes an operation.
+const OP_END_BIT: u32 = 1 << 30;
+/// Bits 0–29 of a trace word: the region-relative 64-B line index.
+const LINE_MASK: u32 = (1 << 30) - 1;
+
+/// The first region-relative byte offset a trace word cannot hold: 2^30
+/// lines of 64 B, 64 GiB.
+const TRACE_REACH: u64 = (LINE_MASK as u64 + 1) << WORD_SHIFT;
+
+// Shifting a trace word's flag bits up by 32 lands them on the chunk
+// word's flag bits.
+const FLAG_SHIFT: u32 = 32;
+const _: () = assert!((WRITE_BIT as u64) << FLAG_SHIFT == CHUNK_WRITE_BIT);
+const _: () = assert!((OP_END_BIT as u64) << FLAG_SHIFT == CHUNK_OP_END_BIT);
+
+/// Widens trace word `w` into a chunk word for a region at `base`.
+#[inline]
+fn widen(w: u32, base: u64) -> u64 {
+    let w = u64::from(w);
+    let addr = ((w & LINE_MASK as u64) << WORD_SHIFT) + base;
+    debug_assert!(addr <= CHUNK_ADDR_MASK, "rebased address overflows 48 bits");
+    addr | (w & !(LINE_MASK as u64)) << FLAG_SHIFT
+}
 
 /// Records region-relative accesses during workload generation.
 #[derive(Clone, Debug, Default)]
 pub struct AccessRecorder {
-    buf: Vec<u64>,
+    buf: Vec<u32>,
 }
 
 impl AccessRecorder {
@@ -38,15 +65,20 @@ impl AccessRecorder {
         }
     }
 
-    /// Records one access at region-relative byte offset `rel`.
+    /// Records one access at region-relative byte offset `rel`. Only the
+    /// offset's 64-B line is kept.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `rel` does not fit in 48 bits.
+    /// Panics, in every build profile, if `rel` is 64 GiB (2^36 B) or more:
+    /// a wider offset must never wrap onto a mapped line.
     #[inline]
     pub fn push(&mut self, rel: u64, is_write: bool, op_end: bool) {
-        debug_assert!(rel <= ADDR_MASK, "relative offset overflows 48 bits");
-        let mut w = rel;
+        assert!(
+            rel < TRACE_REACH,
+            "region-relative offset {rel:#x} is past the 64 GiB a trace word reaches"
+        );
+        let mut w = (rel >> WORD_SHIFT) as u32;
         if is_write {
             w |= WRITE_BIT;
         }
@@ -100,7 +132,7 @@ impl AccessRecorder {
 #[derive(Clone, Debug)]
 pub struct ReplayWorkload {
     name: String,
-    trace: Arc<Vec<u64>>,
+    trace: Arc<Vec<u32>>,
     base: VirtAddr,
     pos: usize,
 }
@@ -154,12 +186,13 @@ impl ReplayWorkload {
         self.pos = pos.min(self.trace.len());
     }
 
-    /// The highest region-relative byte offset touched, plus one (the
-    /// region size the trace needs).
+    /// The region-relative end of the highest line touched (the region
+    /// size the trace needs, to line granularity).
+    #[cfg(test)]
     pub fn max_extent(&self) -> u64 {
         self.trace
             .iter()
-            .map(|w| (w & ADDR_MASK) + 1)
+            .map(|&w| u64::from((w & LINE_MASK) + 1) << WORD_SHIFT)
             .max()
             .unwrap_or(0)
     }
@@ -170,17 +203,14 @@ impl AccessStream for ReplayWorkload {
     fn next_access(&mut self) -> Option<Access> {
         let w = *self.trace.get(self.pos)?;
         self.pos += 1;
-        Some(Access {
-            vaddr: VirtAddr(self.base.0 + (w & ADDR_MASK)),
-            is_write: w & WRITE_BIT != 0,
-            op_end: w & OP_END_BIT != 0,
-        })
+        Some(chunk::decode(widen(w, self.base.0)))
     }
 
-    /// Bulk path: the trace is already in chunk word format, so filling is
-    /// one rebase-and-copy pass over the next slice of the trace.
+    /// Bulk path: one widen-and-rebase pass over the next slice of the
+    /// trace, straight into the chunk's words.
     fn fill_chunk(&mut self, chunk: &mut AccessChunk) -> usize {
-        let n = chunk.extend_rebased(&self.trace[self.pos..], self.base);
+        let base = self.base.0;
+        let n = chunk.extend_words(self.trace[self.pos..].iter().map(|&w| widen(w, base)));
         self.pos += n;
         n
     }
@@ -259,12 +289,32 @@ mod tests {
     }
 
     #[test]
-    fn rebase_and_extent() {
+    fn rebase_and_extent_keep_the_line_and_flags() {
         let mut rec = AccessRecorder::new();
-        rec.read(12345);
+        // 12345 = line 192 (byte 12288) + 57: the low 6 bits are dropped.
+        rec.push(12345, true, true);
         let wl = rec.into_workload("t", VirtAddr(0));
-        assert_eq!(wl.max_extent(), 12346);
+        assert_eq!(wl.max_extent(), 12288 + 64, "end of the highest line");
         let mut moved = wl.rebased(VirtAddr(4096));
-        assert_eq!(moved.next_access().unwrap().vaddr, VirtAddr(4096 + 12345));
+        let a = moved.next_access().unwrap();
+        assert_eq!(a.vaddr, VirtAddr(4096 + 12288));
+        assert_eq!(a.vaddr.word_index(), VirtAddr(4096 + 12345).word_index());
+        assert!(a.is_write && a.op_end);
+    }
+
+    #[test]
+    fn push_reaches_the_last_line_below_64_gib() {
+        let mut rec = AccessRecorder::new();
+        rec.push(TRACE_REACH - 1, true, false);
+        let mut wl = rec.into_workload("t", VirtAddr(1 << 40));
+        let a = wl.next_access().unwrap();
+        assert_eq!(a.vaddr, VirtAddr((1 << 40) + TRACE_REACH - 64));
+        assert!(a.is_write && !a.op_end);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 64 GiB")]
+    fn push_rejects_an_offset_at_64_gib() {
+        AccessRecorder::new().push(1 << 36, false, false);
     }
 }

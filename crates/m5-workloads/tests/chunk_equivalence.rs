@@ -4,8 +4,8 @@
 //! if batching never changes the access sequence. This property holds by
 //! construction for the default `fill_chunk` (it *is* a `next_access`
 //! loop); these tests pin it for the native bulk implementations — the
-//! recorded-trace rebase copy in `ReplayWorkload` and the quantum-aware
-//! delegation in `CoRunner` — at arbitrary chunk capacities.
+//! recorded-trace widen-and-rebase pass in `ReplayWorkload` and the
+//! quantum-aware delegation in `CoRunner` — at arbitrary chunk capacities.
 
 use cxl_sim::addr::VirtAddr;
 use cxl_sim::chunk::AccessChunk;

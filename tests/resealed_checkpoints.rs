@@ -351,3 +351,73 @@ fn a_resealed_ras_section_with_unsorted_or_repeated_frames_is_rejected() {
     ];
     assert_rejected(&config, &FaultPlan::none(), &cp, "ras", cases);
 }
+
+#[test]
+fn a_resealed_nominator_accumulation_with_a_repeated_pfn_or_empty_mask_is_rejected() {
+    use m5::core::manager::M5Manager;
+    use m5::core::policy::simple_hwt_policy;
+    use m5::sim::checkpoint::{StateReader, StateWriter};
+    use m5::workloads::access::AccessRecorder;
+
+    // Sparse hot words in 32 of 512 CXL pages: the HWT-driven Nominator
+    // accumulates them across epochs.
+    let config = SystemConfig::small()
+        .with_cxl_frames(1024)
+        .with_ddr_frames(256);
+    let mut sys = System::new(config.clone());
+    let region = sys.alloc_region(512, Placement::AllOnCxl).unwrap();
+    let mut rec = AccessRecorder::new();
+    let mut x = 7u64;
+    for i in 0..200_000u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = x >> 33;
+        let page = if i % 4 == 0 { r % 512 } else { (r % 32) * 16 };
+        rec.push(page * 4096 + (r % 4) * 64, i % 5 == 0, false);
+    }
+    let mut wl = rec.into_workload("hwt", region.base);
+    let mut m5 = M5Manager::new(simple_hwt_policy());
+    m5::sim::system::run(&mut sys, &mut wl, &mut m5, u64::MAX);
+    let cp = sys.checkpoint();
+    let mut w = StateWriter::new();
+    m5.save(&sys, &mut w);
+    let section = w.finish();
+
+    let restore = |payload: &[u8]| {
+        let mut sys = System::restore(config.clone(), &FaultPlan::none(), &cp).unwrap();
+        let mut r = StateReader::new(payload);
+        M5Manager::restore(simple_hwt_policy(), &mut sys, &mut r).and_then(|_| r.expect_end())
+    };
+    restore(&section).expect("the untouched section restores");
+
+    // The section opens with the config string (a u32 length, then its
+    // bytes) and one strike byte per tracker slot; then the nominator's
+    // `_HPA` list and its accumulation list, each a u64 length followed
+    // by (pfn, count, mask) u64 triples.
+    let hpa = 4 + u32::from_le_bytes(section[..4].try_into().unwrap()) as usize + 2;
+    let acc = hpa + 8 + 24 * u64_at(&section, hpa) as usize;
+    let n = u64_at(&section, acc) as usize;
+    assert!(n >= 2, "the accumulation holds {n} pages");
+    let entry = |i: usize| acc + 8 + 24 * i;
+    assert!(u64_at(&section, entry(0)) < u64_at(&section, entry(1)));
+
+    let mut repeated = section.clone();
+    repeated.copy_within(entry(0)..entry(0) + 8, entry(1));
+    let mut decreasing = section.clone();
+    decreasing[entry(0)..entry(0) + 8].copy_from_slice(&section[entry(1)..entry(1) + 8]);
+    decreasing[entry(1)..entry(1) + 8].copy_from_slice(&section[entry(0)..entry(0) + 8]);
+    let mut empty_mask = section.clone();
+    empty_mask[entry(n - 1) + 16..entry(n)].fill(0);
+
+    for (what, payload) in [
+        ("a pfn listed twice", repeated),
+        ("pfns out of order", decreasing),
+        ("an empty mask", empty_mask),
+    ] {
+        match restore(&payload) {
+            Err(CodecError::BadValue { .. }) => {}
+            other => panic!("{what}: expected a typed error, got {other:?}"),
+        }
+    }
+}
